@@ -29,9 +29,12 @@ deconvolution
         l_j(y) = int b_j(F0(s)) f0(s) h(y - s) ds
                  / int f0(s) h(y - s) ds,
 
-    computed by adaptive quadrature.  These are not orthonormal, so
-    the normalizing matrix is estimated from the null sampler and the
-    statistic series uses nested inverse moment blocks.
+    tabulated once per spec, at the dimension cap, on a y-grid with a
+    fixed Gauss-Legendre rule (which assumes f0 is smooth on its
+    support; :func:`deconvolution_score` remains the adaptive-quadrature
+    oracle).  These are not orthonormal, so the moment matrix is
+    estimated from the null sampler, also once at the cap, and the
+    statistic series uses its nested leading blocks.
 
 composite
     The null is a parametric family {F(.; beta)}.  With beta estimated
@@ -61,7 +64,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special
 
 from .basis import OrthonormalBasis, design_matrix, eval_basis, legendre_basis
 from .errors import NumericError, SingularMatrixError
@@ -192,12 +195,14 @@ def gaussian_location_family() -> ParametricFamily:
     """N(mu, 1) with unknown location.
 
     The MLE is the sample mean and every information block is free of
-    mu (location invariance), so blocks are cached per dimension k.
+    mu (location invariance), so blocks are cached per (basis, k).  The
+    key holds the basis itself, not its id: an id can be reused once
+    its basis is garbage-collected.
     """
     cache: dict = {}
 
     def info(beta, basis, k):
-        key = (id(basis), k)
+        key = (basis, k)
         if key not in cache:
             cache[key] = _numeric_information_blocks(_family, np.zeros(1), basis, k)
         return cache[key]
@@ -205,11 +210,11 @@ def gaussian_location_family() -> ParametricFamily:
     _family = ParametricFamily(
         name="gaussian_location",
         q=1,
-        cdf=lambda x, beta: stats.norm.cdf(x - beta[0]),
+        cdf=lambda x, beta: special.ndtr(x - beta[0]),
         logpdf=lambda x, beta: -0.5 * (x - beta[0]) ** 2 - 0.5 * math.log(2 * math.pi),
         fit=lambda data: np.array([float(np.mean(data))]),
         sampler=lambda rng, n, beta: beta[0] + rng.standard_normal(n),
-        ppf=lambda p, beta: beta[0] + stats.norm.ppf(p),
+        ppf=lambda p, beta: beta[0] + special.ndtri(p),
         information=info,
     )
     return _family
@@ -266,6 +271,13 @@ class TestSpec:
                 raise ValueError("deconvolution spec needs null_density and noise")
             if self.l_draws < 1000:
                 raise ValueError("l_draws too small to estimate a normalizing matrix")
+            # the moment matrix is estimated once, at the cap
+            cap = self.budget.cap
+            if self.l_draws < 10 * cap * cap:
+                raise ValueError(
+                    f"l_draws={self.l_draws} is below 10 * cap**2 = {10 * cap * cap} "
+                    f"for budget cap {cap}"
+                )
             if self.grid_points < 64:
                 raise ValueError("grid_points too small for score tabulation")
         if self.kind == "composite":
@@ -388,14 +400,24 @@ def rank_transform(values, i: int | None = None):
     if not np.all(np.isfinite(values)):
         raise ValueError("values contain non-finite entries")
     n = values.size
-    if np.unique(values).size < n:
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    first = np.empty(n, dtype=bool)  # first element of each run of ties
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if not np.all(first):
         warnings.warn(
             "tied observations: using average ranks; the null distribution "
             "of the rank test is no longer exact",
             UserWarning,
             stacklevel=2,
         )
-    u = (stats.rankdata(values, method="average") - 0.5) / n
+    # a run of ties at sorted positions [a, b) gets the mid-rank (a + 1 + b) / 2
+    bounds = np.append(np.flatnonzero(first), n)
+    run = np.cumsum(first) - 1
+    ranks = np.empty(n)
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
+    u = (ranks - 0.5) / n
     if i is not None:
         if not 1 <= i <= n:
             raise ValueError(f"index i={i} outside 1..{n}")
@@ -433,6 +455,8 @@ def deconvolution_score(
     observation is impossibly far from the support for this noise and
     raises NumericError rather than dividing by (numerical) zero.
     """
+    from scipy import integrate  # only this oracle needs it; keeps import ntgof light
+
     basis = basis or legendre_basis(12)
     if not 1 <= j <= basis.max_degree:
         raise ValueError(f"degree j={j} outside 1..{basis.max_degree}")
@@ -461,6 +485,13 @@ def deconvolution_score(
     return num / den
 
 
+# Gauss-Legendre nodes per grid point of the deconvolution score table,
+# and grid rows integrated at once; a block's largest array, the basis
+# values, holds _DECONV_BLOCK * _DECONV_NODES * k floats.
+_DECONV_NODES = 64
+_DECONV_BLOCK = 256
+
+
 class _DeconvScoreTable:
     """Scores l_1..l_k tabulated on a y-grid, evaluated by interpolation.
 
@@ -468,53 +499,92 @@ class _DeconvScoreTable:
     Monte Carlo loop; a fixed fine grid keeps evaluation deterministic
     and identical between calibration draws and observed data, which is
     what matters for a simulated reference distribution.
+
+    Both integrals of every grid point use one fixed _DECONV_NODES-point
+    Gauss-Legendre rule over the window [y - 8 scale, y + 8 scale]
+    intersected with the null support, the same range
+    :func:`deconvolution_score` integrates adaptively.  The window stops
+    at the support's ends, so the rule sees f0 only where it should be
+    smooth; a null density with kinks or spikes inside its support
+    needs the adaptive oracle instead.
     """
 
     def __init__(self, spec: TestSpec, k: int):
+        null_d, noise, scale = spec.null_density, spec.noise, spec.noise.scale
+        a, b = null_d.support
         # Tabulate to 6 noise scales beyond the support; past that the
         # smoothed posterior has collapsed onto the nearest support
         # endpoint and the scores are flat, so clamped interpolation is
         # exact to within the table resolution.
-        lo = spec.null_density.support[0] - 6.0 * spec.noise.scale
-        hi = spec.null_density.support[1] + 6.0 * spec.noise.scale
-        self.grid = np.linspace(lo, hi, spec.grid_points)
-        self.cols = np.empty((spec.grid_points, k))
-        for j in range(1, k + 1):
-            self.cols[:, j - 1] = [
-                deconvolution_score(y, j, spec.null_density, spec.noise, spec.basis)
-                for y in self.grid
-            ]
+        self.grid = np.linspace(a - 6.0 * scale, b + 6.0 * scale, spec.grid_points)
+        # scores[i, j - 1] holds l_j(grid[i])
+        self.scores = np.empty((spec.grid_points, k))
+        t, w = np.polynomial.legendre.leggauss(_DECONV_NODES)
+        for start in range(0, spec.grid_points, _DECONV_BLOCK):
+            y = self.grid[start : start + _DECONV_BLOCK, None]
+            # every grid point lies within 6 scales of the support, so
+            # each window is non-empty
+            lo = np.maximum(a, y - 8.0 * scale)
+            hi = np.minimum(b, y + 8.0 * scale)
+            s = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+            weighted = (0.5 * (hi - lo) * w) * null_d.pdf(s) * noise.pdf(y - s)
+            den = weighted.sum(axis=1)
+            if np.any(den < 1e-300):
+                bad = float(y[np.argmax(den < 1e-300), 0])
+                raise NumericError(
+                    f"noise-smoothed null density vanishes at y={bad:.6g}; score undefined"
+                )
+            u = np.clip(null_d.cdf(s), 0.0, 1.0)
+            num = np.einsum("bn,bnj->bj", weighted, design_matrix(spec.basis, u, k))
+            bad_rows = ~(np.isfinite(den) & np.all(np.isfinite(num), axis=1))
+            if np.any(bad_rows):
+                bad = float(y[np.argmax(bad_rows), 0])
+                raise NumericError(f"quadrature failed at y={bad:.6g}")
+            self.scores[start : start + _DECONV_BLOCK] = num / den[:, None]
+        # slope of each grid cell; the zero row past the last point makes
+        # points clamped to grid[-1] read scores[-1] exactly
+        self._slopes = np.zeros_like(self.scores)
+        self._slopes[:-1] = np.diff(self.scores, axis=0) / np.diff(self.grid)[:, None]
         self.k = k
-        self._domain = (
-            spec.null_density.support[0] - 8.0 * spec.noise.scale,
-            spec.null_density.support[1] + 8.0 * spec.noise.scale,
-        )
+        self._domain = (a - 8.0 * scale, b + 8.0 * scale)
 
-    def evaluate(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
+    def evaluate(self, y, k: int | None = None) -> np.ndarray:
+        """(m, k) scores l_1..l_k at the points y; k defaults to all columns.
+
+        Linear interpolation, clamped outside the grid: the same numbers
+        as ``np.interp`` column by column, with one grid search for all
+        k columns.
+        """
+        k = self.k if k is None else k
+        y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.size and (np.min(y) < self._domain[0] or np.max(y) > self._domain[1]):
             bad = float(y[np.argmax((y < self._domain[0]) | (y > self._domain[1]))])
             raise NumericError(
                 f"observation y={bad:.6g} is more than 8 noise scales from the null support"
             )
-        return np.column_stack(
-            [np.interp(y, self.grid, self.cols[:, j]) for j in range(self.k)]
-        )
+        y = np.clip(y, self.grid[0], self.grid[-1])
+        i = np.searchsorted(self.grid, y, side="right") - 1
+        return self._slopes[i, :k] * (y - self.grid[i])[:, None] + self.scores[i, :k]
 
 
-def _deconv_artifacts(spec: TestSpec, k: int):
-    """Cached (score table, moment matrix) for dimension k."""
-    key = ("deconv", k)
-    if key not in spec._cache:
-        table = _DeconvScoreTable(spec, k)
+def _deconv_artifacts(spec: TestSpec):
+    """Cached (score table, moment matrix), built once at the budget cap.
+
+    A test at dimension d uses the table's first d columns and the
+    leading d x d block of the moment matrix, so moving between sample
+    sizes never rebuilds either.
+    """
+    if "deconv" not in spec._cache:
+        cap = spec.budget.cap
+        table = _DeconvScoreTable(spec, cap)
         moment = estimate_moment_matrix(
             null_sampler(spec),
-            ScoreBasis(k, table.evaluate),
+            ScoreBasis(cap, table.evaluate),
             spec.l_draws,
             spec.l_seed,
         )
-        spec._cache[key] = (table, moment)
-    return spec._cache[key]
+        spec._cache["deconv"] = (table, moment)
+    return spec._cache["deconv"]
 
 
 def deconvolution_test(data, spec: TestSpec) -> SelectionOutcome:
@@ -522,9 +592,9 @@ def deconvolution_test(data, spec: TestSpec) -> SelectionOutcome:
     data = _check_sample(data, None)
     n = data.shape[0]
     d = spec.budget.d(n)
-    table, moment = _deconv_artifacts(spec, d)
-    scores = table.evaluate(data)
-    return select_dimension(nt_series(scores, moment), spec.penalty, n)
+    table, moment = _deconv_artifacts(spec)
+    scores = table.evaluate(data, d)
+    return select_dimension(nt_series(scores, moment[:d, :d]), spec.penalty, n)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 composite parametric nulls, and the stock alternatives."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ntgof.basis import design_matrix, eval_basis, legendre_basis
+import ntgof
+from ntgof.basis import design_matrix, eval_basis, legendre_basis, user_basis
 from ntgof.catalog import (
     composite_score_statistic,
     composite_spec,
@@ -30,6 +35,7 @@ from ntgof.catalog import (
     uniformity_test,
 )
 from ntgof.catalog import ParametricFamily, TestSpec as CatalogSpec
+from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
 from ntgof.errors import NumericError, SingularMatrixError
 from ntgof.selection import default_budget, schwarz_schedule
 from ntgof.statistics import snt_statistic
@@ -143,6 +149,19 @@ def test_rank_ties_average_and_warn():
     with pytest.warns(UserWarning, match="tie"):
         u = rank_transform(np.array([1.0, 1.0, 2.0]))
     assert u == pytest.approx([1.0 / 3, 1.0 / 3, 2.5 / 3])
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_rank_matches_scipy_rankdata_bitwise(tied):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(1, 200))
+        v = rng.integers(0, max(1, n // 3), n).astype(float) if tied else rng.standard_normal(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = rank_transform(v)
+        want = (stats.rankdata(v) - 0.5) / n
+        assert np.array_equal(got, want)
 
 
 def test_rank_invariant_under_monotone_map():
@@ -268,15 +287,54 @@ def test_deconvolution_test_runs_and_caches():
     assert out1.s >= 1
     assert math.isfinite(out1.t_s)
     assert len(out1.series) == spec.budget.d(n)
-    # artifacts are cached on the spec: a second run reuses them
-    assert ("deconv", 3) in spec._cache
+    # artifacts are built once per spec, at the budget cap: a run at
+    # n = 1296 (d = 6) reuses the table the n = 144 run built
+    (table, _), = spec._cache.values()
+    big = rng.random(1296) + 0.25 * rng.standard_normal(1296)
+    assert len(deconvolution_test(big, spec).series) == spec.budget.d(1296) == 6
+    (again, _), = spec._cache.values()
+    assert again is table
     out2 = deconvolution_test(data, spec)
     assert out2.t_s == out1.t_s
     # tabulated scores track the direct quadrature closely
-    table, _ = spec._cache[("deconv", 3)]
     for y in (-0.3, 0.12, 0.55, 1.31):
         direct = deconvolution_score(y, 2, spec.null_density, spec.noise, spec.basis)
         assert table.evaluate(np.array([y]))[0, 1] == pytest.approx(direct, abs=1e-4)
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.25, 1.0])
+def test_score_table_matches_quadrature_oracle(sigma):
+    spec = deconvolution_spec(noise=gaussian_noise(sigma), grid_points=64)
+    table = _DeconvScoreTable(spec, 12)
+    for i in range(0, 64, 3):
+        y = table.grid[i]
+        for j in range(1, 13):
+            direct = deconvolution_score(y, j, spec.null_density, spec.noise, spec.basis)
+            assert abs(table.scores[i, j - 1] - direct) < 1e-10, (y, j)
+
+
+def test_score_table_interpolates_like_np_interp():
+    spec = deconvolution_spec(grid_points=101)
+    table = _DeconvScoreTable(spec, 6)
+    grid = table.grid
+    y = np.concatenate(
+        [
+            np.random.default_rng(12).uniform(-2.0, 3.0, 5000),
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+        ]
+    )
+    for k in (1, 4, 6):
+        want = np.column_stack([np.interp(y, grid, table.scores[:, j]) for j in range(k)])
+        assert np.array_equal(table.evaluate(y, k), want)
+
+
+def test_deconvolution_spec_needs_moment_draws_at_cap():
+    # the moment matrix is estimated at the cap (12): 10 * 12**2 = 1440
+    with pytest.raises(ValueError, match=r"l_draws=1200 .*1440"):
+        deconvolution_spec(l_draws=1200)
+    assert deconvolution_spec(l_draws=1440).l_draws == 1440
 
 
 def test_deconvolution_test_rejects_far_data():
@@ -299,6 +357,23 @@ def test_gaussian_location_information_blocks():
     assert abs(i_b[0, 1]) < 1e-8
     assert abs(i_b[0, 3]) < 1e-8
     assert abs(i_b[0, 5]) < 1e-8
+
+
+def test_gaussian_location_block_cache_keyed_by_basis():
+    # Each loop iteration drops its basis, so a cache keyed by id(basis)
+    # would see freed ids reused and hand one basis the other's blocks.
+    fam = gaussian_location_family()
+    ref, _ = _numeric_information_blocks(fam, np.zeros(1), legendre_basis(4), 4)
+
+    def flipped():
+        return user_basis(
+            [lambda x, j=j: -eval_basis(legendre_basis(4), j, x) for j in range(1, 5)]
+        )
+
+    for i in range(200):
+        sign = 1.0 if i % 2 == 0 else -1.0
+        i_b, _ = fam.information(np.zeros(1), legendre_basis(4) if sign > 0 else flipped(), 4)
+        assert np.allclose(i_b, sign * ref, rtol=0, atol=1e-12), i
 
 
 def test_composite_weight_matches_partitioned_inverse():
@@ -506,3 +581,25 @@ def test_noisy_copy_pairs():
     assert pairs.shape == (4000, 2)
     r = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     assert r > 0.8  # correlation 1/sqrt(1.25) ~ 0.894
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ntgof.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, ntgof; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -274,6 +274,14 @@ def test_calibrate_requires_n(tmp_path, capsys):
     assert '"n"' in err
 
 
+def test_deconvolution_l_draws_below_cap_need_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"n": 150, "l_draws": 1200}')
+    code, _, err = run_cli(capsys, "calibrate", "--kind", "deconvolution", "--input", str(cfg))
+    assert code == 2
+    assert "1200" in err and "1440" in err
+
+
 def test_config_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text("[1, 2, 3]")
