@@ -17,9 +17,9 @@ from ntgof import (
     default_budget,
     default_weight_spec,
     linear_schedule,
+    nt_series,
     schwarz_schedule,
     select_dimension,
-    snt_statistic,
     uniformity_spec,
     validate_penalty,
 )
@@ -74,7 +74,7 @@ def main():
             data = rng.random(n)
         else:
             data = contamination_alternative({2: c}, basis).sampler(rng, n)
-        series = snt_statistic(design_matrix(basis, data, spec.budget.d(n)))
+        series = nt_series(design_matrix(basis, data, spec.budget.d(n)))
         out = select_dimension(series, spec.penalty, n)
         print(f"  {c:>5.2f} {out.s:>3} {out.t_s:>9.3f}")
 

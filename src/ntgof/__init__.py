@@ -8,9 +8,9 @@ Layout:
 
 - :mod:`ntgof.basis` -- orthonormal score systems on [0, 1] (shifted
   Legendre by default) and their envelope constants.
-- :mod:`ntgof.statistics` -- the quadratic-form statistics (cumulative
-  sums of squares, normalized forms, plug-in variants) and Monte Carlo
-  estimation of normalizing matrices.
+- :mod:`ntgof.statistics` -- the nested quadratic-form series every
+  test uses, the single weighted form, and Monte Carlo estimation of
+  score moment matrices.
 - :mod:`ntgof.selection` -- penalty schedules, dimension budgets, the
   penalized selector, and admissibility validators.
 - :mod:`ntgof.majorant` -- finite-sample tail bounds and their
@@ -102,12 +102,9 @@ from .statistics import (
     NormalizingMatrix,
     ScoreBasis,
     estimate_moment_matrix,
-    estimate_normalizing_matrix,
-    gnt_statistic,
     nt_series,
     nt_statistic,
     ordered_eigenvalues,
-    snt_statistic,
 )
 
 __version__ = "0.1.0"

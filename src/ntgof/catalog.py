@@ -2,9 +2,11 @@
 
 Every test here follows the same recipe: map the data into score
 components l_1, ..., l_d that are mean-zero under the null, form the
-statistic series T_1, ..., T_d (sums of squares for orthonormal scores,
-a normalized quadratic form otherwise), and hand the series to the
-penalized selector.  What varies is where the scores come from:
+statistic series T_1, ..., T_d with :func:`nt_series` (the nested
+quadratic forms in the scores' null covariance, which is the identity
+for orthonormal scores), and hand the series to the penalized
+selector.  What varies is where the scores come from and what their
+covariance is:
 
 uniformity
     Observations already live on [0, 1]; the scores are the shifted
@@ -39,17 +41,18 @@ deconvolution
 composite
     The null is a parametric family {F(.; beta)}.  With beta estimated
     by maximum likelihood, the naive scores b_j(F(X_i; beta_hat)) lose
-    variance along the fitted directions; the corrected quadratic form
+    variance along the fitted directions: their column means have the
+    asymptotic covariance
 
-        W_k = n * Ybar^T (I + R) Ybar,
-        R   = I_b^T (I_bb - I_b I_b^T)^{-1} I_b,
+        Sigma = I - I_b^T I_bb^{-1} I_b,
 
-    restores the chi-square(k) null limit.  Here I_b collects the
-    cross-information terms -E[d/dbeta_t b_j(F(X; beta))] and I_bb is
-    the Fisher information; (I + R) is exactly the inverse of the
-    asymptotic covariance I - I_b^T I_bb^{-1} I_b of the plug-in score
-    means (Woodbury), which is why the inverse on the middle factor is
-    the default -- the uninverted variant is kept only for comparison.
+    where I_b collects the cross-information terms
+    -E[d/dbeta_t b_j(F(X; beta))] and I_bb is the Fisher information.
+    The series W_k = n * Ybar_k^T Sigma_k^{-1} Ybar_k, formed from the
+    Cholesky factor of Sigma at the largest dimension, restores the
+    chi-square(k) null limit for every k.  Sigma_k^{-1} equals the
+    Woodbury form I + I_b^T (I_bb - I_b I_b^T)^{-1} I_b, and Sigma is
+    singular exactly when that middle factor is.
 
 Monte Carlo calibration needs the matching null samplers; use
 :func:`null_sampler`.  Smooth contamination alternatives g = 1 + sum
@@ -59,6 +62,7 @@ c_j b_j for power studies come from :func:`contamination_alternative`.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -76,15 +80,7 @@ from .selection import (
     schwarz_schedule,
     select_dimension,
 )
-from .statistics import (
-    MeanVector,
-    NormalizingMatrix,
-    ScoreBasis,
-    estimate_moment_matrix,
-    nt_series,
-    nt_statistic,
-    snt_statistic,
-)
+from .statistics import ScoreBasis, estimate_moment_matrix, nt_series
 
 __all__ = [
     "NullDensity",
@@ -383,7 +379,7 @@ def uniformity_test(data, spec: TestSpec) -> SelectionOutcome:
     n = data.shape[0]
     d = spec.budget.d(n)
     scores = design_matrix(spec.basis, data, d)
-    return select_dimension(snt_statistic(scores), spec.penalty, n)
+    return select_dimension(nt_series(scores), spec.penalty, n)
 
 
 def rank_transform(values, i: int | None = None):
@@ -433,7 +429,7 @@ def independence_rank_test(pairs, spec: TestSpec) -> SelectionOutcome:
     u = rank_transform(pairs[:, 0])
     v = rank_transform(pairs[:, 1])
     scores = design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d)
-    return select_dimension(snt_statistic(scores), spec.penalty, n)
+    return select_dimension(nt_series(scores), spec.penalty, n)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +563,11 @@ class _DeconvScoreTable:
         return self._slopes[i, :k] * (y - self.grid[i])[:, None] + self.scores[i, :k]
 
 
+# Serializes the check-and-build in _deconv_artifacts, so that workers
+# starting on a cold spec build its artifacts once between them.
+_DECONV_LOCK = threading.Lock()
+
+
 def _deconv_artifacts(spec: TestSpec):
     """Cached (score table, moment matrix), built once at the budget cap.
 
@@ -574,17 +575,18 @@ def _deconv_artifacts(spec: TestSpec):
     leading d x d block of the moment matrix, so moving between sample
     sizes never rebuilds either.
     """
-    if "deconv" not in spec._cache:
-        cap = spec.budget.cap
-        table = _DeconvScoreTable(spec, cap)
-        moment = estimate_moment_matrix(
-            null_sampler(spec),
-            ScoreBasis(cap, table.evaluate),
-            spec.l_draws,
-            spec.l_seed,
-        )
-        spec._cache["deconv"] = (table, moment)
-    return spec._cache["deconv"]
+    with _DECONV_LOCK:
+        if "deconv" not in spec._cache:
+            cap = spec.budget.cap
+            table = _DeconvScoreTable(spec, cap)
+            moment = estimate_moment_matrix(
+                null_sampler(spec),
+                ScoreBasis(cap, table.evaluate),
+                spec.l_draws,
+                spec.l_seed,
+            )
+            spec._cache["deconv"] = (table, moment)
+        return spec._cache["deconv"]
 
 
 def deconvolution_test(data, spec: TestSpec) -> SelectionOutcome:
@@ -675,21 +677,22 @@ def information_blocks(
     return _numeric_information_blocks(family, beta, basis, k)
 
 
-def _efficient_weight(i_b: np.ndarray, i_bb: np.ndarray, k: int, inverse_middle: bool):
-    """Weight matrix I + R restoring the chi-square(k) limit."""
-    ib = i_b[:, :k]
-    mid = i_bb - ib @ ib.T
-    if inverse_middle:
-        wmid, vmid = np.linalg.eigh(0.5 * (mid + mid.T))
-        if wmid[-1] <= 0 or wmid[0] < 1e-10 * wmid[-1]:
-            raise SingularMatrixError(
-                f"information middle factor singular at k={k} "
-                f"(eigenvalue range [{wmid[0]:.3e}, {wmid[-1]:.3e}]); "
-                "the score directions are not identifiable past the fitted parameters"
-            )
-        mid = (vmid / wmid) @ vmid.T
-    r = ib.T @ mid @ ib
-    return NormalizingMatrix.from_matrix(np.eye(k) + r, provenance="user_supplied")
+def _composite_series(data, family: ParametricFamily, basis, d: int, beta_hat=None):
+    """Efficient-score series W_1..W_d with an MLE plug-in.
+
+    The scores b_j(F(X_i; beta_hat)) are normalized by their asymptotic
+    covariance Sigma = I - I_b^T I_bb^{-1} I_b at dimension d.
+    """
+    beta_hat = family.fit(data) if beta_hat is None else np.asarray(beta_hat, dtype=float)
+    u = np.clip(np.asarray(family.cdf(data, beta_hat), dtype=float), 0.0, 1.0)
+    i_b, i_bb = information_blocks(family, beta_hat, basis, d)
+    try:
+        cov = np.eye(d) - i_b.T @ np.linalg.solve(i_bb, i_b)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(
+            "Fisher information I_bb is singular; the fitted parameters are not identifiable"
+        ) from None
+    return nt_series(design_matrix(basis, u, d), cov)
 
 
 def composite_score_statistic(
@@ -698,24 +701,13 @@ def composite_score_statistic(
     k: int,
     basis: OrthonormalBasis | None = None,
     beta_hat=None,
-    inverse_middle: bool = True,
 ) -> float:
-    """Efficient-score statistic W_k for a parametric null with MLE plug-in.
-
-    ``inverse_middle=False`` evaluates the variant without the inverse
-    on (I_bb - I_b I_b^T); it is not the correct covariance correction
-    (see the module docstring) and exists for side-by-side comparison.
-    """
+    """Efficient-score statistic W_k for a parametric null with MLE plug-in."""
     data = _check_sample(data, None)
     basis = basis or legendre_basis(12)
     if not 1 <= k <= basis.max_degree:
         raise ValueError(f"k={k} outside 1..{basis.max_degree}")
-    beta_hat = family.fit(data) if beta_hat is None else np.asarray(beta_hat, dtype=float)
-    u = np.clip(np.asarray(family.cdf(data, beta_hat), dtype=float), 0.0, 1.0)
-    ybar = MeanVector.from_scores(design_matrix(basis, u, k))
-    i_b, i_bb = information_blocks(family, beta_hat, basis, k)
-    weight = _efficient_weight(i_b, i_bb, k, inverse_middle)
-    return nt_statistic(ybar, weight)
+    return float(_composite_series(data, family, basis, k, beta_hat)[-1])
 
 
 def composite_test(data, spec: TestSpec) -> SelectionOutcome:
@@ -723,14 +715,7 @@ def composite_test(data, spec: TestSpec) -> SelectionOutcome:
     data = _check_sample(data, None)
     n = data.shape[0]
     d = spec.budget.d(n)
-    beta_hat = spec.family.fit(data)
-    u = np.clip(np.asarray(spec.family.cdf(data, beta_hat), dtype=float), 0.0, 1.0)
-    mean_d = MeanVector.from_scores(design_matrix(spec.basis, u, d))
-    i_b, i_bb = information_blocks(spec.family, beta_hat, spec.basis, d)
-    series = np.empty(d)
-    for k in range(1, d + 1):
-        weight = _efficient_weight(i_b, i_bb, k, inverse_middle=True)
-        series[k - 1] = nt_statistic(MeanVector(mean_d.values[:k], n), weight)
+    series = _composite_series(data, spec.family, spec.basis, d)
     return select_dimension(series, spec.penalty, n)
 
 

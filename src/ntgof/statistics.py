@@ -1,4 +1,4 @@
-"""Score-based test statistics and their normalizing matrices.
+"""Score-based test statistics.
 
 Everything here operates on an n-by-k *score matrix*: row i holds the k
 score components l_1(Y_i), ..., l_k(Y_i) of one observation.  Under the
@@ -6,42 +6,34 @@ null each component has mean zero, so the scaled column means
 
     v = n^{-1/2} * (sum_i l_1(Y_i), ..., sum_i l_k(Y_i))
 
-are asymptotically centered Gaussian, and quadratic forms in v are the
-natural test statistics.
+are asymptotically centered Gaussian with the scores' null covariance
+Sigma, and every test in the package uses the nested quadratic forms
 
-Two normalizations are supported.  With an orthonormal score system the
-components are already uncorrelated with unit variance and the statistic
-is simply the cumulative sum of squares
+    T_k = v_k^T Sigma_k^{-1} v_k,      k = 1, ..., d,
 
-    T_k = sum_{j<=k} ( n^{-1/2} sum_i l_j(Y_i) )^2,
+where v_k and Sigma_k are the first k entries and the leading k-by-k
+block.  :func:`nt_series` computes all of them at once: with the lower
+Cholesky factor Sigma = L L^T, T_k is the k-th cumulative sum of
+squares of L^{-1} v.  Orthonormal scores have Sigma = I, and the series
+is the plain cumulative sum of squares of v.
 
-computed by :func:`snt_statistic` for every dimension up to k at once.
-For a general score system the squared norm is taken in the metric of
-the inverse second-moment matrix L = (E_0 l(Y)^T l(Y))^{-1}:
+:func:`nt_statistic` is the single quadratic form n * lbar W lbar^T for
+an explicit weight W (a :class:`NormalizingMatrix`); it is the reference
+the series is checked against.
 
-    T_k = n * lbar L lbar^T,        lbar = column means,
-
-computed by :func:`nt_statistic`.  When the score components are only
-available through estimates (plug-in parameters, deconvolution weights,
-numerical integrals), the same quadratic form applied to the estimated
-scores is computed by :func:`gnt_statistic`; with exact scores it
-reproduces :func:`nt_statistic` bit for bit because it goes through the
-identical code path.
-
-L is rarely available in closed form outside the orthonormal case, so
-:func:`estimate_normalizing_matrix` builds it from a null sampler by
-plain Monte Carlo: accumulate the empirical second-moment matrix in
-fixed-size chunks (each chunk on its own counter-based stream, so the
-result does not depend on the worker count), sanity-check that every
-component mean is within a few standard errors of zero, and invert by
-symmetric eigendecomposition with a hard condition-number gate.
+Sigma is rarely available in closed form outside the orthonormal case,
+so :func:`estimate_moment_matrix` estimates the second-moment matrix
+E_0 l(Y)^T l(Y) from a null sampler by plain Monte Carlo: accumulate it
+in fixed-size chunks (each chunk on its own counter-based stream, so
+the result does not depend on the worker count) and sanity-check that
+every component mean is within a few standard errors of zero.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,12 +46,9 @@ __all__ = [
     "ScoreBasis",
     "MeanVector",
     "NormalizingMatrix",
-    "snt_statistic",
     "nt_statistic",
-    "gnt_statistic",
     "nt_series",
     "estimate_moment_matrix",
-    "estimate_normalizing_matrix",
     "ordered_eigenvalues",
 ]
 
@@ -216,20 +205,6 @@ def _as_score_matrix(scores) -> np.ndarray:
     return scores
 
 
-def snt_statistic(scores) -> np.ndarray:
-    """Cumulative sums-of-squares statistics T_1, ..., T_k.
-
-    ``scores`` is the n-by-k score matrix of an orthonormal system.
-    Returns the length-k series with T_k = sum_{j<=k} (n^{-1/2} S_j)^2
-    where S_j is the j-th column sum; the series is non-decreasing by
-    construction.
-    """
-    scores = _as_score_matrix(scores)
-    n = scores.shape[0]
-    v = scores.sum(axis=0) / math.sqrt(n)
-    return np.cumsum(v * v)
-
-
 def nt_statistic(mean: MeanVector, weight: NormalizingMatrix) -> float:
     """Quadratic form T = n * lbar L lbar^T of the score mean."""
     if mean.k != weight.k:
@@ -238,37 +213,34 @@ def nt_statistic(mean: MeanVector, weight: NormalizingMatrix) -> float:
     return float(mean.n * (v @ weight.matrix @ v))
 
 
-def gnt_statistic(scores, weight: NormalizingMatrix) -> float:
-    """NT quadratic form evaluated on estimated scores.
+def nt_series(scores, cov=None) -> np.ndarray:
+    """Nested statistics T_1, ..., T_k of an n-by-k score matrix.
 
-    Identical computation to :func:`nt_statistic` applied to the column
-    means of ``scores``; with exact score evaluations the two agree bit
-    for bit.
-    """
-    return nt_statistic(MeanVector.from_scores(scores), weight)
-
-
-def nt_series(scores, moment) -> np.ndarray:
-    """T_1, ..., T_k with nested normalizations from one moment matrix.
-
-    For each dimension k' <= k the weight is the inverse of the leading
-    k'-by-k' block of ``moment`` (the second-moment matrix of the score
-    system), which is the correct normalization for the truncated score
-    vector -- note this differs from taking blocks of the full inverse.
+    T_k = n * lbar_k^T cov_k^{-1} lbar_k, where lbar_k holds the first k
+    column means and cov_k is the leading k-by-k block of ``cov``, the
+    null covariance of the scores (the identity when ``cov`` is None).
+    With the lower Cholesky factor cov = L L^T the first k entries of
+    L^{-1} v depend on cov_k alone, so one solve against L gives every
+    T_k as a cumulative sum of squares.  Only the lower triangle of
+    ``cov`` is read.  An eigenvalue of ``cov`` below 1e-10 times the
+    largest raises SingularMatrixError; by eigenvalue interlacing that
+    is exactly when some leading block fails the same gate.
     """
     scores = _as_score_matrix(scores)
-    moment = np.asarray(moment, dtype=float)
-    k = scores.shape[1]
-    if moment.shape != (k, k):
-        raise ValueError(f"moment matrix shape {moment.shape} does not match k={k}")
-    mean = MeanVector.from_scores(scores)
-    out = np.empty(k)
-    for j in range(1, k + 1):
-        w = NormalizingMatrix.from_moment_matrix(
-            moment[:j, :j], provenance="estimated_from_null_sampler"
-        )
-        out[j - 1] = nt_statistic(MeanVector(mean.values[:j], mean.n), w)
-    return out
+    n, k = scores.shape
+    v = scores.sum(axis=0) / math.sqrt(n)
+    if cov is not None:
+        cov = np.asarray(cov, dtype=float)
+        if cov.shape != (k, k):
+            raise ValueError(f"covariance shape {cov.shape} does not match k={k}")
+        w = np.linalg.eigvalsh(cov)
+        if w[-1] <= 0 or w[0] < _COND_GATE * w[-1]:
+            raise SingularMatrixError(
+                f"score covariance is singular at dimension {k} "
+                f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
+            )
+        v = np.linalg.solve(np.linalg.cholesky(cov), v)
+    return np.cumsum(v * v)
 
 
 def _moment_chunks(draws: int, chunk_size: int) -> list[int]:
@@ -337,31 +309,6 @@ def estimate_moment_matrix(
             "sampler and score system disagree about the null"
         )
     return 0.5 * (moment + moment.T)
-
-
-def estimate_normalizing_matrix(
-    null_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    score_basis: ScoreBasis,
-    draws: int,
-    seed: int,
-    *,
-    workers: int | None = None,
-    chunk_size: int = 4096,
-    mean_gate: float = 4.0,
-) -> NormalizingMatrix:
-    """Monte Carlo estimate of L = (E_0 l^T l)^{-1} from a null sampler."""
-    moment = estimate_moment_matrix(
-        null_sampler,
-        score_basis,
-        draws,
-        seed,
-        workers=workers,
-        chunk_size=chunk_size,
-        mean_gate=mean_gate,
-    )
-    return NormalizingMatrix.from_moment_matrix(
-        moment, provenance="estimated_from_null_sampler"
-    )
 
 
 def ordered_eigenvalues(a) -> np.ndarray:

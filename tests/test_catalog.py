@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -35,10 +36,12 @@ from ntgof.catalog import (
     uniformity_test,
 )
 from ntgof.catalog import ParametricFamily, TestSpec as CatalogSpec
+from ntgof import catalog
 from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
 from ntgof.errors import NumericError, SingularMatrixError
+from ntgof.montecarlo import MonteCarloConfig, null_distribution
 from ntgof.selection import default_budget, schwarz_schedule
-from ntgof.statistics import snt_statistic
+from ntgof.statistics import MeanVector, NormalizingMatrix, nt_series, nt_statistic
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +340,24 @@ def test_deconvolution_spec_needs_moment_draws_at_cap():
     assert deconvolution_spec(l_draws=1440).l_draws == 1440
 
 
+def test_cold_spec_builds_artifacts_once_under_two_workers(monkeypatch):
+    # both workers start on a cold spec; the build sleeps so that an
+    # unguarded cache lets the second worker start its own build
+    builds = []
+
+    class CountingTable(_DeconvScoreTable):
+        def __init__(self, spec, k):
+            builds.append(k)
+            time.sleep(0.2)
+            super().__init__(spec, k)
+
+    monkeypatch.setattr(catalog, "_DeconvScoreTable", CountingTable)
+    spec = small_deconv_spec()
+    null_distribution(spec, 200, MonteCarloConfig(replications=100, seed=3), workers=2)
+    assert builds == [spec.budget.cap]
+    assert len(spec._cache) == 1
+
+
 def test_deconvolution_test_rejects_far_data():
     spec = small_deconv_spec()
     with pytest.raises(NumericError):
@@ -389,6 +410,28 @@ def test_composite_weight_matches_partitioned_inverse():
     assert np.allclose(plus_r, woodbury, rtol=1e-10, atol=1e-12)
 
 
+def test_composite_series_matches_woodbury_weight():
+    # W_k from the Cholesky series must equal the quadratic form in the
+    # weight I + I_b^T (I_bb - I_b I_b^T)^{-1} I_b at every k
+    rng = np.random.default_rng(21)
+    data = 0.3 + rng.standard_normal(1296)
+    spec = composite_spec()
+    d = spec.budget.d(data.size)
+    out = composite_test(data, spec)
+    assert len(out.series) == d > 1
+    beta_hat = spec.family.fit(data)
+    u = spec.family.cdf(data, beta_hat)
+    i_b, i_bb = information_blocks(spec.family, beta_hat, spec.basis, d)
+    for k in range(1, d + 1):
+        ib = i_b[:, :k]
+        weight = np.eye(k) + ib.T @ np.linalg.inv(i_bb - ib @ ib.T) @ ib
+        want = nt_statistic(
+            MeanVector.from_scores(design_matrix(spec.basis, u, k)),
+            NormalizingMatrix.from_matrix(weight),
+        )
+        assert out.series[k - 1] == pytest.approx(want, rel=1e-12)
+
+
 def test_composite_statistic_location_invariant():
     rng = np.random.default_rng(10)
     data = rng.standard_normal(300)
@@ -416,7 +459,7 @@ def test_composite_reduces_to_cumulative_form_when_orthogonal():
     data = rng.random(100)
     for k in (1, 2, 4):
         w = composite_score_statistic(data, flat, k, beta_hat=np.zeros(1))
-        t = snt_statistic(design_matrix(legendre_basis(12), data, k))[-1]
+        t = nt_series(design_matrix(legendre_basis(12), data, k))[-1]
         assert w == pytest.approx(t, abs=1e-8)
 
 
@@ -446,18 +489,21 @@ def test_composite_singular_middle_factor():
             np.ones((1, 1)),
         ),
     )
+    # zero Fisher information: I_bb cannot be inverted at all
+    no_info = ParametricFamily(
+        name="uninformative",
+        q=1,
+        cdf=bad.cdf,
+        logpdf=bad.logpdf,
+        fit=bad.fit,
+        sampler=bad.sampler,
+        ppf=bad.ppf,
+        information=lambda beta, basis, k: (np.zeros((1, k)), np.zeros((1, 1))),
+    )
     rng = np.random.default_rng(8)
-    with pytest.raises(SingularMatrixError):
-        composite_score_statistic(rng.random(50), bad, 2, beta_hat=np.zeros(1))
-
-
-def test_composite_inverse_middle_flag_changes_value():
-    fam = gaussian_location_family()
-    rng = np.random.default_rng(14)
-    data = rng.standard_normal(200)
-    with_inv = composite_score_statistic(data, fam, 3, inverse_middle=True)
-    without = composite_score_statistic(data, fam, 3, inverse_middle=False)
-    assert with_inv != without
+    for family in (bad, no_info):
+        with pytest.raises(SingularMatrixError):
+            composite_score_statistic(rng.random(50), family, 2, beta_hat=np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +633,14 @@ def test_noisy_copy_pairs():
 # import cost
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
+def test_import_leaves_out_scipy_stats_integrate_and_linalg():
+    # the package needs only scipy.special; the series is numpy-only
     src = os.path.dirname(os.path.dirname(os.path.abspath(ntgof.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, ntgof; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.linalg') "
+        "if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -1,4 +1,4 @@
-"""Quadratic-form statistics and Monte Carlo normalizing matrices."""
+"""Quadratic-form statistics and Monte Carlo moment matrices."""
 
 import math
 
@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from ntgof.basis import design_matrix, legendre_basis
+from ntgof.catalog import _deconv_artifacts, deconvolution_spec
 from ntgof.errors import ScoreMeanError, SingularMatrixError
 from ntgof.statistics import (
     MeanVector,
     NormalizingMatrix,
     ScoreBasis,
     estimate_moment_matrix,
-    estimate_normalizing_matrix,
-    gnt_statistic,
     nt_series,
     nt_statistic,
     ordered_eigenvalues,
-    snt_statistic,
 )
 
 BASIS = legendre_basis(12)
@@ -28,36 +26,36 @@ BASIS = legendre_basis(12)
 
 
 def test_single_observation():
-    assert snt_statistic(np.array([[2.0]])) == pytest.approx([4.0])
+    assert nt_series(np.array([[2.0]])) == pytest.approx([4.0])
 
 
 def test_cancelling_sum():
     scores = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-    assert snt_statistic(scores) == pytest.approx([0.0], abs=1e-15)
+    assert nt_series(scores) == pytest.approx([0.0], abs=1e-15)
 
 
 def test_two_component_oracle():
     # n=2: column sums (2, 2) -> T_1 = (2/sqrt 2)^2 = 2, T_2 = 2 + 2 = 4
     scores = np.array([[1.0, 3.0], [1.0, -1.0]])
-    assert snt_statistic(scores) == pytest.approx([2.0, 4.0])
+    assert nt_series(scores) == pytest.approx([2.0, 4.0])
 
 
 def test_series_is_nondecreasing():
     rng = np.random.default_rng(3)
     for _ in range(50):
         scores = rng.standard_normal((rng.integers(1, 30), rng.integers(1, 8)))
-        t = snt_statistic(scores)
+        t = nt_series(scores)
         assert np.all(np.diff(t) >= 0.0)
 
 
 def test_empty_sample_rejected():
     with pytest.raises(ValueError):
-        snt_statistic(np.empty((0, 2)))
+        nt_series(np.empty((0, 2)))
 
 
 def test_nonfinite_scores_rejected():
     with pytest.raises(ValueError):
-        snt_statistic(np.array([[1.0], [np.inf]]))
+        nt_series(np.array([[1.0], [np.inf]]))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +71,7 @@ def test_identity_weight_reduces_to_cumulative_form():
     scores = np.array([[1.0, 3.0], [1.0, -1.0]])
     mean = MeanVector.from_scores(scores)
     t2 = nt_statistic(mean, NormalizingMatrix.identity(2))
-    assert t2 == pytest.approx(snt_statistic(scores)[-1])
+    assert t2 == pytest.approx(nt_series(scores)[-1])
     assert t2 == pytest.approx(4.0)
 
 
@@ -136,29 +134,6 @@ def test_asymmetric_weight_rejected():
 
 
 # ---------------------------------------------------------------------------
-# estimated-score variant
-
-
-def test_plugin_scores_reproduce_weighted_form_bitwise():
-    rng = np.random.default_rng(23)
-    scores = rng.standard_normal((15, 3))
-    a = rng.standard_normal((3, 3))
-    weight = NormalizingMatrix.from_matrix(a @ a.T + np.eye(3))
-    direct = nt_statistic(MeanVector.from_scores(scores), weight)
-    assert gnt_statistic(scores, weight) == direct  # bit-for-bit
-
-
-def test_zero_estimated_scores():
-    weight = NormalizingMatrix.identity(2)
-    assert gnt_statistic(np.zeros((8, 2)), weight) == 0.0
-
-
-def test_one_observation_diagonal_weight():
-    weight = NormalizingMatrix.from_matrix(np.diag([1.0, 2.0]))
-    assert gnt_statistic(np.array([[1.0, 0.0]]), weight) == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
 # eigenvalues
 
 
@@ -181,7 +156,7 @@ def test_eigenvalues_require_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo normalizing matrix
+# Monte Carlo moment matrix
 
 
 def legendre_score_basis(k):
@@ -190,9 +165,10 @@ def legendre_score_basis(k):
 
 def test_estimate_close_to_identity():
     # orthonormal scores under their own null: E l l^T = I
-    est = estimate_normalizing_matrix(
+    moment = estimate_moment_matrix(
         lambda rng, n: rng.random(n), legendre_score_basis(3), draws=200_000, seed=0
     )
+    est = NormalizingMatrix.from_moment_matrix(moment, "estimated_from_null_sampler")
     assert est.provenance == "estimated_from_null_sampler"
     assert np.linalg.norm(est.matrix - np.eye(3), ord="fro") < 0.05
     assert np.all(np.diff(est.eigenvalues) <= 0.0)
@@ -222,8 +198,9 @@ def test_duplicated_component_is_singular():
         return np.column_stack([col, col])
 
     sb = ScoreBasis(2, duplicated)
+    moment = estimate_moment_matrix(lambda rng, n: rng.random(n), sb, draws=5000, seed=1)
     with pytest.raises(SingularMatrixError):
-        estimate_normalizing_matrix(lambda rng, n: rng.random(n), sb, draws=5000, seed=1)
+        nt_series(duplicated(np.linspace(0.0, 1.0, 7)), moment)
 
 
 def test_nonzero_mean_scores_rejected():
@@ -255,18 +232,45 @@ def test_series_identity_moment_equals_cumulative_form():
     rng = np.random.default_rng(31)
     scores = rng.standard_normal((25, 4))
     series = nt_series(scores, np.eye(4))
-    assert series == pytest.approx(snt_statistic(scores), rel=1e-12)
+    assert series == pytest.approx(nt_series(scores), rel=1e-12)
+
+
+def test_zero_estimated_scores():
+    assert nt_series(np.zeros((8, 2)), np.eye(2))[-1] == 0.0
+
+
+def test_one_observation_diagonal_weight():
+    # covariance diag(1, 1/2) is the weight diag(1, 2); lbar = (1, 0)
+    assert nt_series(np.array([[1.0, 0.0]]), np.diag([1.0, 0.5]))[-1] == pytest.approx(1.0)
+
+
+def small_deconv_scores_and_moment():
+    # the real moment matrix at the cap (12) of a cheap deconvolution spec
+    table, moment = _deconv_artifacts(deconvolution_spec(l_draws=20_000, grid_points=501))
+    rng = np.random.default_rng(33)
+    y = rng.random(400) + 0.25 * rng.standard_normal(400)
+    return table.evaluate(y), moment
 
 
 def test_series_uses_leading_blocks():
     rng = np.random.default_rng(32)
     scores = rng.standard_normal((25, 3))
     a = rng.standard_normal((3, 3))
-    moment = a @ a.T + 3 * np.eye(3)
-    series = nt_series(scores, moment)
-    for k in (1, 2, 3):
-        weight = NormalizingMatrix.from_moment_matrix(
-            moment[:k, :k], provenance="user_supplied"
-        )
-        want = nt_statistic(MeanVector.from_scores(scores[:, :k]), weight)
-        assert series[k - 1] == pytest.approx(want, rel=1e-12)
+    cases = [(scores, a @ a.T + 3 * np.eye(3))]
+    # the noise smooths the degree-12 score into near dependence: the
+    # 12 x 12 matrix fails the 1e-10 gate in both paths, its leading
+    # 11 x 11 block passes
+    scores, moment = small_deconv_scores_and_moment()
+    with pytest.raises(SingularMatrixError):
+        nt_series(scores, moment)
+    with pytest.raises(SingularMatrixError):
+        NormalizingMatrix.from_moment_matrix(moment, provenance="user_supplied")
+    cases.append((scores[:, :11], moment[:11, :11]))
+    for scores, moment in cases:
+        series = nt_series(scores, moment)
+        for k in range(1, scores.shape[1] + 1):
+            weight = NormalizingMatrix.from_moment_matrix(
+                moment[:k, :k], provenance="user_supplied"
+            )
+            want = nt_statistic(MeanVector.from_scores(scores[:, :k]), weight)
+            assert series[k - 1] == pytest.approx(want, rel=1e-12)
