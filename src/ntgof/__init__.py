@@ -18,7 +18,7 @@ Layout:
 - :mod:`ntgof.catalog` -- ready-made tests: uniformity, rank
   independence, deconvolution, composite parametric nulls.
 - :mod:`ntgof.montecarlo` -- calibration, power curves, consistency
-  and tail-rate probes; deterministic under any worker count.
+  and tail-rate probes; deterministic under any replication block size.
 - :mod:`ntgof.cli` -- the ``ntgof`` command.
 """
 

@@ -2,36 +2,19 @@
 
 Every randomized routine in the package draws from Philox counter-based
 streams addressed by (seed, path): the same address always yields the
-same stream, independent of thread scheduling or how work is chunked.
-Reductions over partial results are always performed in index order, so
-results are bit-identical for any worker count.
+same stream, however the work around it is grouped.  The Monte Carlo
+engine draws replication i from its own address, so results are
+bit-identical for any block size.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["substream", "resolve_workers"]
+__all__ = ["substream"]
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the work item addressed by ``path`` under ``seed``."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else NTGOF_THREADS (0 = auto)."""
-    if workers is None:
-        raw = os.environ.get("NTGOF_THREADS", "0")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"NTGOF_THREADS must be an integer, got {raw!r}")
-    if workers < 0:
-        raise ValueError("worker count must be >= 0")
-    if workers == 0:
-        workers = min(os.cpu_count() or 1, 8)
-    return workers

@@ -104,6 +104,7 @@ __all__ = [
     "composite_score_statistic",
     "composite_test",
     "run_test",
+    "run_block",
     "null_sampler",
     "contamination_alternative",
     "noisy_copy_pairs",
@@ -359,27 +360,29 @@ def composite_spec(
 # uniformity and rank independence
 
 
-def _check_sample(data, ncols: int | None) -> np.ndarray:
+def _check_sample(data, ncols: int | None, batched: bool = False) -> np.ndarray:
+    """One sample (n,) or (n, ncols); with ``batched``, a block of them."""
     data = np.asarray(data, dtype=float)
-    want = 1 if ncols is None else 2
+    lead = int(batched)
+    want = (1 if ncols is None else 2) + lead
     if data.ndim != want:
         raise ValueError(f"data must be {want}-dimensional, got shape {data.shape}")
-    if ncols is not None and data.shape[1] != ncols:
-        raise ValueError(f"data must have {ncols} columns, got {data.shape[1]}")
-    if data.shape[0] < 2:
+    if ncols is not None and data.shape[-1] != ncols:
+        raise ValueError(f"data must have {ncols} columns, got {data.shape[-1]}")
+    if data.shape[lead] < 2:
         raise ValueError("need at least 2 observations")
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite values")
     return data
 
 
+def _uniformity_series(block, spec: TestSpec, d: int) -> np.ndarray:
+    return nt_series(design_matrix(spec.basis, block, d))
+
+
 def uniformity_test(data, spec: TestSpec) -> SelectionOutcome:
     """Data-driven smooth test of Uniform[0, 1] against smooth densities."""
-    data = _check_sample(data, None)
-    n = data.shape[0]
-    d = spec.budget.d(n)
-    scores = design_matrix(spec.basis, data, d)
-    return select_dimension(nt_series(scores), spec.penalty, n)
+    return _run("uniformity", data, spec)
 
 
 def rank_transform(values, i: int | None = None):
@@ -421,15 +424,15 @@ def rank_transform(values, i: int | None = None):
     return u
 
 
+def _independence_series(block, spec: TestSpec, d: int) -> np.ndarray:
+    u = np.array([rank_transform(pairs[:, 0]) for pairs in block])
+    v = np.array([rank_transform(pairs[:, 1]) for pairs in block])
+    return nt_series(design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d))
+
+
 def independence_rank_test(pairs, spec: TestSpec) -> SelectionOutcome:
     """Distribution-free test of independence for paired continuous data."""
-    pairs = _check_sample(pairs, 2)
-    n = pairs.shape[0]
-    d = spec.budget.d(n)
-    u = rank_transform(pairs[:, 0])
-    v = rank_transform(pairs[:, 1])
-    scores = design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d)
-    return select_dimension(nt_series(scores), spec.penalty, n)
+    return _run("independence_rank", pairs, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +566,8 @@ class _DeconvScoreTable:
         return self._slopes[i, :k] * (y - self.grid[i])[:, None] + self.scores[i, :k]
 
 
-# Serializes the check-and-build in _deconv_artifacts, so that workers
-# starting on a cold spec build its artifacts once between them.
+# Serializes the check-and-build in _deconv_artifacts, so that callers'
+# threads starting on a cold spec build its artifacts once between them.
 _DECONV_LOCK = threading.Lock()
 
 
@@ -589,14 +592,15 @@ def _deconv_artifacts(spec: TestSpec):
         return spec._cache["deconv"]
 
 
+def _deconvolution_series(block, spec: TestSpec, d: int) -> np.ndarray:
+    table, moment = _deconv_artifacts(spec)
+    scores = table.evaluate(block.ravel(), d).reshape(block.shape + (d,))
+    return nt_series(scores, moment[:d, :d])
+
+
 def deconvolution_test(data, spec: TestSpec) -> SelectionOutcome:
     """Data-driven score test of a null density observed through noise."""
-    data = _check_sample(data, None)
-    n = data.shape[0]
-    d = spec.budget.d(n)
-    table, moment = _deconv_artifacts(spec)
-    scores = table.evaluate(data, d)
-    return select_dimension(nt_series(scores, moment[:d, :d]), spec.penalty, n)
+    return _run("deconvolution", data, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -677,22 +681,26 @@ def information_blocks(
     return _numeric_information_blocks(family, beta, basis, k)
 
 
-def _composite_series(data, family: ParametricFamily, basis, d: int, beta_hat=None):
-    """Efficient-score series W_1..W_d with an MLE plug-in.
+def _composite_series(block, family: ParametricFamily, basis, d: int, beta_hat=None):
+    """Efficient-score series W_1..W_d of every sample in a (B, n) block.
 
-    The scores b_j(F(X_i; beta_hat)) are normalized by their asymptotic
-    covariance Sigma = I - I_b^T I_bb^{-1} I_b at dimension d.
+    Each sample's scores b_j(F(X_i; beta_hat)) are normalized by their
+    asymptotic covariance Sigma = I - I_b^T I_bb^{-1} I_b at dimension d,
+    with beta_hat its MLE unless given.  The family API takes one sample
+    at a time, so the fit, the CDF and Sigma are formed row by row.
     """
-    beta_hat = family.fit(data) if beta_hat is None else np.asarray(beta_hat, dtype=float)
-    u = np.clip(np.asarray(family.cdf(data, beta_hat), dtype=float), 0.0, 1.0)
-    i_b, i_bb = information_blocks(family, beta_hat, basis, d)
-    try:
-        cov = np.eye(d) - i_b.T @ np.linalg.solve(i_bb, i_b)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            "Fisher information I_bb is singular; the fitted parameters are not identifiable"
-        ) from None
-    return nt_series(design_matrix(basis, u, d), cov)
+    us, covs = [], []
+    for x in block:
+        beta = family.fit(x) if beta_hat is None else np.asarray(beta_hat, dtype=float)
+        us.append(np.clip(np.asarray(family.cdf(x, beta), dtype=float), 0.0, 1.0))
+        i_b, i_bb = information_blocks(family, beta, basis, d)
+        try:
+            covs.append(np.eye(d) - i_b.T @ np.linalg.solve(i_bb, i_b))
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(
+                "Fisher information I_bb is singular; the fitted parameters are not identifiable"
+            ) from None
+    return nt_series(design_matrix(basis, np.array(us), d), np.array(covs))
 
 
 def composite_score_statistic(
@@ -707,33 +715,48 @@ def composite_score_statistic(
     basis = basis or legendre_basis(12)
     if not 1 <= k <= basis.max_degree:
         raise ValueError(f"k={k} outside 1..{basis.max_degree}")
-    return float(_composite_series(data, family, basis, k, beta_hat)[-1])
+    return float(_composite_series(data[None], family, basis, k, beta_hat)[0, -1])
 
 
 def composite_test(data, spec: TestSpec) -> SelectionOutcome:
     """Data-driven efficient-score test of a parametric family."""
-    data = _check_sample(data, None)
-    n = data.shape[0]
-    d = spec.budget.d(n)
-    series = _composite_series(data, spec.family, spec.basis, d)
-    return select_dimension(series, spec.penalty, n)
+    return _run("composite", data, spec)
 
 
 # ---------------------------------------------------------------------------
 # dispatch, null samplers, alternatives
 
+# kind -> (series (B, d) of a block of B samples, columns of one observation)
+_KIND_SERIES = {
+    "uniformity": (_uniformity_series, None),
+    "independence_rank": (_independence_series, 2),
+    "deconvolution": (_deconvolution_series, None),
+    "composite": (lambda b, spec, d: _composite_series(b, spec.family, spec.basis, d), None),
+}
+
+
+def _run(kind: str, data, spec: TestSpec, batched: bool = False) -> SelectionOutcome:
+    series_of, ncols = _KIND_SERIES[kind]
+    data = _check_sample(data, ncols, batched)
+    block = data if batched else data[None]
+    n = block.shape[1]
+    series = series_of(block, spec, spec.budget.d(n))
+    return select_dimension(series if batched else series[0], spec.penalty, n)
+
 
 def run_test(data, spec: TestSpec) -> SelectionOutcome:
     """Run whichever catalog test ``spec`` describes."""
-    if spec.kind == "uniformity":
-        return uniformity_test(data, spec)
-    if spec.kind == "independence_rank":
-        return independence_rank_test(data, spec)
-    if spec.kind == "deconvolution":
-        return deconvolution_test(data, spec)
-    if spec.kind == "composite":
-        return composite_test(data, spec)
-    raise ValueError(f"unknown test kind {spec.kind!r}")
+    return _run(spec.kind, data, spec)
+
+
+def run_block(block, spec: TestSpec) -> SelectionOutcome:
+    """Run ``spec``'s test on each of B samples of equal size n at once.
+
+    ``block`` is (B, n), or (B, n, 2) for the independence kind.  The
+    outcome holds s and t_s per sample and the (B, d) series, each row
+    bitwise equal to what :func:`run_test` gives that sample alone.
+    """
+    return _run(spec.kind, block, spec, batched=True)
 
 
 def null_sampler(spec: TestSpec) -> Callable[[np.random.Generator, int], np.ndarray]:

@@ -19,9 +19,8 @@ the same for every subcommand; what changes is what ``--input`` holds.
 Flags: ``--kind {uniformity,independence,deconvolution,composite}``,
 ``--input PATH``, ``--penalty {schwarz|linear2k|table:<path>}``,
 ``--dmax {auto|<int>}``, ``--alpha``, ``--mc-reps``, ``--seed``,
-``--out``.  A penalty table CSV has columns ``k,n,pi``.  The
-environment variable ``NTGOF_THREADS`` caps Monte Carlo workers
-(0 = auto); any worker count yields byte-identical output.
+``--out``.  A penalty table CSV has columns ``k,n,pi``.  Each Monte
+Carlo replication draws from its own substream of ``--seed``.
 
 Exit codes: 0 = completed run (whatever the decision), 2 = input error
 (malformed CSV or config, with a line number when it is a CSV), 3 =

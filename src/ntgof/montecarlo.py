@@ -11,12 +11,13 @@ distribution of T_S.  The p-value uses the add-one estimator
 which is exact-level for any replication count, and the critical value
 at level alpha is the ceil((1 - alpha) * reps)-th order statistic.
 
-Reproducibility is structural, not incidental: every replication draws
-from its own Philox substream addressed by (seed, path..., index),
-results land in preallocated slots by index, and aggregation only uses
-order-insensitive reductions (sorts, counts).  Consequently any worker
-count -- including the thread cap from NTGOF_THREADS -- produces
-byte-identical output.  Power studies additionally split the seed path:
+Replications run in blocks of _BLOCK rows: each replication draws its
+sample from its own Philox substream addressed by (seed, path...,
+index), the draws of a block are stacked, and the catalog's block
+statistic runs once per block.  Results land in preallocated slots by
+index, and every row's numbers are those it would give alone, so any
+block size produces byte-identical output.  Power studies additionally
+split the seed path:
 calibration replications and alternative replications never share a
 stream, so evaluating power does not silently recycle the noise that
 built the critical value.
@@ -34,14 +35,13 @@ least geometrically along a doubling n-grid.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import resolve_workers, substream
-from .catalog import AlternativeSpec, TestSpec, null_sampler, run_test
+from ._rng import substream
+from .catalog import AlternativeSpec, TestSpec, null_sampler, run_block, run_test
 
 __all__ = [
     "MonteCarloConfig",
@@ -110,50 +110,63 @@ def _tag_replication(e: Exception, i: int) -> None:
         e.args = (head.rstrip(": "),) + e.args
 
 
-def _map_indexed(fn: Callable[[int], object], count: int, workers: int | None) -> list:
-    """fn(0..count-1), results in index order, any worker count."""
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    out: list = [None] * count
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        futures = {pool.submit(fn, i): i for i in range(count)}
-        for fut in as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out
+# Replications per block.  Blocks of 64 ran as fast as blocks of 128 and
+# faster than 256, at a lower peak memory; results do not depend on it.
+_BLOCK = 64
 
 
-def _simulate_selected(
+def _replicate(
     spec: TestSpec,
+    sampler: Callable[[np.random.Generator, int], np.ndarray],
     n: int,
     reps: int,
     seed: int,
     path: tuple[int, ...],
-    workers: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(T_S values, S values) over reps independent null/alt datasets."""
-    sampler = null_sampler(spec)
+    """(T_S values, S values) of ``reps`` replications of the test.
 
-    def one(i: int):
-        rng = substream(seed, *path, i)
+    Replication i tests ``sampler(substream(seed, *path, i), n)``.  The
+    draws of each block of _BLOCK replications are stacked and tested by
+    one run_block call.
+    """
+    t = np.empty(reps)
+    s = np.empty(reps, dtype=int)
+    for start in range(0, reps, _BLOCK):
+        stop = min(start + _BLOCK, reps)
+        draws: list = []
         try:
-            outcome = run_test(sampler(rng, n), spec)
+            for i in range(start, stop):
+                x = sampler(substream(seed, *path, i), n)
+                if np.shape(x)[:1] != (n,):
+                    raise ValueError(f"sampler drew shape {np.shape(x)} for n={n}")
+                draws.append(x)
+            out = run_block(draws, spec)
+        except Exception as e:
+            _raise_first_failure(spec, draws, start)
+            if len(draws) < stop - start:  # drawing the next replication failed
+                _tag_replication(e, start + len(draws))
+            raise
+        t[start:stop] = out.t_s
+        s[start:stop] = out.s
+    return t, s
+
+
+def _raise_first_failure(spec: TestSpec, draws: list, start: int) -> None:
+    """Test a failed block's samples one at a time, draws[j] being
+    replication start + j, and re-raise the first failure tagged with its
+    index; return if every sample passes alone."""
+    for i, x in enumerate(draws, start):
+        try:
+            run_test(x, spec)
         except Exception as e:
             _tag_replication(e, i)
             raise
-        return outcome.t_s, outcome.s
-
-    pairs = _map_indexed(one, reps, workers)
-    t = np.array([p[0] for p in pairs])
-    s = np.array([p[1] for p in pairs], dtype=int)
-    return t, s
 
 
 def null_distribution(
     spec: TestSpec,
     n: int,
     config: MonteCarloConfig,
-    workers: int | None = None,
 ) -> CalibrationResult:
     """Simulate the null distribution of T_S and its alpha critical value.
 
@@ -163,7 +176,7 @@ def null_distribution(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    t, s = _simulate_selected(spec, n, config.replications, config.seed, (0,), workers)
+    t, s = _replicate(spec, null_sampler(spec), n, config.replications, config.seed, (0,))
     t.sort()
     idx = math.ceil((1.0 - config.alpha) * config.replications)
     d = spec.budget.d(n)
@@ -223,7 +236,6 @@ def power_curve(
     spec: TestSpec,
     alternative: AlternativeSpec,
     config: MonteCarloConfig,
-    workers: int | None = None,
 ) -> PowerCurveResult:
     """Rejection rate of the calibrated test along the n-grid.
 
@@ -236,24 +248,15 @@ def power_curve(
         raise ValueError("config.n_grid must be non-empty for a power curve")
     points = []
     for gi, n in enumerate(config.n_grid):
-        t_null, _ = _simulate_selected(
-            spec, n, config.replications, config.seed, (gi, 0), workers
+        t_null, _ = _replicate(
+            spec, null_sampler(spec), n, config.replications, config.seed, (gi, 0)
         )
         t_null.sort()
         idx = math.ceil((1.0 - config.alpha) * config.replications)
         crit = float(t_null[idx - 1])
-
-        sampler = alternative.sampler
-
-        def one(i: int, _n=n, _gi=gi):
-            rng = substream(config.seed, _gi, 1, i)
-            try:
-                return run_test(sampler(rng, _n), spec).t_s
-            except Exception as e:
-                _tag_replication(e, i)
-                raise
-
-        t_alt = np.array(_map_indexed(one, config.replications, workers))
+        t_alt, _ = _replicate(
+            spec, alternative.sampler, n, config.replications, config.seed, (gi, 1)
+        )
         points.append(
             PowerPoint(
                 n=n,
@@ -300,7 +303,6 @@ def consistency_probe(
     alternative: AlternativeSpec,
     config: MonteCarloConfig,
     threshold: float = 0.8,
-    workers: int | None = None,
 ) -> ProbeResult:
     """Track P(S >= K) and median T_S along the n-grid under an alternative.
 
@@ -319,18 +321,9 @@ def consistency_probe(
     p_track = []
     med_track = []
     for gi, n in enumerate(config.n_grid):
-        def one(i: int, _n=n, _gi=gi):
-            rng = substream(config.seed, _gi, 1, i)
-            try:
-                outcome = run_test(alternative.sampler(rng, _n), spec)
-            except Exception as e:
-                _tag_replication(e, i)
-                raise
-            return outcome.t_s, outcome.s
-
-        pairs = _map_indexed(one, config.replications, workers)
-        t = np.array([p[0] for p in pairs])
-        s = np.array([p[1] for p in pairs], dtype=int)
+        t, s = _replicate(
+            spec, alternative.sampler, n, config.replications, config.seed, (gi, 1)
+        )
         p_k = float(np.mean(s >= k))
         med = float(np.median(t))
         p_track.append(p_k)
@@ -360,7 +353,6 @@ def tail_rate_probe(
     replications: int,
     seed: int,
     factor: float = 2.0,
-    workers: int | None = None,
 ) -> ProbeResult:
     """Empirical large-deviation tails of a bounded i.i.d. mean.
 
@@ -380,12 +372,8 @@ def tail_rate_probe(
     rows = []
     tails = []
     for gi, n in enumerate(ns):
-        def one(i: int, _n=n, _gi=gi):
-            rng = substream(seed, _gi, i)
-            vals = np.asarray(draw(rng, _n), dtype=float)
-            return abs(float(vals.mean()) - mean) >= y
-
-        hits = _map_indexed(one, replications, workers)
+        draws = (draw(substream(seed, gi, i), n) for i in range(replications))
+        hits = [abs(float(np.asarray(x, dtype=float).mean()) - mean) >= y for x in draws]
         tail = float(np.mean(hits))
         tails.append(tail)
         rows.append(

@@ -165,36 +165,44 @@ def fixed_budget(d: int) -> DimensionBudget:
 
 @dataclass(frozen=True)
 class SelectionOutcome:
-    """Selected dimension with the full penalized series that chose it."""
+    """Selected dimension with the full penalized series that chose it.
 
-    s: int
+    For a batch of series (..., d), ``s`` and ``t_s`` hold one per row.
+    """
+
+    s: int | np.ndarray
     series: np.ndarray
     penalties: np.ndarray
     penalized: np.ndarray
 
     @property
-    def t_s(self) -> float:
+    def t_s(self) -> float | np.ndarray:
         """Statistic value at the selected dimension."""
-        return float(self.series[self.s - 1])
+        if self.series.ndim == 1:
+            return float(self.series[self.s - 1])
+        return np.take_along_axis(self.series, self.s[..., None] - 1, axis=-1)[..., 0]
 
 
 def select_dimension(series, penalty: PenaltySchedule, n: int) -> SelectionOutcome:
     """Penalized argmax over the statistic series, smallest index on ties.
 
-    ``series`` holds T_1, ..., T_d.  Comparisons are exact, so two
-    dimensions with bitwise-equal penalized values resolve to the
-    smaller one.
+    ``series`` holds T_1, ..., T_d, or one such row per leading index
+    (..., d); the penalties are computed once for all rows.  Comparisons
+    are exact, so two dimensions with bitwise-equal penalized values
+    resolve to the smaller one.
     """
     series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or series.size < 1:
-        raise ValueError("series must be a non-empty 1-d array")
+    if series.ndim < 1 or series.shape[-1] < 1:
+        raise ValueError("series must be a non-empty array, dimensions on the last axis")
     if not np.all(np.isfinite(series)):
         raise ValueError("series contains non-finite values")
-    pens = np.array([penalty.pi(k, n) for k in range(1, series.size + 1)], dtype=float)
+    pens = np.array([penalty.pi(k, n) for k in range(1, series.shape[-1] + 1)], dtype=float)
     if not np.all(np.isfinite(pens)):
         raise ValueError("penalty schedule produced non-finite values")
     penalized = series - pens
-    s = int(np.argmax(penalized)) + 1  # first maximum = smallest index
+    s = np.argmax(penalized, axis=-1) + 1  # first maximum = smallest index
+    if series.ndim == 1:
+        s = int(s)
     return SelectionOutcome(s=s, series=series, penalties=pens, penalized=penalized)
 
 

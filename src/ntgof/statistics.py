@@ -24,22 +24,21 @@ the series is checked against.
 Sigma is rarely available in closed form outside the orthonormal case,
 so :func:`estimate_moment_matrix` estimates the second-moment matrix
 E_0 l(Y)^T l(Y) from a null sampler by plain Monte Carlo: accumulate it
-in fixed-size chunks (each chunk on its own counter-based stream, so
-the result does not depend on the worker count) and sanity-check that
-every component mean is within a few standard errors of zero.
+in fixed-size chunks (each chunk on its own counter-based stream,
+reduced in chunk order) and sanity-check that every component mean is
+within a few standard errors of zero.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import basis as _basis
-from ._rng import resolve_workers, substream
+from ._rng import substream
 from .errors import ScoreMeanError, SingularMatrixError
 
 __all__ = [
@@ -195,10 +194,11 @@ class NormalizingMatrix:
 
 
 def _as_score_matrix(scores) -> np.ndarray:
+    """Score matrix (n, k), or a stack (..., n, k) of them, checked."""
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2:
+    if scores.ndim < 2:
         raise ValueError(f"score matrix must be 2-d, got shape {scores.shape}")
-    if scores.shape[0] < 1:
+    if scores.shape[-2] < 1:
         raise ValueError("score matrix has no rows")
     if not np.all(np.isfinite(scores)):
         raise ValueError("score matrix contains non-finite entries")
@@ -213,6 +213,12 @@ def nt_statistic(mean: MeanVector, weight: NormalizingMatrix) -> float:
     return float(mean.n * (v @ weight.matrix @ v))
 
 
+def _fails_gate(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(failed, eigenvalues) of the 1e-10 gate on each matrix of (..., k, k)."""
+    w = np.linalg.eigvalsh(cov)
+    return (w[..., -1] <= 0) | (w[..., 0] < _COND_GATE * w[..., -1]), w
+
+
 def nt_series(scores, cov=None) -> np.ndarray:
     """Nested statistics T_1, ..., T_k of an n-by-k score matrix.
 
@@ -224,30 +230,35 @@ def nt_series(scores, cov=None) -> np.ndarray:
     T_k as a cumulative sum of squares.  Only the lower triangle of
     ``cov`` is read.  An eigenvalue of ``cov`` below 1e-10 times the
     largest raises SingularMatrixError; by eigenvalue interlacing that
-    is exactly when some leading block fails the same gate.
+    is exactly when some leading block fails the same gate, and the
+    message names the largest leading block that passes.
+
+    Leading batch axes are allowed: scores (..., n, k) give series
+    (..., k), with ``cov`` either one (k, k) matrix shared by every row
+    or one matrix per row, (..., k, k).  Each row's numbers are the
+    same as when it is passed alone.
     """
     scores = _as_score_matrix(scores)
-    n, k = scores.shape
-    v = scores.sum(axis=0) / math.sqrt(n)
+    n, k = scores.shape[-2:]
+    v = scores.sum(axis=-2) / math.sqrt(n)
     if cov is not None:
         cov = np.asarray(cov, dtype=float)
-        if cov.shape != (k, k):
+        if cov.shape[-2:] != (k, k):
             raise ValueError(f"covariance shape {cov.shape} does not match k={k}")
-        w = np.linalg.eigvalsh(cov)
-        if w[-1] <= 0 or w[0] < _COND_GATE * w[-1]:
+        failed, w = _fails_gate(cov)
+        if np.any(failed):
+            row = np.unravel_index(np.argmax(failed), failed.shape)
+            j = 0  # the largest leading block of the first failing matrix that passes
+            while not _fails_gate(cov[row][: j + 1, : j + 1])[0]:
+                j += 1
+            fix = f"is {j} x {j}: cap the dimension at {j} (--dmax {j})" if j else "is none"
             raise SingularMatrixError(
-                f"score covariance is singular at dimension {k} "
-                f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
+                f"score covariance is singular at dimension {k} (eigenvalue range "
+                f"[{w[row][0]:.3e}, {w[row][-1]:.3e}]); "
+                f"the largest leading block that passes {fix}"
             )
-        v = np.linalg.solve(np.linalg.cholesky(cov), v)
-    return np.cumsum(v * v)
-
-
-def _moment_chunks(draws: int, chunk_size: int) -> list[int]:
-    sizes = [chunk_size] * (draws // chunk_size)
-    if draws % chunk_size:
-        sizes.append(draws % chunk_size)
-    return sizes
+        v = np.linalg.solve(np.linalg.cholesky(cov), v[..., None])[..., 0]
+    return np.cumsum(v * v, axis=-1)
 
 
 def estimate_moment_matrix(
@@ -256,45 +267,31 @@ def estimate_moment_matrix(
     draws: int,
     seed: int,
     *,
-    workers: int | None = None,
     chunk_size: int = 4096,
     mean_gate: float = 4.0,
 ) -> np.ndarray:
     """Empirical second-moment matrix n^{-1} sum l(Y_i)^T l(Y_i).
 
     Draws come from ``null_sampler(rng, m)`` in fixed chunks, one Philox
-    substream per chunk, and partial sums are reduced in chunk order, so
-    the result is bit-identical for any worker count.  Each component
-    mean must land within ``mean_gate`` standard errors of zero; a
-    violation means the sampler is not the null of this score system
-    and raises ScoreMeanError rather than returning a biased matrix.
+    substream per chunk, and partial sums are accumulated in chunk
+    order.  Each component mean must land within ``mean_gate`` standard
+    errors of zero; a violation means the sampler is not the null of
+    this score system and raises ScoreMeanError rather than returning a
+    biased matrix.
     """
     k = score_basis.k
     if draws < 10 * k * k:
         raise ValueError(f"need at least 10*k^2 = {10 * k * k} draws, got {draws}")
-    sizes = _moment_chunks(draws, chunk_size)
-
-    def one_chunk(item):
-        index, m = item
+    outer = np.zeros((k, k))
+    total = np.zeros(k)
+    for index, start in enumerate(range(0, draws, chunk_size)):
+        m = min(chunk_size, draws - start)
         obs = null_sampler(substream(seed, index), m)
         s = score_basis.evaluate(obs)
         if s.shape[0] != m:
             raise ValueError("null sampler returned wrong batch size")
-        return s.T @ s, s.sum(axis=0)
-
-    workers = resolve_workers(workers)
-    items = list(enumerate(sizes))
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_chunk, items))
-    else:
-        partials = [one_chunk(it) for it in items]
-
-    outer = np.zeros((k, k))
-    total = np.zeros(k)
-    for po, ps in partials:  # fixed reduction order
-        outer += po
-        total += ps
+        outer += s.T @ s
+        total += s.sum(axis=0)
 
     moment = outer / draws
     mean = total / draws

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -30,6 +31,7 @@ from ntgof.catalog import (
     noisy_copy_pairs,
     null_sampler,
     rank_transform,
+    run_block,
     run_test,
     uniform_null,
     uniformity_spec,
@@ -39,8 +41,7 @@ from ntgof.catalog import ParametricFamily, TestSpec as CatalogSpec
 from ntgof import catalog
 from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
 from ntgof.errors import NumericError, SingularMatrixError
-from ntgof.montecarlo import MonteCarloConfig, null_distribution
-from ntgof.selection import default_budget, schwarz_schedule
+from ntgof.selection import default_budget, fixed_budget, schwarz_schedule
 from ntgof.statistics import MeanVector, NormalizingMatrix, nt_series, nt_statistic
 
 
@@ -341,8 +342,8 @@ def test_deconvolution_spec_needs_moment_draws_at_cap():
 
 
 def test_cold_spec_builds_artifacts_once_under_two_workers(monkeypatch):
-    # both workers start on a cold spec; the build sleeps so that an
-    # unguarded cache lets the second worker start its own build
+    # two of the caller's threads start on a cold spec; the build sleeps
+    # so that an unguarded cache lets the second thread start its own
     builds = []
 
     class CountingTable(_DeconvScoreTable):
@@ -353,9 +354,24 @@ def test_cold_spec_builds_artifacts_once_under_two_workers(monkeypatch):
 
     monkeypatch.setattr(catalog, "_DeconvScoreTable", CountingTable)
     spec = small_deconv_spec()
-    null_distribution(spec, 200, MonteCarloConfig(replications=100, seed=3), workers=2)
+    data = null_sampler(spec)(np.random.default_rng(3), 200)
+    threads = [threading.Thread(target=run_test, args=(data, spec)) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
     assert builds == [spec.budget.cap]
     assert len(spec._cache) == 1
+
+
+def test_singular_moment_matrix_names_passing_dimension():
+    # this spec's 12 x 12 moment matrix fails the 1e-10 gate and its
+    # leading 11 x 11 block passes
+    spec = deconvolution_spec(l_draws=20_000, grid_points=501, budget=fixed_budget(12))
+    data = null_sampler(spec)(np.random.default_rng(5), 300)
+    with pytest.raises(SingularMatrixError, match=r"dimension 12 .*passes is 11 x 11: .*--dmax 11"):
+        run_test(data, spec)
 
 
 def test_deconvolution_test_rejects_far_data():
@@ -552,6 +568,22 @@ def test_dispatch_matches_direct_call():
     a = run_test(data, spec)
     b = uniformity_test(data, spec)
     assert a.s == b.s and a.t_s == b.t_s
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [uniformity_spec(), independence_spec(), small_deconv_spec(), composite_spec()],
+    ids=lambda spec: spec.kind,
+)
+def test_block_rows_equal_samples_alone(spec):
+    rng = np.random.default_rng(6)
+    block = np.stack([null_sampler(spec)(rng, 90) for _ in range(5)])
+    out = run_block(block, spec)
+    assert out.series.shape == (5, spec.budget.d(90))
+    for i, data in enumerate(block):
+        alone = run_test(data, spec)
+        assert (out.s[i], out.t_s[i]) == (alone.s, alone.t_s)
+        assert np.array_equal(out.series[i], alone.series)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -244,6 +243,32 @@ def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in err
 
 
+def test_failed_replication_exit_codes(tmp_path, capsys):
+    # a replication that fails inside a Monte Carlo block keeps its exit
+    # code: 2 for a bad sample (a 1-column alternative for the pairs
+    # test), 3 for a numeric failure (the 12 x 12 moment matrix of this
+    # small deconvolution spec fails the eigenvalue gate)
+    pow_cfg = tmp_path / "p.json"
+    pow_cfg.write_text(json.dumps({
+        "n_grid": [100],
+        "alternative": {"type": "contamination", "coefficients": {"1": 0.3}},
+    }))
+    code, _, err = run_cli(
+        capsys, "power", "--kind", "independence", "--input", str(pow_cfg), "--mc-reps", "100"
+    )
+    assert code == 2
+    assert "replication 0: data must be 2-dimensional" in err
+    cal_cfg = tmp_path / "c.json"
+    cal_cfg.write_text('{"n": 200, "l_draws": 20000, "grid_points": 501}')
+    code, _, err = run_cli(
+        capsys, "calibrate", "--kind", "deconvolution", "--dmax", "12",
+        "--input", str(cal_cfg), "--mc-reps", "100",
+    )
+    assert code == 3
+    assert "numeric failure: replication 0: score covariance is singular at dimension 12" in err
+    assert "--dmax 11" in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate subcommand
 
@@ -389,7 +414,6 @@ def test_module_entry_runs(tmp_path):
         [sys.executable, "-m", "ntgof", "test", "--input", path, "--mc-reps", "200"],
         capture_output=True,
         text=True,
-        env={**os.environ, "NTGOF_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ntgof import montecarlo
 from ntgof.catalog import (
     AlternativeSpec,
     contamination_alternative,
@@ -54,14 +55,23 @@ def test_calibration_bookkeeping():
     assert set(d) == {"n", "alpha", "replications", "seed", "critical_value", "s_counts"}
 
 
-def test_calibration_deterministic():
+def run_at_blocks(monkeypatch, fn, blocks=(1, 7, 64)):
+    """fn() once per replication block size."""
+    out = []
+    for block in blocks:
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        out.append(fn())
+    return out
+
+
+def test_calibration_deterministic_across_blocks(monkeypatch):
     spec = uniformity_spec()
     cfg = MonteCarloConfig(replications=300, seed=7)
-    a = null_distribution(spec, n=80, config=cfg, workers=1)
-    b = null_distribution(spec, n=80, config=cfg, workers=4)
-    assert np.array_equal(a.statistics, b.statistics)
-    assert np.array_equal(a.s_counts, b.s_counts)
-    assert a.critical_value == b.critical_value
+    a, *rest = run_at_blocks(monkeypatch, lambda: null_distribution(spec, n=80, config=cfg))
+    for b in rest:
+        assert np.array_equal(a.statistics, b.statistics)
+        assert np.array_equal(a.s_counts, b.s_counts)
+        assert a.critical_value == b.critical_value
 
 
 def test_null_mostly_selects_first_dimension():
@@ -149,13 +159,12 @@ def test_power_grows_along_grid():
     assert [row["n"] for row in d["points"]] == [50, 200, 800]
 
 
-def test_power_deterministic_across_workers():
+def test_power_deterministic_across_blocks(monkeypatch):
     spec = independence_spec()
     alt = noisy_copy_pairs(1.0)
     cfg = MonteCarloConfig(replications=200, seed=9, alpha=0.05, n_grid=(60,))
-    a = power_curve(spec, alt, cfg, workers=1)
-    b = power_curve(spec, alt, cfg, workers=4)
-    assert a.as_dict() == b.as_dict()
+    a, *rest = run_at_blocks(monkeypatch, lambda: power_curve(spec, alt, cfg).as_dict())
+    assert all(b == a for b in rest)
 
 
 def test_power_requires_grid():
@@ -176,7 +185,58 @@ def test_replication_errors_carry_index():
     )
     cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
     with pytest.raises(ValueError, match=r"replication \d+:"):
-        power_curve(spec, bad, cfg, workers=1)
+        power_curve(spec, bad, cfg)
+
+
+def leaves_unit_interval_on_call(call):
+    """Uniform sampler whose draw on its call-th call (one-based) lies in [1, 2)."""
+    calls = []
+
+    def sampler(rng, n):
+        calls.append(n)
+        return rng.random(n) + (len(calls) == call)
+
+    return AlternativeSpec(name="one bad draw", sampler=sampler, first_component=1)
+
+
+def test_replication_error_names_exact_index_mid_block(monkeypatch):
+    # the 38th draw is replication 37 of the alternative leg: mid-block
+    # at 64 rows, its own block at 1 row
+    spec = uniformity_spec()
+    cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
+    for block in (1, 64):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        with pytest.raises(ValueError, match=r"^replication 37: basis argument outside"):
+            power_curve(spec, leaves_unit_interval_on_call(38), cfg)
+
+
+def test_sampler_failures_keep_index_order(monkeypatch):
+    # replication 5's sample fails its test before replication 9's
+    # sampler raises, so 5 is reported, as a one-by-one run would
+    def sampler(rng, n):
+        draw = rng.random(n)
+        calls.append(n)
+        if len(calls) == 10:
+            raise RuntimeError("sampler broke")
+        return draw + (len(calls) == 6)
+
+    spec = uniformity_spec()
+    cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
+    alt = AlternativeSpec(name="breaks", sampler=sampler, first_component=1)
+    calls = []
+    with pytest.raises(ValueError, match=r"^replication 5: "):
+        consistency_probe(spec, alt, cfg)
+    calls = [None] * 6  # the bad draw is already past
+    with pytest.raises(RuntimeError, match=r"^replication 3: sampler broke"):
+        consistency_probe(spec, alt, cfg)
+
+
+def test_sampler_must_draw_n_observations():
+    spec = uniformity_spec()
+    alt = AlternativeSpec(name="short", sampler=lambda rng, n: rng.random(n - 1))
+    cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
+    with pytest.raises(ValueError, match=r"^replication 0: sampler drew shape \(49,\) for n=50"):
+        power_curve(spec, alt, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +316,12 @@ def test_tail_rate_zero_threshold_never_decays():
     assert all(row.values["tail"] == 1.0 for row in probe.rows)
 
 
-def test_tail_rate_deterministic_across_workers():
+def test_tail_rate_deterministic_across_blocks(monkeypatch):
     kwargs = dict(
         mean=0.0, sigma=1.0, y=0.5, n_grid=(16, 32), replications=500, seed=3
     )
-    a = tail_rate_probe(rademacher, workers=1, **kwargs)
-    b = tail_rate_probe(rademacher, workers=4, **kwargs)
-    assert a.as_dict() == b.as_dict()
+    a, *rest = run_at_blocks(monkeypatch, lambda: tail_rate_probe(rademacher, **kwargs).as_dict())
+    assert all(b == a for b in rest)
 
 
 def test_tail_rate_validation():

@@ -112,6 +112,20 @@ def test_outcome_records_inputs():
     assert out.penalized == pytest.approx(np.array([1.0, 9.0]) - out.penalties)
 
 
+def test_batched_selection_matches_rows_alone():
+    # with pi = k log n and n = e, rows 0 and 1 tie exactly at k = 1
+    rng = np.random.default_rng(12)
+    series = np.vstack(
+        [[5.0, 6.0, 6.5], [5.0, 6.0, 7.0], rng.standard_normal((6, 3)).cumsum(axis=1) ** 2]
+    )
+    out = select_dimension(series, schwarz_schedule(), n=math.e)
+    for row, t, s in zip(series, out.t_s, out.s):
+        alone = select_dimension(row, schwarz_schedule(), n=math.e)
+        assert (s, t) == (alone.s, alone.t_s)
+    assert out.s[:2].tolist() == [1, 1]
+    assert out.penalties.shape == (3,)
+
+
 def test_selector_rejects_bad_series():
     with pytest.raises(ValueError):
         select_dimension([], schwarz_schedule(), n=100)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ntgof._rng import substream
 from ntgof.basis import design_matrix, legendre_basis
 from ntgof.catalog import _deconv_artifacts, deconvolution_spec
 from ntgof.errors import ScoreMeanError, SingularMatrixError
@@ -174,12 +175,18 @@ def test_estimate_close_to_identity():
     assert np.all(np.diff(est.eigenvalues) <= 0.0)
 
 
-def test_estimate_deterministic_across_workers():
+def test_estimate_equals_chunk_order_sum():
+    # 20_000 draws in chunks of 4096: four full chunks and one of 3616,
+    # chunk c on substream (9, c), summed in chunk order
     sampler = lambda rng, n: rng.random(n)
     sb = legendre_score_basis(2)
-    m1 = estimate_moment_matrix(sampler, sb, draws=20_000, seed=9, workers=1)
-    m4 = estimate_moment_matrix(sampler, sb, draws=20_000, seed=9, workers=4)
-    assert np.array_equal(m1, m4)
+    outer = np.zeros((2, 2))
+    for c, m in enumerate([4096] * 4 + [3616]):
+        s = sb.evaluate(sampler(substream(9, c), m))
+        outer += s.T @ s
+    want = outer / 20_000
+    got = estimate_moment_matrix(sampler, sb, draws=20_000, seed=9)
+    assert np.array_equal(got, 0.5 * (want + want.T))
 
 
 def test_estimate_repeatable():
@@ -242,6 +249,25 @@ def test_zero_estimated_scores():
 def test_one_observation_diagonal_weight():
     # covariance diag(1, 1/2) is the weight diag(1, 2); lbar = (1, 0)
     assert nt_series(np.array([[1.0, 0.0]]), np.diag([1.0, 0.5]))[-1] == pytest.approx(1.0)
+
+
+def test_series_of_a_batch_equals_rows_alone():
+    rng = np.random.default_rng(34)
+    scores = rng.standard_normal((5, 40, 4))
+    a = rng.standard_normal((5, 4, 4))
+    covs = a @ a.transpose(0, 2, 1) + 4 * np.eye(4)
+    for shared in (True, False):
+        batch = nt_series(scores, covs[0] if shared else covs)
+        assert batch.shape == (5, 4)
+        for i in range(5):
+            assert np.array_equal(batch[i], nt_series(scores[i], covs[0 if shared else i]))
+    assert np.array_equal(nt_series(scores)[2], nt_series(scores[2]))
+
+
+def test_series_gates_every_row_of_a_batch():
+    covs = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-12]), np.eye(3)])
+    with pytest.raises(SingularMatrixError, match=r"dimension 3 .*block that passes is 2 x 2"):
+        nt_series(np.ones((3, 10, 3)), covs)
 
 
 def small_deconv_scores_and_moment():
