@@ -432,10 +432,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = args.fn(args)
-    except InputError as e:
-        print(f"ntgof: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # InputError included
         print(f"ntgof: {e}", file=sys.stderr)
         return 2
     except KeyError as e:
@@ -443,7 +440,8 @@ def main(argv=None) -> int:
         print(f"ntgof: {e.args[0] if e.args else e}", file=sys.stderr)
         return 2
     except NumericError as e:
-        print(f"ntgof: numeric failure: {e}", file=sys.stderr)
+        j = getattr(e, "max_dimension", None)
+        print(f"ntgof: numeric failure: {e}" + (f" (--dmax {j})" if j else ""), file=sys.stderr)
         return 3
     text = dump_report(report)
     if args.out is None:

@@ -27,7 +27,10 @@ class NumericError(RuntimeError):
 
 class SingularMatrixError(NumericError):
     """Second-moment matrix is singular or effectively so; no normalizing
-    matrix exists at the requested dimension."""
+    matrix exists at the requested dimension.  ``max_dimension``, when
+    known, is the largest leading dimension at which one does."""
+
+    max_dimension: int | None = None
 
 
 class ScoreMeanError(NumericError):

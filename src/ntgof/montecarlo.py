@@ -11,16 +11,15 @@ distribution of T_S.  The p-value uses the add-one estimator
 which is exact-level for any replication count, and the critical value
 at level alpha is the ceil((1 - alpha) * reps)-th order statistic.
 
-Replications run in blocks of _BLOCK rows: each replication draws its
-sample from its own Philox substream addressed by (seed, path...,
-index), the draws of a block are stacked, and the catalog's block
-statistic runs once per block.  Results land in preallocated slots by
-index, and every row's numbers are those it would give alone, so any
-block size produces byte-identical output.  Power studies additionally
-split the seed path:
-calibration replications and alternative replications never share a
-stream, so evaluating power does not silently recycle the noise that
-built the critical value.
+Replications run in blocks of at most _BLOCK rows and _BLOCK_OBS
+observations: each replication draws its sample from its own Philox
+substream addressed by (seed, path..., index), the draws of a block are
+stacked, and the catalog's block statistic runs once per block.  Results
+land in preallocated slots by index, and every row's numbers are those
+it would give alone, so any block size produces byte-identical output.
+Power studies additionally split the seed path: calibration replications
+and alternative replications never share a stream, so evaluating power
+does not silently recycle the noise that built the critical value.
 
 Two probes back the asymptotics with finite-sample evidence.  The
 consistency probe tracks P(S >= K) and the median T_S along a sample
@@ -111,8 +110,11 @@ def _tag_replication(e: Exception, i: int) -> None:
 
 
 # Replications per block.  Blocks of 64 ran as fast as blocks of 128 and
-# faster than 256, at a lower peak memory; results do not depend on it.
+# faster than 256 at n = 500, at a lower peak memory.  A block's arrays
+# hold (rows, n, d) floats, so at large n its rows shrink to keep its
+# observations within _BLOCK_OBS.  Results do not depend on either.
 _BLOCK = 64
+_BLOCK_OBS = 2**15
 
 
 def _replicate(
@@ -126,13 +128,13 @@ def _replicate(
     """(T_S values, S values) of ``reps`` replications of the test.
 
     Replication i tests ``sampler(substream(seed, *path, i), n)``.  The
-    draws of each block of _BLOCK replications are stacked and tested by
-    one run_block call.
+    draws of each block are stacked and tested by one run_block call.
     """
     t = np.empty(reps)
     s = np.empty(reps, dtype=int)
-    for start in range(0, reps, _BLOCK):
-        stop = min(start + _BLOCK, reps)
+    rows = max(1, min(_BLOCK, _BLOCK_OBS // n))
+    for start in range(0, reps, rows):
+        stop = min(start + rows, reps)
         draws: list = []
         try:
             for i in range(start, stop):
@@ -142,25 +144,18 @@ def _replicate(
                 draws.append(x)
             out = run_block(draws, spec)
         except Exception as e:
-            _raise_first_failure(spec, draws, start)
+            for i, x in enumerate(draws, start):  # re-raise the first row failing alone
+                try:
+                    run_test(x, spec)
+                except Exception as first:
+                    _tag_replication(first, i)
+                    raise
             if len(draws) < stop - start:  # drawing the next replication failed
                 _tag_replication(e, start + len(draws))
             raise
         t[start:stop] = out.t_s
         s[start:stop] = out.s
     return t, s
-
-
-def _raise_first_failure(spec: TestSpec, draws: list, start: int) -> None:
-    """Test a failed block's samples one at a time, draws[j] being
-    replication start + j, and re-raise the first failure tagged with its
-    index; return if every sample passes alone."""
-    for i, x in enumerate(draws, start):
-        try:
-            run_test(x, spec)
-        except Exception as e:
-            _tag_replication(e, i)
-            raise
 
 
 def null_distribution(

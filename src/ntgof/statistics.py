@@ -231,7 +231,7 @@ def nt_series(scores, cov=None) -> np.ndarray:
     ``cov`` is read.  An eigenvalue of ``cov`` below 1e-10 times the
     largest raises SingularMatrixError; by eigenvalue interlacing that
     is exactly when some leading block fails the same gate, and the
-    message names the largest leading block that passes.
+    error names the largest leading block that passes (max_dimension).
 
     Leading batch axes are allowed: scores (..., n, k) give series
     (..., k), with ``cov`` either one (k, k) matrix shared by every row
@@ -251,12 +251,14 @@ def nt_series(scores, cov=None) -> np.ndarray:
             j = 0  # the largest leading block of the first failing matrix that passes
             while not _fails_gate(cov[row][: j + 1, : j + 1])[0]:
                 j += 1
-            fix = f"is {j} x {j}: cap the dimension at {j} (--dmax {j})" if j else "is none"
-            raise SingularMatrixError(
+            fix = f"is {j} x {j}: cap the dimension at {j}" if j else "is none"
+            err = SingularMatrixError(
                 f"score covariance is singular at dimension {k} (eigenvalue range "
                 f"[{w[row][0]:.3e}, {w[row][-1]:.3e}]); "
                 f"the largest leading block that passes {fix}"
             )
+            err.max_dimension = j or None
+            raise err
         v = np.linalg.solve(np.linalg.cholesky(cov), v[..., None])[..., 0]
     return np.cumsum(v * v, axis=-1)
 

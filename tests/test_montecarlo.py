@@ -10,6 +10,7 @@ from ntgof.catalog import (
     AlternativeSpec,
     contamination_alternative,
     noisy_copy_pairs,
+    run_block,
     uniformity_spec,
     independence_spec,
 )
@@ -231,6 +232,25 @@ def test_sampler_failures_keep_index_order(monkeypatch):
         consistency_probe(spec, alt, cfg)
 
 
+def test_block_rows_shrink_at_large_n(monkeypatch):
+    # a block holds at most _BLOCK_OBS observations, so its memory does
+    # not grow with n; the numbers are those of one-row blocks
+    sizes = []
+
+    def counting(block, spec):
+        sizes.append(len(block))
+        return run_block(block, spec)
+
+    spec, cfg = uniformity_spec(), MonteCarloConfig(replications=100, seed=2)
+    monkeypatch.setattr(montecarlo, "run_block", counting)
+    big = null_distribution(spec, 20_000, cfg)
+    assert sizes == [1] * 100
+    sizes.clear()
+    monkeypatch.setattr(montecarlo, "_BLOCK_OBS", 2**16)
+    assert np.array_equal(null_distribution(spec, 20_000, cfg).statistics, big.statistics)
+    assert sizes == [3] * 33 + [1]
+
+
 def test_sampler_must_draw_n_observations():
     spec = uniformity_spec()
     alt = AlternativeSpec(name="short", sampler=lambda rng, n: rng.random(n - 1))
@@ -316,12 +336,12 @@ def test_tail_rate_zero_threshold_never_decays():
     assert all(row.values["tail"] == 1.0 for row in probe.rows)
 
 
-def test_tail_rate_deterministic_across_blocks(monkeypatch):
+def test_tail_rate_repeatable():
     kwargs = dict(
         mean=0.0, sigma=1.0, y=0.5, n_grid=(16, 32), replications=500, seed=3
     )
-    a, *rest = run_at_blocks(monkeypatch, lambda: tail_rate_probe(rademacher, **kwargs).as_dict())
-    assert all(b == a for b in rest)
+    a, b = (tail_rate_probe(rademacher, **kwargs).as_dict() for _ in range(2))
+    assert a == b
 
 
 def test_tail_rate_validation():
