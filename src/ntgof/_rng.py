@@ -5,16 +5,141 @@ streams addressed by (seed, path): the same address always yields the
 same stream, however the work around it is grouped.  The Monte Carlo
 engine draws replication i from its own address, so results are
 bit-identical for any block size.
+
+A fresh :func:`substream` costs a SeedSequence, its hash and two new
+objects per address.  :class:`KeyedStreams` serves the consecutive
+addresses (seed, *path, i) of a run from one Philox and one Generator:
+it hashes a whole block of indices at once, with NumPy's SeedSequence
+hash written out in vectorized integer arithmetic, and moves the Philox
+to each key in turn with counter 0 and an empty buffer -- the state a
+fresh substream starts in, so the draws are the same bits.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-__all__ = ["substream"]
+__all__ = ["substream", "KeyedStreams"]
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the work item addressed by ``path`` under ``seed``."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), which NumPy
+# documents as stable across releases: a pool of 4 uint32 words and the
+# hashmix/mix constants below.  Values stay below 2**32 and are masked
+# after every product, so the same code runs on Python ints and on
+# uint64 arrays, whose products of two such values cannot overflow.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n) -> list[int]:
+    """uint32 words of a non-negative integer, least significant first.
+
+    The split SeedSequence applies to its entropy and spawn key, with
+    its error for a negative value.
+    """
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """One hashmix step: the hashed value and the next hash constant."""
+    nxt = (const * mult) & _MASK32
+    value = ((value ^ const) * nxt) & _MASK32
+    return value ^ (value >> 16), nxt
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _philox_keys(seed: int, path: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """(stop - start, 2) uint64 Philox keys of substream(seed, *path, i), i in [start, stop).
+
+    Row i equals ``SeedSequence(entropy=seed, spawn_key=(*path, i))
+    .generate_state(2, np.uint64)``, the key ``Philox`` takes from that
+    sequence.  The words before i are hashed as Python ints; only
+    the index word and the output run on arrays.
+    """
+    if stop > 2**32:
+        raise ValueError("stream index beyond 2**32 - 1")
+    run = _words(seed)
+    # with a spawn key, SeedSequence pads the run entropy to the pool size
+    entropy = run + [0] * (_POOL - len(run)) + [w for p in path for w in _words(p)]
+    entropy.append(np.arange(start, stop, dtype=np.uint64))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            h, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(2, np.uint64): four words, paired little-endian
+    const = _INIT_B
+    out = []
+    for word in pool:
+        h, const = _hashmix(word, const, _MULT_B)
+        out.append(h)
+    return np.stack([out[0] | (out[1] << 32), out[2] | (out[3] << 32)], axis=-1)
+
+
+# Indices hashed per _philox_keys call; keeps key memory fixed for any run
+# length.  The Monte Carlo blocks are at most this long, so each of them
+# derives its keys in one call.
+_KEYS_PER_CALL = 64
+
+
+class KeyedStreams:
+    """The substreams (seed, *path, i) of consecutive indices, from one Generator.
+
+    ``rows(start, stop)`` yields (i, rng) for i in [start, stop), with
+    ``rng`` in the state ``substream(seed, *path, i)`` starts in, so it
+    draws the same bits.  ``rng`` is one object for every row and moves
+    to the next row's key when the next row is asked for: a caller must
+    take every draw it needs from it before that.
+    """
+
+    def __init__(self, seed: int, path: tuple[int, ...]):
+        self._seed, self._path = seed, tuple(path)
+        self._bitgen = np.random.Philox(0)
+        self._rng = np.random.Generator(self._bitgen)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": None},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def rows(self, start: int, stop: int):
+        for lo in range(start, stop, _KEYS_PER_CALL):
+            keys = _philox_keys(self._seed, self._path, lo, min(lo + _KEYS_PER_CALL, stop))
+            for i, key in enumerate(keys, lo):
+                self._state["state"]["key"] = key
+                self._bitgen.state = self._state
+                yield i, self._rng

@@ -52,7 +52,11 @@ composite
     Cholesky factor of Sigma at the largest dimension, restores the
     chi-square(k) null limit for every k.  Sigma_k^{-1} equals the
     Woodbury form I + I_b^T (I_bb - I_b I_b^T)^{-1} I_b, and Sigma is
-    singular exactly when that middle factor is.
+    singular exactly when that middle factor is.  A family that declares
+    itself ``invariant`` (its information blocks are free of beta, as
+    for location and location-scale families) has one Sigma per
+    dimension: it is built once per spec, at beta0, and a block of
+    samples is fitted and transformed in one call each.
 
 Monte Carlo calibration needs the matching null samplers; use
 :func:`null_sampler`.  Smooth contamination alternatives g = 1 + sum
@@ -169,9 +173,16 @@ class ParametricFamily:
 
     ``fit`` is the maximum-likelihood estimator, ``ppf`` the quantile
     function (used to pick integration ranges), and ``sampler`` draws
-    from the family.  ``information_blocks``, when provided, returns
-    the pair (I_b, I_bb) for a given (beta, basis, k) and short-cuts
-    the generic quadrature in :func:`information_blocks`.
+    from the family, taking every draw within the call.
+    ``information``, when provided, returns the pair (I_b, I_bb) for a
+    given (beta, basis, k) and short-cuts the generic quadrature in
+    :func:`information_blocks`.
+
+    ``invariant`` promises two things: I_b and I_bb do not depend on
+    beta, and ``fit`` and ``cdf`` work on a block -- ``fit`` maps data
+    (..., n) to (..., q) and ``cdf(x, beta)`` broadcasts beta (..., q)
+    against x (..., n).  The composite test then forms Sigma once per
+    spec and dimension and fits a whole block of samples at once.
     """
 
     name: str
@@ -182,6 +193,7 @@ class ParametricFamily:
     sampler: Callable[[np.random.Generator, int, np.ndarray], np.ndarray]
     ppf: Callable
     information: Callable | None = field(default=None, repr=False)
+    invariant: bool = False
 
     def __post_init__(self):
         if self.q < 1:
@@ -192,9 +204,9 @@ def gaussian_location_family() -> ParametricFamily:
     """N(mu, 1) with unknown location.
 
     The MLE is the sample mean and every information block is free of
-    mu (location invariance), so blocks are cached per (basis, k).  The
-    key holds the basis itself, not its id: an id can be reused once
-    its basis is garbage-collected.
+    mu (location invariance), so the family is ``invariant`` and its
+    blocks are cached per (basis, k).  The key holds the basis itself,
+    not its id: an id can be reused once its basis is garbage-collected.
     """
     cache: dict = {}
 
@@ -207,12 +219,13 @@ def gaussian_location_family() -> ParametricFamily:
     _family = ParametricFamily(
         name="gaussian_location",
         q=1,
-        cdf=lambda x, beta: special.ndtr(x - beta[0]),
+        cdf=lambda x, beta: special.ndtr(x - beta[..., :1]),
         logpdf=lambda x, beta: -0.5 * (x - beta[0]) ** 2 - 0.5 * math.log(2 * math.pi),
-        fit=lambda data: np.array([float(np.mean(data))]),
+        fit=lambda data: np.mean(data, axis=-1, keepdims=True),
         sampler=lambda rng, n, beta: beta[0] + rng.standard_normal(n),
         ppf=lambda p, beta: beta[0] + special.ndtri(p),
         information=info,
+        invariant=True,
     )
     return _family
 
@@ -222,10 +235,13 @@ class AlternativeSpec:
     """A named alternative for power and consistency studies.
 
     ``sampler(rng, n)`` must produce data of the same shape the test
-    kind consumes.  ``first_component`` is the index K of the first
-    score direction the alternative actually excites (when known), and
-    ``leading_coefficient`` the corresponding score mean; consistency
-    probes use them to know which P(S >= K) should climb to one.
+    kind consumes, taking every draw it needs from ``rng`` before it
+    returns: the Monte Carlo engine moves one generator on to the next
+    replication's stream after each call.  ``first_component`` is the
+    index K of the first score direction the alternative actually
+    excites (when known), and ``leading_coefficient`` the corresponding
+    score mean; consistency probes use them to know which P(S >= K)
+    should climb to one.
     """
 
     name: str
@@ -566,9 +582,17 @@ class _DeconvScoreTable:
         return self._slopes[i, :k] * (y - self.grid[i])[:, None] + self.scores[i, :k]
 
 
-# Serializes the check-and-build in _deconv_artifacts, so that callers'
-# threads starting on a cold spec build its artifacts once between them.
-_DECONV_LOCK = threading.Lock()
+# Serializes the check-and-build in _cached, so that callers' threads
+# starting on a cold spec build each artifact once between them.
+_CACHE_LOCK = threading.Lock()
+
+
+def _cached(spec: TestSpec, key, build: Callable):
+    """The artifact ``spec._cache[key]``, made by ``build()`` on first use."""
+    with _CACHE_LOCK:
+        if key not in spec._cache:
+            spec._cache[key] = build()
+        return spec._cache[key]
 
 
 def _deconv_artifacts(spec: TestSpec):
@@ -578,18 +602,16 @@ def _deconv_artifacts(spec: TestSpec):
     leading d x d block of the moment matrix, so moving between sample
     sizes never rebuilds either.
     """
-    with _DECONV_LOCK:
-        if "deconv" not in spec._cache:
-            cap = spec.budget.cap
-            table = _DeconvScoreTable(spec, cap)
-            moment = estimate_moment_matrix(
-                null_sampler(spec),
-                ScoreBasis(cap, table.evaluate),
-                spec.l_draws,
-                spec.l_seed,
-            )
-            spec._cache["deconv"] = (table, moment)
-        return spec._cache["deconv"]
+
+    def build():
+        cap = spec.budget.cap
+        table = _DeconvScoreTable(spec, cap)
+        moment = estimate_moment_matrix(
+            null_sampler(spec), ScoreBasis(cap, table.evaluate), spec.l_draws, spec.l_seed
+        )
+        return table, moment
+
+    return _cached(spec, "deconv", build)
 
 
 def _deconvolution_series(block, spec: TestSpec, d: int) -> np.ndarray:
@@ -681,26 +703,47 @@ def information_blocks(
     return _numeric_information_blocks(family, beta, basis, k)
 
 
-def _composite_series(block, family: ParametricFamily, basis, d: int, beta_hat=None):
+def _composite_cov(family: ParametricFamily, beta, basis, d: int) -> np.ndarray:
+    """Sigma = I - I_b^T I_bb^{-1} I_b at beta and dimension d."""
+    i_b, i_bb = information_blocks(family, beta, basis, d)
+    try:
+        return np.eye(d) - i_b.T @ np.linalg.solve(i_bb, i_b)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(
+            "Fisher information I_bb is singular; the fitted parameters are not identifiable"
+        ) from None
+
+
+def _composite_series(block, family: ParametricFamily, basis, d: int, beta_hat=None, cov=None):
     """Efficient-score series W_1..W_d of every sample in a (B, n) block.
 
     Each sample's scores b_j(F(X_i; beta_hat)) are normalized by their
     asymptotic covariance Sigma = I - I_b^T I_bb^{-1} I_b at dimension d,
-    with beta_hat its MLE unless given.  The family API takes one sample
-    at a time, so the fit, the CDF and Sigma are formed row by row.
+    with beta_hat its MLE unless given.  ``cov`` is an invariant
+    family's Sigma, shared by every row: the fit and the CDF then run
+    once on the whole block.  Without it the fit, the CDF and Sigma are
+    formed row by row.
     """
+    if cov is not None:
+        u = np.clip(np.asarray(family.cdf(block, family.fit(block)), dtype=float), 0.0, 1.0)
+        return nt_series(design_matrix(basis, u, d), cov)
     us, covs = [], []
     for x in block:
         beta = family.fit(x) if beta_hat is None else np.asarray(beta_hat, dtype=float)
         us.append(np.clip(np.asarray(family.cdf(x, beta), dtype=float), 0.0, 1.0))
-        i_b, i_bb = information_blocks(family, beta, basis, d)
-        try:
-            covs.append(np.eye(d) - i_b.T @ np.linalg.solve(i_bb, i_b))
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                "Fisher information I_bb is singular; the fitted parameters are not identifiable"
-            ) from None
+        covs.append(_composite_cov(family, beta, basis, d))
     return nt_series(design_matrix(basis, np.array(us), d), np.array(covs))
+
+
+def _composite_spec_series(block, spec: TestSpec, d: int) -> np.ndarray:
+    """The composite kind's series; an invariant family's Sigma is cached per d."""
+    family = spec.family
+    cov = None
+    if family.invariant:
+        cov = _cached(
+            spec, ("sigma", d), lambda: _composite_cov(family, spec.beta0, spec.basis, d)
+        )
+    return _composite_series(block, family, spec.basis, d, cov=cov)
 
 
 def composite_score_statistic(
@@ -731,7 +774,7 @@ _KIND_SERIES = {
     "uniformity": (_uniformity_series, None),
     "independence_rank": (_independence_series, 2),
     "deconvolution": (_deconvolution_series, None),
-    "composite": (lambda b, spec, d: _composite_series(b, spec.family, spec.basis, d), None),
+    "composite": (_composite_spec_series, None),
 }
 
 
@@ -760,7 +803,11 @@ def run_block(block, spec: TestSpec) -> SelectionOutcome:
 
 
 def null_sampler(spec: TestSpec) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Sampler producing null data of the shape ``spec``'s test consumes."""
+    """Sampler producing null data of the shape ``spec``'s test consumes.
+
+    Like every sampler the Monte Carlo engine calls, it takes all its
+    draws from the generator within the call.
+    """
     if spec.kind == "uniformity":
         return lambda rng, n: rng.random(n)
     if spec.kind == "independence_rank":

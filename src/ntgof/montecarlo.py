@@ -14,9 +14,12 @@ at level alpha is the ceil((1 - alpha) * reps)-th order statistic.
 Replications run in blocks of at most _BLOCK rows and _BLOCK_OBS
 observations: each replication draws its sample from its own Philox
 substream addressed by (seed, path..., index), the draws of a block are
-stacked, and the catalog's block statistic runs once per block.  Results
-land in preallocated slots by index, and every row's numbers are those
-it would give alone, so any block size produces byte-identical output.
+stacked, and the catalog's block statistic runs once per block.  The
+block's stream keys are derived in one call and served by one reused
+Generator (:class:`KeyedStreams`), so a sampler must take every draw it
+needs from its generator before it returns.  Results land in
+preallocated slots by index, and every row's numbers are those it would
+give alone, so any block size produces byte-identical output.
 Power studies additionally split the seed path: calibration replications
 and alternative replications never share a stream, so evaluating power
 does not silently recycle the noise that built the critical value.
@@ -39,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import KeyedStreams, substream
 from .catalog import AlternativeSpec, TestSpec, null_sampler, run_block, run_test
 
 __all__ = [
@@ -127,18 +130,21 @@ def _replicate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(T_S values, S values) of ``reps`` replications of the test.
 
-    Replication i tests ``sampler(substream(seed, *path, i), n)``.  The
-    draws of each block are stacked and tested by one run_block call.
+    Replication i tests ``sampler(rng, n)`` with rng in the state
+    ``substream(seed, *path, i)`` starts in; one generator serves every
+    row, so the sampler must have drawn all it needs when it returns.
+    The draws of each block are stacked and tested by one run_block call.
     """
     t = np.empty(reps)
     s = np.empty(reps, dtype=int)
     rows = max(1, min(_BLOCK, _BLOCK_OBS // n))
+    streams = KeyedStreams(seed, path)
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
         draws: list = []
         try:
-            for i in range(start, stop):
-                x = sampler(substream(seed, *path, i), n)
+            for i, rng in streams.rows(start, stop):
+                x = sampler(rng, n)
                 if np.shape(x)[:1] != (n,):
                     raise ValueError(f"sampler drew shape {np.shape(x)} for n={n}")
                 draws.append(x)
@@ -352,7 +358,8 @@ def tail_rate_probe(
     """Empirical large-deviation tails of a bounded i.i.d. mean.
 
     For each n in the grid, estimates P(|mean_n - mean| >= y) over
-    ``replications`` independent substreams and reports it next to the
+    ``replications`` independent substreams (seed, grid index, i), each
+    consumed by ``draw`` within its call, and reports it next to the
     reference rate exp(-n y^2 / (2 sigma)).  Passes when each successive
     tail is at most the previous divided by ``factor`` (with a doubling
     grid: tails at least halve), zeros allowed once the tail has died.
@@ -367,7 +374,8 @@ def tail_rate_probe(
     rows = []
     tails = []
     for gi, n in enumerate(ns):
-        draws = (draw(substream(seed, gi, i), n) for i in range(replications))
+        streams = KeyedStreams(seed, (gi,)).rows(0, replications)
+        draws = (draw(rng, n) for _, rng in streams)
         hits = [abs(float(np.asarray(x, dtype=float).mean()) - mean) >= y for x in draws]
         tail = float(np.mean(hits))
         tails.append(tail)

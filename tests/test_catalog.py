@@ -1,6 +1,7 @@
 """Catalog test instances: uniformity, rank independence, deconvolution,
 composite parametric nulls, and the stock alternatives."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -41,6 +42,7 @@ from ntgof.catalog import ParametricFamily, TestSpec as CatalogSpec
 from ntgof import catalog
 from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
 from ntgof.errors import NumericError, SingularMatrixError
+from ntgof.montecarlo import MonteCarloConfig, null_distribution
 from ntgof.selection import default_budget, fixed_budget, schwarz_schedule
 from ntgof.statistics import MeanVector, NormalizingMatrix, nt_series, nt_statistic
 
@@ -522,6 +524,27 @@ def test_composite_singular_middle_factor():
     for family in (bad, no_info):
         with pytest.raises(SingularMatrixError):
             composite_score_statistic(rng.random(50), family, 2, beta_hat=np.zeros(1))
+        # declared invariant, the shared Sigma fails the same way
+        spec = composite_spec(family=dataclasses.replace(family, invariant=True))
+        with pytest.raises(SingularMatrixError):
+            composite_test(rng.random(50), spec)
+
+
+def test_invariant_block_path_matches_row_path():
+    # the same family without the declaration takes the row path: one
+    # fit, one CDF and one Sigma per sample
+    block_spec = composite_spec()
+    row_spec = composite_spec(
+        family=dataclasses.replace(gaussian_location_family(), invariant=False)
+    )
+    block = 0.4 + np.random.default_rng(23).standard_normal((9, 400))
+    a, b = run_block(block, block_spec), run_block(block, row_spec)
+    assert np.array_equal(a.series, b.series)
+    assert np.array_equal(a.t_s, b.t_s) and np.array_equal(a.s, b.s)
+    cfg = MonteCarloConfig(replications=200, seed=2**40 + 3)
+    x, y = null_distribution(block_spec, 300, cfg), null_distribution(row_spec, 300, cfg)
+    assert np.array_equal(x.statistics, y.statistics)
+    assert np.array_equal(x.s_counts, y.s_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from ntgof import montecarlo
+from ntgof import catalog, montecarlo
 from ntgof.catalog import (
     AlternativeSpec,
+    composite_spec,
     contamination_alternative,
+    deconvolution_spec,
     noisy_copy_pairs,
+    null_sampler,
     run_block,
+    run_test,
     uniformity_spec,
     independence_spec,
 )
@@ -166,6 +170,61 @@ def test_power_deterministic_across_blocks(monkeypatch):
     cfg = MonteCarloConfig(replications=200, seed=9, alpha=0.05, n_grid=(60,))
     a, *rest = run_at_blocks(monkeypatch, lambda: power_curve(spec, alt, cfg).as_dict())
     assert all(b == a for b in rest)
+
+
+def reference_replications(spec, sampler, n, reps, seed, *path):
+    """(T_S, S) of replication i = 0..reps-1 on a fresh substream(seed, *path, i)."""
+    outs = [run_test(sampler(substream(seed, *path, i), n), spec) for i in range(reps)]
+    return np.array([o.t_s for o in outs]), np.array([o.s for o in outs])
+
+
+@pytest.fixture(scope="module")
+def deconv_spec():
+    return deconvolution_spec(l_draws=20_000, grid_points=501)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_samplers_of_varying_draws_match_substream_loop(monkeypatch, block, deconv_spec):
+    # the rejection sampler draws a data-dependent number of values, the
+    # deconvolution null sampler two arrays and the noisy copies two;
+    # each must see the stream a fresh substream would give it
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    reps, seed = 100, 13
+    cal = null_distribution(deconv_spec, 80, MonteCarloConfig(replications=reps, seed=seed))
+    t, s = reference_replications(deconv_spec, null_sampler(deconv_spec), 80, reps, seed, 0)
+    assert np.array_equal(cal.statistics, np.sort(t))
+    assert np.array_equal(cal.s_counts, np.bincount(s, minlength=len(cal.s_counts) + 1)[1:])
+    cfg = MonteCarloConfig(replications=reps, seed=seed, n_grid=(40, 70))
+    for spec, alt in (
+        (uniformity_spec(), contamination_alternative({2: 0.4})),
+        (independence_spec(), noisy_copy_pairs(1.0)),
+    ):
+        for gi, point in enumerate(power_curve(spec, alt, cfg).points):
+            t_null, _ = reference_replications(spec, null_sampler(spec), point.n, reps, seed, gi, 0)
+            crit = float(np.sort(t_null)[math.ceil(0.95 * reps) - 1])
+            t_alt, _ = reference_replications(spec, alt.sampler, point.n, reps, seed, gi, 1)
+            assert point.critical_value == crit
+            assert point.rejection_rate == float(np.mean(t_alt > crit))
+
+
+def test_information_blocks_built_once_per_dimension(monkeypatch):
+    # the Gaussian location family is invariant: Sigma is formed once per
+    # (spec, d), not once per replication
+    dims = []
+
+    def counting(family, beta, basis, k):
+        dims.append(k)
+        return information_blocks(family, beta, basis, k)
+
+    information_blocks = catalog.information_blocks
+    monkeypatch.setattr(catalog, "information_blocks", counting)
+    spec = composite_spec()
+    null_distribution(spec, 500, MonteCarloConfig(replications=2000, seed=7))
+    assert dims == [spec.budget.d(500)]
+    null_distribution(spec, 500, MonteCarloConfig(replications=100, seed=8))
+    null_distribution(spec, 5000, MonteCarloConfig(replications=100, seed=8))
+    assert dims == [spec.budget.d(500), spec.budget.d(5000)]
+    assert spec.budget.d(500) != spec.budget.d(5000)
 
 
 def test_power_requires_grid():
@@ -342,6 +401,16 @@ def test_tail_rate_repeatable():
     )
     a, b = (tail_rate_probe(rademacher, **kwargs).as_dict() for _ in range(2))
     assert a == b
+
+
+def test_tail_rate_tails_match_substream_loop():
+    ns, reps, seed = (16, 32), 300, 2**33 + 1
+    probe = tail_rate_probe(rademacher, 0.0, 1.0, 0.5, ns, reps, seed)
+    for gi, (n, row) in enumerate(zip(ns, probe.rows)):
+        hits = [
+            abs(float(rademacher(substream(seed, gi, i), n).mean())) >= 0.5 for i in range(reps)
+        ]
+        assert row.values["tail"] == float(np.mean(hits))
 
 
 def test_tail_rate_validation():
