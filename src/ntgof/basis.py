@@ -43,6 +43,7 @@ silently miscalibrated statistics downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -148,6 +149,19 @@ def design_matrix(basis: OrthonormalBasis, x, k: int) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes``-point Gauss-Legendre rule (t, w) on [-1, 1].
+
+    Computed once per node count and handed out read-only, since every
+    caller shares the same two arrays.
+    """
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def gram_matrix(basis: OrthonormalBasis, k: int, nodes: int = 200) -> np.ndarray:
     """Gram matrix of (1, b_1, ..., b_k) in L2([0,1]) by Gauss-Legendre.
 
@@ -158,7 +172,7 @@ def gram_matrix(basis: OrthonormalBasis, k: int, nodes: int = 200) -> np.ndarray
     """
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = _gauss_legendre(nodes)
     x = 0.5 * (t + 1.0)
     w = 0.5 * w
     cols = np.column_stack([np.ones_like(x), design_matrix(basis, x, k)])

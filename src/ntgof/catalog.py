@@ -31,10 +31,13 @@ deconvolution
         l_j(y) = int b_j(F0(s)) f0(s) h(y - s) ds
                  / int f0(s) h(y - s) ds,
 
-    tabulated once per spec, at the dimension cap, on a y-grid with a
-    fixed Gauss-Legendre rule (which assumes f0 is smooth on its
-    support; :func:`deconvolution_score` remains the adaptive-quadrature
-    oracle).  These are not orthonormal, so the moment matrix is
+    tabulated once per spec, at the dimension cap, on an evenly spaced
+    y-grid with a fixed Gauss-Legendre rule (which assumes f0 is smooth
+    on its support; :func:`deconvolution_score` remains the
+    adaptive-quadrature oracle).  An observation's grid cell is computed
+    arithmetically from the spacing and corrected by one comparison each
+    way against the grid, then the scores are interpolated linearly.
+    These are not orthonormal, so the moment matrix is
     estimated from the null sampler, also once at the cap, and the
     statistic series uses its nested leading blocks.
 
@@ -72,9 +75,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
-from .basis import OrthonormalBasis, design_matrix, eval_basis, legendre_basis
+from .basis import OrthonormalBasis, _gauss_legendre, design_matrix, eval_basis, legendre_basis
 from .errors import NumericError, SingularMatrixError
 from .selection import (
     DimensionBudget,
@@ -208,6 +210,8 @@ def gaussian_location_family() -> ParametricFamily:
     blocks are cached per (basis, k).  The key holds the basis itself,
     not its id: an id can be reused once its basis is garbage-collected.
     """
+    from scipy import special  # only this family needs it; keeps import ntgof numpy-only
+
     cache: dict = {}
 
     def info(beta, basis, k):
@@ -470,7 +474,7 @@ def deconvolution_score(
     observation is impossibly far from the support for this noise and
     raises NumericError rather than dividing by (numerical) zero.
     """
-    from scipy import integrate  # only this oracle needs it; keeps import ntgof light
+    from scipy import integrate  # only this oracle needs it; keeps import ntgof numpy-only
 
     basis = basis or legendre_basis(12)
     if not 1 <= j <= basis.max_degree:
@@ -534,7 +538,7 @@ class _DeconvScoreTable:
         self.grid = np.linspace(a - 6.0 * scale, b + 6.0 * scale, spec.grid_points)
         # scores[i, j - 1] holds l_j(grid[i])
         self.scores = np.empty((spec.grid_points, k))
-        t, w = np.polynomial.legendre.leggauss(_DECONV_NODES)
+        t, w = _gauss_legendre(_DECONV_NODES)
         for start in range(0, spec.grid_points, _DECONV_BLOCK):
             y = self.grid[start : start + _DECONV_BLOCK, None]
             # every grid point lies within 6 scales of the support, so
@@ -562,24 +566,52 @@ class _DeconvScoreTable:
         self._slopes[:-1] = np.diff(self.scores, axis=0) / np.diff(self.grid)[:, None]
         self.k = k
         self._domain = (a - 8.0 * scale, b + 8.0 * scale)
+        # cells per unit of y, and the upper edge of every cell (the last
+        # cell, a single point, has none)
+        self._cells_per_unit = (spec.grid_points - 1) / (self.grid[-1] - self.grid[0])
+        self._upper = np.append(self.grid[1:], np.inf)
+        # k -> C-contiguous (slopes, scores) of the first k columns, made on
+        # first use; two threads racing to make one store equal arrays
+        self._columns = {k: (self._slopes, self.scores)}
 
     def evaluate(self, y, k: int | None = None) -> np.ndarray:
         """(m, k) scores l_1..l_k at the points y; k defaults to all columns.
 
         Linear interpolation, clamped outside the grid: the same numbers
-        as ``np.interp`` column by column, with one grid search for all
-        k columns.
+        as ``np.interp`` column by column.  The cell of each point is
+        guessed from the grid spacing, floor((y - grid[0]) * cells per unit),
+        then corrected by one comparison each way against the grid
+        itself, which gives exactly the cell a binary search would.
         """
         k = self.k if k is None else k
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.size and (np.min(y) < self._domain[0] or np.max(y) > self._domain[1]):
+        # a NaN makes both bounds NaN and fails both comparisons
+        if y.size and not (np.min(y) >= self._domain[0] and np.max(y) <= self._domain[1]):
+            finite = np.isfinite(y)
+            if not np.all(finite):
+                bad = float(y[np.argmin(finite)])
+                raise NumericError(f"observation y={bad:.6g} is not finite")
             bad = float(y[np.argmax((y < self._domain[0]) | (y > self._domain[1]))])
             raise NumericError(
                 f"observation y={bad:.6g} is more than 8 noise scales from the null support"
             )
-        y = np.clip(y, self.grid[0], self.grid[-1])
-        i = np.searchsorted(self.grid, y, side="right") - 1
-        return self._slopes[i, :k] * (y - self.grid[i])[:, None] + self.scores[i, :k]
+        grid = self.grid
+        y = np.clip(y, grid[0], grid[-1])
+        i = ((y - grid[0]) * self._cells_per_unit).astype(np.intp)
+        np.minimum(i, grid.size - 1, out=i)
+        i -= grid[i] > y
+        i += self._upper[i] <= y
+        columns = self._columns.get(k)
+        if columns is None:
+            columns = self._columns[k] = (
+                np.ascontiguousarray(self._slopes[:, :k]),
+                np.ascontiguousarray(self.scores[:, :k]),
+            )
+        slopes, scores = columns
+        out = np.take(slopes, i, axis=0)
+        out *= (y - grid[i])[:, None]
+        out += np.take(scores, i, axis=0)
+        return out
 
 
 # Serializes the check-and-build in _cached, so that callers' threads
@@ -647,7 +679,7 @@ def _numeric_information_blocks(
     q = family.q
     lo = family.ppf(tail, beta)
     hi = family.ppf(1.0 - tail, beta)
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = _gauss_legendre(nodes)
     x = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * w
     dens = np.exp(np.asarray(family.logpdf(x, beta), dtype=float))

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import basis as _basis
 from ._rng import substream
-from .errors import ScoreMeanError, SingularMatrixError
+from .errors import NumericError, ScoreMeanError, SingularMatrixError
 
 __all__ = [
     "ScoreBasis",
@@ -279,7 +279,8 @@ def estimate_moment_matrix(
     order.  Each component mean must land within ``mean_gate`` standard
     errors of zero; a violation means the sampler is not the null of
     this score system and raises ScoreMeanError rather than returning a
-    biased matrix.
+    biased matrix.  Non-finite sums, from a sampler or score system that
+    returned NaN or infinity, raise NumericError.
     """
     k = score_basis.k
     if draws < 10 * k * k:
@@ -294,6 +295,11 @@ def estimate_moment_matrix(
             raise ValueError("null sampler returned wrong batch size")
         outer += s.T @ s
         total += s.sum(axis=0)
+    if not (np.all(np.isfinite(outer)) and np.all(np.isfinite(total))):
+        raise NumericError(
+            "score moment sums are not finite; the sampler or score system "
+            "returned NaN or infinity"
+        )
 
     moment = outer / draws
     mean = total / draws

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ntgof.basis import (
+    _gauss_legendre,
     design_matrix,
     eval_basis,
     gram_matrix,
@@ -70,6 +71,16 @@ def test_gram_is_identity_to_1e10():
     g = gram_matrix(BASIS, 10, nodes=200)
     assert g.shape == (11, 11)
     assert np.max(np.abs(g - np.eye(11))) < 1e-10
+
+
+def test_quadrature_rule_is_cached_and_read_only():
+    t, w = _gauss_legendre(64)
+    want_t, want_w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
+    again = _gauss_legendre(64)
+    assert again[0] is t and again[1] is w
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
 
 
 def test_zero_mean_components():

@@ -38,7 +38,7 @@ from ntgof.catalog import (
     uniformity_spec,
     uniformity_test,
 )
-from ntgof.catalog import ParametricFamily, TestSpec as CatalogSpec
+from ntgof.catalog import NullDensity, ParametricFamily, TestSpec as CatalogSpec
 from ntgof import catalog
 from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
 from ntgof.errors import NumericError, SingularMatrixError
@@ -320,20 +320,58 @@ def test_score_table_matches_quadrature_oracle(sigma):
 
 
 def test_score_table_interpolates_like_np_interp():
-    spec = deconvolution_spec(grid_points=101)
-    table = _DeconvScoreTable(spec, 6)
-    grid = table.grid
-    y = np.concatenate(
-        [
-            np.random.default_rng(12).uniform(-2.0, 3.0, 5000),
-            grid,
-            np.nextafter(grid, -np.inf),
-            np.nextafter(grid, np.inf),
-        ]
-    )
-    for k in (1, 4, 6):
-        want = np.column_stack([np.interp(y, grid, table.scores[:, j]) for j in range(k)])
-        assert np.array_equal(table.evaluate(y, k), want)
+    # the arithmetic cell index must land in the cell a binary search
+    # finds: at every grid point, one ulp either side of it, on the
+    # clamped stretches past both ends and at random points
+    rng = np.random.default_rng(12)
+    for grid_points in (64, 101, 2001):
+        for sigma in (0.02, 0.25, 1.0):
+            spec = deconvolution_spec(noise=gaussian_noise(sigma), grid_points=grid_points)
+            cap = spec.budget.cap
+            table = _DeconvScoreTable(spec, cap)
+            grid = table.grid
+            lo, hi = table._domain
+            y = np.concatenate(
+                [
+                    grid,
+                    np.nextafter(grid, -np.inf),
+                    np.nextafter(grid, np.inf),
+                    np.linspace(lo, grid[0], 7),
+                    np.linspace(grid[-1], hi, 7),
+                    rng.uniform(lo, hi, 5000),
+                ]
+            )
+            y = y[(y >= lo) & (y <= hi)]
+            for k in (1, 4, cap):
+                want = np.column_stack(
+                    [np.interp(y, grid, table.scores[:, j]) for j in range(k)]
+                )
+                assert np.array_equal(table.evaluate(y, k), want), (grid_points, sigma, k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_table_rejects_non_finite_observations(bad):
+    table = _DeconvScoreTable(deconvolution_spec(grid_points=64), 4)
+    y = np.array([0.2, 0.5, bad, 0.7])
+    with pytest.raises(NumericError, match="not finite"):
+        table.evaluate(y)
+
+
+def test_non_finite_null_draws_fail_loudly():
+    # a sampler that returns NaN used to surface as an untyped LinAlgError
+    # from the eigenvalue gate
+    u = uniform_null()
+
+    def sampler(rng, n):
+        x = rng.random(n)
+        x[::1000] = np.nan
+        return x
+
+    null_d = NullDensity(name="nan", pdf=u.pdf, cdf=u.cdf, support=u.support, sampler=sampler)
+    spec = deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=501)
+    data = np.random.default_rng(0).random(200)
+    with pytest.raises(NumericError, match="not finite"):
+        run_test(data, spec)
 
 
 def test_deconvolution_spec_needs_moment_draws_at_cap():
@@ -690,21 +728,47 @@ def test_noisy_copy_pairs():
 # import cost
 
 
-def test_import_leaves_out_scipy_stats_integrate_and_linalg():
-    # the package needs only scipy.special; the series is numpy-only
+def _fresh_python(args, cwd=None):
+    """Run ``python args`` in a fresh interpreter that imports this ntgof."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ntgof.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, ntgof; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.linalg') "
-        "if m in sys.modules))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc
+
+
+def test_import_loads_no_scipy():
+    # import ntgof is numpy-only; the Gaussian location family loads
+    # scipy.special when it is built, so composite_spec() does too
+    code = (
+        "import sys, ntgof; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "ntgof.composite_spec(); "
+        "print('scipy.special' in sys.modules)"
+    )
+    proc = _fresh_python(["-c", code])
+    assert proc.stdout.split() == ["[]", "True"]
+
+
+def test_deconvolution_cli_loads_no_scipy(tmp_path):
+    # -X importtime logs every module the process imports, one per line
+    rng = np.random.default_rng(4)
+    data = rng.random(200) + 0.25 * rng.standard_normal(200)
+    (tmp_path / "y.csv").write_text("x\n" + "".join(f"{float(v)!r}\n" for v in data))
+    proc = _fresh_python(
+        ["-X", "importtime", "-m", "ntgof", "test", "--kind", "deconvolution",
+         "--input", "y.csv", "--mc-reps", "100"],
+        cwd=tmp_path,
+    )
+    assert '"kind":"deconvolution"' in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "ntgof.catalog" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []

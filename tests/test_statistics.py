@@ -8,7 +8,7 @@ import pytest
 from ntgof._rng import substream
 from ntgof.basis import design_matrix, legendre_basis
 from ntgof.catalog import _deconv_artifacts, deconvolution_spec
-from ntgof.errors import ScoreMeanError, SingularMatrixError
+from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
 from ntgof.statistics import (
     MeanVector,
     NormalizingMatrix,
@@ -215,6 +215,19 @@ def test_nonzero_mean_scores_rejected():
     sb = ScoreBasis(1, lambda y: np.ones((np.asarray(y).size, 1)))
     with pytest.raises(ScoreMeanError):
         estimate_moment_matrix(lambda rng, n: rng.random(n), sb, draws=2000, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_moment_sums_rejected(bad):
+    # a NaN compares False against the mean gate, so the sums are checked first
+    def evaluate(obs):
+        s = design_matrix(BASIS, obs, 3)
+        s[7] = bad
+        return s
+
+    sampler = lambda rng, m: rng.random(m)
+    with pytest.raises(NumericError, match="not finite"):
+        estimate_moment_matrix(sampler, ScoreBasis(3, evaluate), 5000, seed=0)
 
 
 def test_too_few_draws_rejected():
