@@ -28,6 +28,7 @@ from .basis import (
     eval_basis,
     gram_matrix,
     legendre_basis,
+    score_sums,
     sup_norm_bound,
     user_basis,
 )
@@ -103,6 +104,7 @@ from .statistics import (
     ScoreBasis,
     estimate_moment_matrix,
     nt_series,
+    nt_series_from_sums,
     nt_statistic,
     ordered_eigenvalues,
 )

@@ -56,6 +56,7 @@ __all__ = [
     "user_basis",
     "eval_basis",
     "design_matrix",
+    "score_sums",
     "gram_matrix",
     "sup_norm_bound",
 ]
@@ -92,27 +93,41 @@ def legendre_basis(max_degree: int = 12) -> OrthonormalBasis:
 
 def _check_domain(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.size and (np.min(x) < 0.0 or np.max(x) > 1.0):
-        bad = float(x.flat[int(np.argmax((x < 0.0) | (x > 1.0)))])
-        raise ValueError(f"basis argument outside [0, 1]: {bad}")
-    if x.size and not np.all(np.isfinite(x)):
-        raise ValueError("basis argument contains non-finite values")
+    if x.size:
+        # a NaN makes both bounds NaN and fails both comparisons
+        lo, hi = np.min(x), np.max(x)
+        if not (lo >= 0.0 and hi <= 1.0):
+            if np.isnan(lo):
+                raise ValueError("basis argument contains non-finite values")
+            bad = float(x.flat[int(np.argmax((x < 0.0) | (x > 1.0)))])
+            raise ValueError(f"basis argument outside [0, 1]: {bad}")
     return x
 
 
-def _shifted_legendre_table(x: np.ndarray, k: int) -> np.ndarray:
-    """Columns b_1(x), ..., b_k(x) by the three-term recurrence."""
+def _legendre_planes(x: np.ndarray, k: int):
+    """Yield b_1(x), ..., b_k(x) by the three-term recurrence, one array
+    shaped like x per degree."""
     t = 2.0 * x - 1.0
-    out = np.empty(x.shape + (k,), dtype=float)
-    p_prev = np.ones_like(t)  # P_0
-    p_cur = t.copy()  # P_1
-    out[..., 0] = math.sqrt(3.0) * p_cur
+    p_prev, p_cur = 1.0, t  # P_0, P_1
+    yield math.sqrt(3.0) * p_cur
     for j in range(1, k):
         # (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1}
-        p_next = ((2 * j + 1) * t * p_cur - j * p_prev) / (j + 1)
+        p_next = (2 * j + 1) * t
+        p_next *= p_cur
+        p_next -= j * p_prev
+        p_next /= j + 1
         p_prev, p_cur = p_cur, p_next
-        out[..., j] = math.sqrt(2 * (j + 1) + 1) * p_cur
-    return out
+        yield math.sqrt(2 * (j + 1) + 1) * p_cur
+
+
+def _score_planes(basis: OrthonormalBasis, x, k: int):
+    """Yield b_1(x), ..., b_k(x), each shaped like the checked x."""
+    if not 1 <= k <= basis.max_degree:
+        raise ValueError(f"k={k} outside 1..{basis.max_degree}")
+    x = _check_domain(x)
+    if basis.kind == "legendre":
+        return _legendre_planes(x, k)
+    return (np.asarray(f(x), dtype=float) for f in basis.components[:k])
 
 
 def eval_basis(basis: OrthonormalBasis, j: int, x) -> np.ndarray:
@@ -128,7 +143,7 @@ def eval_basis(basis: OrthonormalBasis, j: int, x) -> np.ndarray:
     scalar = np.ndim(x) == 0
     x = _check_domain(x)
     if basis.kind == "legendre":
-        vals = _shifted_legendre_table(x, j)[..., j - 1]
+        *_, vals = _legendre_planes(x, j)
     else:
         vals = np.asarray(basis.components[j - 1](x), dtype=float)
     return float(vals) if scalar else vals
@@ -140,13 +155,32 @@ def design_matrix(basis: OrthonormalBasis, x, k: int) -> np.ndarray:
     This is the score matrix for a sample already transformed to the
     unit interval; row i is the k-vector of score components at x_i.
     """
-    if not 1 <= k <= basis.max_degree:
-        raise ValueError(f"k={k} outside 1..{basis.max_degree}")
-    x = _check_domain(np.atleast_1d(x))
-    if basis.kind == "legendre":
-        return _shifted_legendre_table(x, k)
-    cols = [np.asarray(f(x), dtype=float) for f in basis.components[:k]]
-    return np.stack(cols, axis=-1)
+    x = np.atleast_1d(x)
+    planes = _score_planes(basis, x, k)
+    out = np.empty(x.shape + (k,))
+    for j, plane in enumerate(planes):
+        out[..., j] = plane
+    return out
+
+
+def score_sums(basis: OrthonormalBasis, x, k: int) -> np.ndarray:
+    """Score sums sum_i b_j(x_i), j = 1..k, of each sample in x.
+
+    ``x`` holds samples along its last axis, (..., n), and the result is
+    (..., k).  The scores are formed one degree at a time, and each sum
+    is NumPy's pairwise sum along one sample's contiguous row, so a
+    sample's sums do not depend on the samples beside it and equal
+    ``np.add.reduce`` over the contiguous columns of
+    :func:`design_matrix`.  No (..., n, k) array is formed.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 1:
+        raise ValueError("score sums need samples along a last axis")
+    planes = _score_planes(basis, x, k)
+    out = np.empty(x.shape[:-1] + (k,))
+    for j, plane in enumerate(planes):
+        np.add.reduce(np.ascontiguousarray(plane), axis=-1, out=out[..., j])
+    return out
 
 
 @functools.lru_cache(maxsize=32, typed=True)

@@ -1,12 +1,14 @@
 """Concrete data-driven score tests.
 
 Every test here follows the same recipe: map the data into score
-components l_1, ..., l_d that are mean-zero under the null, form the
-statistic series T_1, ..., T_d with :func:`nt_series` (the nested
-quadratic forms in the scores' null covariance, which is the identity
-for orthonormal scores), and hand the series to the penalized
-selector.  What varies is where the scores come from and what their
-covariance is:
+components l_1, ..., l_d that are mean-zero under the null, reduce each
+sample of a block straight to its score sums sum_i l_j(Y_i), form the
+statistic series T_1, ..., T_d from the sums with
+:func:`nt_series_from_sums` (the nested quadratic forms in the scores'
+null covariance, which is the identity for orthonormal scores), and
+hand the series to the penalized selector.  No kind forms a (B, n, d)
+array of scores.  What varies is where the scores come from and what
+their covariance is:
 
 uniformity
     Observations already live on [0, 1]; the scores are the shifted
@@ -20,7 +22,8 @@ independence_rank
     mid-rank (R_i - 1/2) / n and use the product scores
     l_j = b_j(u_i) * b_j(v_i).  Ranks make the test distribution-free;
     the products are uncorrelated with unit variance under
-    independence, so identity normalization applies.
+    independence, so identity normalization applies.  Untied ranks
+    are a permutation, so each b_j(u_i) is a lookup in a per-n table.
 
 deconvolution
     The sample is Y = X + eps with known noise density h; the null says
@@ -76,7 +79,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .basis import OrthonormalBasis, _gauss_legendre, design_matrix, eval_basis, legendre_basis
+from .basis import (
+    OrthonormalBasis,
+    _gauss_legendre,
+    _score_planes,
+    design_matrix,
+    eval_basis,
+    legendre_basis,
+    score_sums,
+)
 from .errors import NumericError, SingularMatrixError
 from .selection import (
     DimensionBudget,
@@ -86,7 +97,7 @@ from .selection import (
     schwarz_schedule,
     select_dimension,
 )
-from .statistics import ScoreBasis, estimate_moment_matrix, nt_series
+from .statistics import ScoreBasis, estimate_moment_matrix, nt_series_from_sums
 
 __all__ = [
     "NullDensity",
@@ -397,7 +408,7 @@ def _check_sample(data, ncols: int | None, batched: bool = False) -> np.ndarray:
 
 
 def _uniformity_series(block, spec: TestSpec, d: int) -> np.ndarray:
-    return nt_series(design_matrix(spec.basis, block, d))
+    return nt_series_from_sums(score_sums(spec.basis, block, d), block.shape[-1])
 
 
 def uniformity_test(data, spec: TestSpec) -> SelectionOutcome:
@@ -444,10 +455,37 @@ def rank_transform(values, i: int | None = None):
     return u
 
 
+def _untied_ranks(x: np.ndarray) -> np.ndarray | None:
+    """Zero-based ranks along the last axis of x, or None if a row has ties."""
+    order = np.argsort(x, axis=-1, kind="mergesort")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    if np.any(ordered[..., 1:] == ordered[..., :-1]):
+        return None
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(x.shape[-1]), axis=-1)
+    return ranks
+
+
 def _independence_series(block, spec: TestSpec, d: int) -> np.ndarray:
-    u = np.array([rank_transform(pairs[:, 0]) for pairs in block])
-    v = np.array([rank_transform(pairs[:, 1]) for pairs in block])
-    return nt_series(design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d))
+    """Product-score series of a (B, n, 2) block of pairs.
+
+    Untied ranks are a permutation of 0..n-1 with mid-rank (r + 1/2) / n,
+    so b_j at a rank is a lookup in one per-n table of the basis.  A
+    block with a tied row goes through :func:`rank_transform` row by
+    row instead, which averages the ties and warns.
+    """
+    n = block.shape[1]
+    ranks = [_untied_ranks(block[..., c]) for c in (0, 1)]
+    if ranks[0] is None or ranks[1] is None:
+        u, v = (np.array([rank_transform(pairs[:, c]) for pairs in block]) for c in (0, 1))
+        planes = zip(_score_planes(spec.basis, u, d), _score_planes(spec.basis, v, d))
+    else:
+        table = design_matrix(spec.basis, (np.arange(n) + 0.5) / n, d).T.copy()
+        planes = ((np.take(col, ranks[0]), np.take(col, ranks[1])) for col in table)
+    sums = np.empty((block.shape[0], d))
+    for j, (bu, bv) in enumerate(planes):
+        sums[:, j] = np.add.reduce(bu * bv, axis=-1)
+    return nt_series_from_sums(sums, n)
 
 
 def independence_rank_test(pairs, spec: TestSpec) -> SelectionOutcome:
@@ -564,34 +602,32 @@ class _DeconvScoreTable:
         # points clamped to grid[-1] read scores[-1] exactly
         self._slopes = np.zeros_like(self.scores)
         self._slopes[:-1] = np.diff(self.scores, axis=0) / np.diff(self.grid)[:, None]
+        # the same two tables with one contiguous row per degree, for sums
+        self._degrees = (self._slopes.T.copy(), self.scores.T.copy())
         self.k = k
         self._domain = (a - 8.0 * scale, b + 8.0 * scale)
         # cells per unit of y, and the upper edge of every cell (the last
         # cell, a single point, has none)
         self._cells_per_unit = (spec.grid_points - 1) / (self.grid[-1] - self.grid[0])
         self._upper = np.append(self.grid[1:], np.inf)
-        # k -> C-contiguous (slopes, scores) of the first k columns, made on
-        # first use; two threads racing to make one store equal arrays
-        self._columns = {k: (self._slopes, self.scores)}
 
-    def evaluate(self, y, k: int | None = None) -> np.ndarray:
-        """(m, k) scores l_1..l_k at the points y; k defaults to all columns.
+    def _cells(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """(i, y - grid[i]) of each point y, clamped to the grid, in y's shape.
 
-        Linear interpolation, clamped outside the grid: the same numbers
-        as ``np.interp`` column by column.  The cell of each point is
-        guessed from the grid spacing, floor((y - grid[0]) * cells per unit),
-        then corrected by one comparison each way against the grid
-        itself, which gives exactly the cell a binary search would.
+        The cell i of each point is guessed from the grid spacing,
+        floor((y - grid[0]) * cells per unit), then corrected by one
+        comparison each way against the grid itself, which gives exactly
+        the cell a binary search would.
         """
-        k = self.k if k is None else k
         y = np.atleast_1d(np.asarray(y, dtype=float))
         # a NaN makes both bounds NaN and fails both comparisons
         if y.size and not (np.min(y) >= self._domain[0] and np.max(y) <= self._domain[1]):
-            finite = np.isfinite(y)
+            flat = y.ravel()
+            finite = np.isfinite(flat)
             if not np.all(finite):
-                bad = float(y[np.argmin(finite)])
+                bad = float(flat[np.argmin(finite)])
                 raise NumericError(f"observation y={bad:.6g} is not finite")
-            bad = float(y[np.argmax((y < self._domain[0]) | (y > self._domain[1]))])
+            bad = float(flat[np.argmax((flat < self._domain[0]) | (flat > self._domain[1]))])
             raise NumericError(
                 f"observation y={bad:.6g} is more than 8 noise scales from the null support"
             )
@@ -601,16 +637,36 @@ class _DeconvScoreTable:
         np.minimum(i, grid.size - 1, out=i)
         i -= grid[i] > y
         i += self._upper[i] <= y
-        columns = self._columns.get(k)
-        if columns is None:
-            columns = self._columns[k] = (
-                np.ascontiguousarray(self._slopes[:, :k]),
-                np.ascontiguousarray(self.scores[:, :k]),
-            )
-        slopes, scores = columns
-        out = np.take(slopes, i, axis=0)
-        out *= (y - grid[i])[:, None]
-        out += np.take(scores, i, axis=0)
+        return i, y - grid[i]
+
+    def evaluate(self, y, k: int | None = None) -> np.ndarray:
+        """(m, k) scores l_1..l_k at the m points y; k defaults to all columns.
+
+        Linear interpolation, clamped outside the grid: slope[i] *
+        (y - grid[i]) + score[i] in the point's cell i, the same numbers
+        as ``np.interp`` column by column.
+        """
+        i, dy = self._cells(y)
+        out = np.take(self._slopes, i, axis=0)
+        out *= dy[:, None]
+        out += np.take(self.scores, i, axis=0)
+        return out if k is None else out[:, :k]
+
+    def sums(self, block, k: int) -> np.ndarray:
+        """(B, k) sums of l_1..l_k over each row of a (B, n) block.
+
+        The scores are :meth:`evaluate`'s numbers, formed one degree at a
+        time from that degree's contiguous table rows, and each sum is
+        NumPy's pairwise sum along the sample's contiguous row.
+        """
+        i, dy = self._cells(block)
+        slopes, scores = self._degrees
+        out = np.empty(dy.shape[:-1] + (k,))
+        for j in range(k):
+            val = np.take(slopes[j], i)
+            val *= dy
+            val += np.take(scores[j], i)
+            np.add.reduce(val, axis=-1, out=out[..., j])
         return out
 
 
@@ -648,8 +704,7 @@ def _deconv_artifacts(spec: TestSpec):
 
 def _deconvolution_series(block, spec: TestSpec, d: int) -> np.ndarray:
     table, moment = _deconv_artifacts(spec)
-    scores = table.evaluate(block.ravel(), d).reshape(block.shape + (d,))
-    return nt_series(scores, moment[:d, :d])
+    return nt_series_from_sums(table.sums(block, d), block.shape[-1], moment[:d, :d])
 
 
 def deconvolution_test(data, spec: TestSpec) -> SelectionOutcome:
@@ -756,15 +811,16 @@ def _composite_series(block, family: ParametricFamily, basis, d: int, beta_hat=N
     once on the whole block.  Without it the fit, the CDF and Sigma are
     formed row by row.
     """
+    n = block.shape[-1]
     if cov is not None:
         u = np.clip(np.asarray(family.cdf(block, family.fit(block)), dtype=float), 0.0, 1.0)
-        return nt_series(design_matrix(basis, u, d), cov)
+        return nt_series_from_sums(score_sums(basis, u, d), n, cov)
     us, covs = [], []
     for x in block:
         beta = family.fit(x) if beta_hat is None else np.asarray(beta_hat, dtype=float)
         us.append(np.clip(np.asarray(family.cdf(x, beta), dtype=float), 0.0, 1.0))
         covs.append(_composite_cov(family, beta, basis, d))
-    return nt_series(design_matrix(basis, np.array(us), d), np.array(covs))
+    return nt_series_from_sums(score_sums(basis, np.array(us), d), n, np.array(covs))
 
 
 def _composite_spec_series(block, spec: TestSpec, d: int) -> np.ndarray:

@@ -114,7 +114,7 @@ def _tag_replication(e: Exception, i: int) -> None:
 
 # Replications per block.  Blocks of 64 ran as fast as blocks of 128 and
 # faster than 256 at n = 500, at a lower peak memory.  A block's arrays
-# hold (rows, n, d) floats, so at large n its rows shrink to keep its
+# hold (rows, n) floats, so at large n its rows shrink to keep its
 # observations within _BLOCK_OBS.  Results do not depend on either.
 _BLOCK = 64
 _BLOCK_OBS = 2**15

@@ -1,21 +1,24 @@
 """Score-based test statistics.
 
-Everything here operates on an n-by-k *score matrix*: row i holds the k
-score components l_1(Y_i), ..., l_k(Y_i) of one observation.  Under the
-null each component has mean zero, so the scaled column means
+Everything here works from *score sums*: with l_1(Y_i), ..., l_k(Y_i)
+the k score components of observation i, a sample enters only through
 
-    v = n^{-1/2} * (sum_i l_1(Y_i), ..., sum_i l_k(Y_i))
+    v = n^{-1/2} * (sum_i l_1(Y_i), ..., sum_i l_k(Y_i)).
 
-are asymptotically centered Gaussian with the scores' null covariance
-Sigma, and every test in the package uses the nested quadratic forms
+Under the null each component has mean zero, so v is asymptotically
+centered Gaussian with the scores' null covariance Sigma, and every
+test in the package uses the nested quadratic forms
 
     T_k = v_k^T Sigma_k^{-1} v_k,      k = 1, ..., d,
 
 where v_k and Sigma_k are the first k entries and the leading k-by-k
-block.  :func:`nt_series` computes all of them at once: with the lower
-Cholesky factor Sigma = L L^T, T_k is the k-th cumulative sum of
-squares of L^{-1} v.  Orthonormal scores have Sigma = I, and the series
-is the plain cumulative sum of squares of v.
+block.  :func:`nt_series_from_sums` computes all of them at once from
+the sums and n: with the lower Cholesky factor Sigma = L L^T, T_k is
+the k-th cumulative sum of squares of L^{-1} v.  Orthonormal scores
+have Sigma = I, and the series is the plain cumulative sum of squares
+of v.  :func:`nt_series` takes an n-by-k score matrix instead and sums
+its columns by the same rule the test kinds use: NumPy's pairwise sum
+along each column, read contiguously.
 
 :func:`nt_statistic` is the single quadratic form n * lbar W lbar^T for
 an explicit weight W (a :class:`NormalizingMatrix`); it is the reference
@@ -47,6 +50,7 @@ __all__ = [
     "NormalizingMatrix",
     "nt_statistic",
     "nt_series",
+    "nt_series_from_sums",
     "estimate_moment_matrix",
     "ordered_eigenvalues",
 ]
@@ -222,8 +226,22 @@ def _fails_gate(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def nt_series(scores, cov=None) -> np.ndarray:
     """Nested statistics T_1, ..., T_k of an n-by-k score matrix.
 
+    Leading batch axes are allowed: scores (..., n, k) give series
+    (..., k).  Each column is summed by NumPy's pairwise sum along its
+    contiguous copy, the rule every test kind's score sums follow, and
+    the sums go to :func:`nt_series_from_sums`.
+    """
+    scores = _as_score_matrix(scores)
+    sums = np.add.reduce(np.ascontiguousarray(np.swapaxes(scores, -1, -2)), axis=-1)
+    return nt_series_from_sums(sums, scores.shape[-2], cov)
+
+
+def nt_series_from_sums(sums, n: int, cov=None) -> np.ndarray:
+    """Nested statistics T_1, ..., T_k of a sample's score sums.
+
+    ``sums`` holds sum_i l_j(Y_i), j = 1..k, over the n observations.
     T_k = n * lbar_k^T cov_k^{-1} lbar_k, where lbar_k holds the first k
-    column means and cov_k is the leading k-by-k block of ``cov``, the
+    score means and cov_k is the leading k-by-k block of ``cov``, the
     null covariance of the scores (the identity when ``cov`` is None).
     With the lower Cholesky factor cov = L L^T the first k entries of
     L^{-1} v depend on cov_k alone, so one solve against L gives every
@@ -232,15 +250,23 @@ def nt_series(scores, cov=None) -> np.ndarray:
     largest raises SingularMatrixError; by eigenvalue interlacing that
     is exactly when some leading block fails the same gate, and the
     error names the largest leading block that passes (max_dimension).
+    Non-finite sums, from scores that were NaN or infinite, raise
+    ValueError.
 
-    Leading batch axes are allowed: scores (..., n, k) give series
-    (..., k), with ``cov`` either one (k, k) matrix shared by every row
-    or one matrix per row, (..., k, k).  Each row's numbers are the
-    same as when it is passed alone.
+    Leading batch axes are allowed: sums (..., k) give series (..., k),
+    with ``cov`` either one (k, k) matrix shared by every row or one
+    matrix per row, (..., k, k).  Each row's numbers are the same as
+    when it is passed alone.
     """
-    scores = _as_score_matrix(scores)
-    n, k = scores.shape[-2:]
-    v = scores.sum(axis=-2) / math.sqrt(n)
+    sums = np.asarray(sums, dtype=float)
+    if sums.ndim < 1:
+        raise ValueError(f"score sums must be at least 1-d, got shape {sums.shape}")
+    if n < 1:
+        raise ValueError("score matrix has no rows")
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("score matrix contains non-finite entries")
+    k = sums.shape[-1]
+    v = sums / math.sqrt(n)
     if cov is not None:
         cov = np.asarray(cov, dtype=float)
         if cov.shape[-2:] != (k, k):

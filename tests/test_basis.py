@@ -11,6 +11,7 @@ from ntgof.basis import (
     eval_basis,
     gram_matrix,
     legendre_basis,
+    score_sums,
     sup_norm_bound,
     user_basis,
 )
@@ -110,6 +111,27 @@ def test_nan_input_rejected():
         eval_basis(BASIS, 1, np.array([0.5, np.nan]))
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0.2, np.nan, 0.7], "contains non-finite values"),
+        ([2.0, np.nan], "contains non-finite values"),  # a NaN is named first
+        ([0.2, np.inf], r"outside \[0, 1\]: inf"),
+        ([-np.inf, 0.2], r"outside \[0, 1\]: -inf"),
+        ([0.2, 1.5, -0.5], r"outside \[0, 1\]: 1.5"),  # the first bad point
+    ],
+)
+def test_domain_check_messages(values, message):
+    x = np.array(values)
+    for call in (
+        lambda: eval_basis(BASIS, 1, x),
+        lambda: design_matrix(BASIS, x, 3),
+        lambda: score_sums(BASIS, x[None], 3),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # design matrix
 
@@ -128,6 +150,77 @@ def test_design_matrix_k_bounds():
         design_matrix(BASIS, np.array([0.5]), 13)
     with pytest.raises(ValueError):
         design_matrix(BASIS, np.array([0.5]), 0)
+
+
+def _recurrence_loop(x, k):
+    """b_1..b_k by the three-term recurrence written out in full."""
+    t = 2.0 * x - 1.0
+    out = np.empty(x.shape + (k,))
+    p_prev, p_cur = np.ones_like(t), t.copy()
+    out[..., 0] = math.sqrt(3.0) * p_cur
+    for j in range(1, k):
+        p_next = ((2 * j + 1) * t * p_cur - j * p_prev) / (j + 1)
+        p_prev, p_cur = p_cur, p_next
+        out[..., j] = math.sqrt(2 * j + 3) * p_cur
+    return out
+
+
+def test_design_matrix_equals_recurrence_loop_bitwise():
+    rng = np.random.default_rng(12)
+    x = np.concatenate([[0.0, 0.5, 1.0], rng.random(200)]).reshape(7, 29)
+    assert np.array_equal(design_matrix(BASIS, x, 12), _recurrence_loop(x, 12))
+
+
+# ---------------------------------------------------------------------------
+# score sums
+
+
+def _column_sums(scores):
+    """np.add.reduce over a contiguous copy of each column along the samples."""
+    return np.stack(
+        [np.add.reduce(np.ascontiguousarray(scores[..., j]), axis=-1)
+         for j in range(scores.shape[-1])],
+        axis=-1,
+    )
+
+
+USER = user_basis(
+    [
+        lambda x: math.sqrt(3.0) * (2.0 * np.asarray(x) - 1.0),
+        lambda x: math.sqrt(5.0) * (6.0 * np.asarray(x) ** 2 - 6.0 * np.asarray(x) + 1.0),
+    ]
+)
+
+
+@pytest.mark.parametrize("basis", [BASIS, USER], ids=["legendre", "user"])
+@pytest.mark.parametrize("shape", [(37,), (64, 500), (2, 3, 41)])
+def test_score_sums_equal_column_sums_of_design_matrix(basis, shape):
+    x = np.random.default_rng(13).random(shape)
+    for k in range(1, basis.max_degree + 1):
+        got = score_sums(basis, x, k)
+        assert got.shape == shape[:-1] + (k,)
+        assert np.array_equal(got, _column_sums(design_matrix(basis, x, k)))
+
+
+@pytest.mark.parametrize("basis", [BASIS, USER], ids=["legendre", "user"])
+def test_score_sums_of_a_block_row_equal_the_row_alone(basis):
+    block = np.random.default_rng(14).random((64, 500))
+    k = basis.max_degree
+    sums = score_sums(basis, block, k)
+    for i, row in enumerate(block):
+        assert np.array_equal(sums[i], score_sums(basis, row, k))
+    # the sums do not depend on how the block is laid out in memory
+    for view in (np.asfortranarray(block), block[:, ::2]):
+        assert np.array_equal(score_sums(basis, view, k), score_sums(basis, view.copy(), k))
+    assert np.array_equal(score_sums(basis, np.asfortranarray(block), k), sums)
+
+
+def test_score_sums_checks_degree_and_shape():
+    for k in (-1, 0, 13):
+        with pytest.raises(ValueError, match=f"k={k} outside"):
+            score_sums(BASIS, np.full((2, 5), 0.5), k)
+    with pytest.raises(ValueError, match="last axis"):
+        score_sums(BASIS, 0.5, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 composite parametric nulls, and the stock alternatives."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -647,6 +648,133 @@ def test_block_rows_equal_samples_alone(spec):
         alone = run_test(data, spec)
         assert (out.s[i], out.t_s[i]) == (alone.s, alone.t_s)
         assert np.array_equal(out.series[i], alone.series)
+
+
+def _column_sums(scores):
+    """np.add.reduce over a contiguous copy of each column along the samples."""
+    return np.stack(
+        [np.add.reduce(np.ascontiguousarray(scores[..., j]), axis=-1)
+         for j in range(scores.shape[-1])],
+        axis=-1,
+    )
+
+
+def test_uniformity_series_equals_nt_series_of_design_matrix():
+    spec = uniformity_spec()
+    for n in (50, 500, 1296):
+        x = np.random.default_rng(n).random(n)
+        want = nt_series(design_matrix(spec.basis, x, spec.budget.d(n)))
+        assert np.array_equal(run_test(x, spec).series, want)
+
+
+def test_deconvolution_sums_of_a_block_row_equal_the_row_alone():
+    spec = small_deconv_spec()
+    table, _ = catalog._deconv_artifacts(spec)
+    rng = np.random.default_rng(15)
+    block = rng.random((64, 500)) + 0.25 * rng.standard_normal((64, 500))
+    block[0, :3] = [-1.9, 2.9, table.grid[7]]  # clamped ends and a grid point
+    for k in (1, 4, 12):
+        sums = table.sums(block, k)
+        assert sums.shape == (64, k)
+        for i, row in enumerate(block):
+            assert np.array_equal(sums[i], table.sums(row, k))
+            assert np.array_equal(sums[i], _column_sums(table.evaluate(row, k)))
+
+
+def _rank_transform_series(block, spec, d):
+    """The independence series through rank_transform, row by row."""
+    u = np.array([rank_transform(pairs[:, 0]) for pairs in block])
+    v = np.array([rank_transform(pairs[:, 1]) for pairs in block])
+    return nt_series(design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d))
+
+
+@pytest.mark.parametrize("n", [50, 500, 1296])
+def test_rank_table_matches_rank_transform_bitwise(n):
+    spec = independence_spec()
+    d = spec.budget.d(n)
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((16, n, 2))
+    block[1, :, 1] = block[1, :, 0] ** 3  # perfect dependence
+    block[2] = np.column_stack([np.arange(n), np.arange(n)[::-1]])  # sorted, reversed
+    series = catalog._independence_series(block, spec, d)
+    assert np.array_equal(series, _rank_transform_series(block, spec, d))
+    for i in range(16):
+        assert np.array_equal(series[i], catalog._independence_series(block[i : i + 1], spec, d)[0])
+
+
+def test_tied_block_uses_mid_ranks_and_warns():
+    spec = independence_spec()
+    n = 200
+    rng = np.random.default_rng(16)
+    block = rng.standard_normal((6, n, 2))
+    block[3, : n // 2, 1] = 0.0  # one row with ties in one coordinate
+    d = spec.budget.d(n)
+    with pytest.warns(UserWarning, match="tie"):
+        series = catalog._independence_series(block, spec, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert np.array_equal(series, _rank_transform_series(block, spec, d))
+    # untied rows read the rank table alone and give the same bits
+    for i in (0, 1, 2, 4, 5):
+        assert np.array_equal(series[i], catalog._independence_series(block[i : i + 1], spec, d)[0])
+
+
+# fixed_budget(1) calibrations at n = 80, R = 200, seed 21.  A one-column
+# score sum is a pairwise sum however the block is laid out, so these
+# bits are fixed by the arithmetic alone and must not move.
+FIXED_ONE = {
+    "uniformity": (uniformity_spec, "7ec3342f84f19380", 3.564621556788057),
+    "independence_rank": (independence_spec, "44a9729273486b84", 3.3838165283203105),
+    "deconvolution": (deconvolution_spec, "d73b6b03e79593cb", 3.382252077388605),
+    "composite": (composite_spec, "d406fa8af15e904e", 4.195306939929805),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIXED_ONE))
+def test_fixed_budget_one_calibrations_are_pinned(kind):
+    make, digest, critical = FIXED_ONE[kind]
+    cal = null_distribution(
+        make(budget=fixed_budget(1)), 80, MonteCarloConfig(replications=200, seed=21)
+    )
+    assert hashlib.sha256(cal.statistics.tobytes()).hexdigest()[:16] == digest
+    assert cal.critical_value == critical
+    assert list(cal.s_counts) == [200]
+
+
+def test_user_basis_nan_scores_fail_loudly():
+    def b1(x):
+        x = np.asarray(x, dtype=float)
+        # NaN only at 1/2, which no even Gauss-Legendre rule samples
+        return np.where(x == 0.5, np.nan, math.sqrt(3.0) * (2.0 * x - 1.0))
+
+    spec = uniformity_spec(basis=user_basis([b1]), budget=fixed_budget(1))
+    data = np.random.default_rng(17).random(40)
+    assert math.isfinite(run_test(data, spec).t_s)
+    data[5] = 0.5
+    with pytest.raises(ValueError, match="score matrix contains non-finite entries"):
+        run_test(data, spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [uniformity_spec(), independence_spec(), small_deconv_spec(), composite_spec()],
+    ids=lambda spec: spec.kind,
+)
+def test_block_path_forms_no_score_tensor(spec, monkeypatch):
+    rng = np.random.default_rng(18)
+    block = np.stack([null_sampler(spec)(rng, 90) for _ in range(8)])
+    run_block(block, spec)  # builds the spec's artifacts
+    shapes = []
+    real = catalog.design_matrix
+
+    def recording(basis, x, k):
+        shapes.append(np.shape(x))
+        return real(basis, x, k)
+
+    monkeypatch.setattr(catalog, "design_matrix", recording)
+    run_block(block, spec)
+    # only the independence kind's per-n rank table, one point per rank
+    assert shapes == ([(90,)] if spec.kind == "independence_rank" else [])
 
 
 @pytest.mark.parametrize(

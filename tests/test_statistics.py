@@ -15,6 +15,7 @@ from ntgof.statistics import (
     ScoreBasis,
     estimate_moment_matrix,
     nt_series,
+    nt_series_from_sums,
     nt_statistic,
     ordered_eigenvalues,
 )
@@ -57,6 +58,50 @@ def test_empty_sample_rejected():
 def test_nonfinite_scores_rejected():
     with pytest.raises(ValueError):
         nt_series(np.array([[1.0], [np.inf]]))
+
+
+# ---------------------------------------------------------------------------
+# series from score sums
+
+
+def test_series_sums_each_column_pairwise_along_its_contiguous_copy():
+    rng = np.random.default_rng(35)
+    for k in (1, 2, 5):
+        scores = rng.standard_normal((3, 1000, k)) * 1e3
+        cols = np.ascontiguousarray(np.moveaxis(scores, -1, -2))
+        sums = np.add.reduce(cols, axis=-1)
+        assert np.array_equal(nt_series(scores), nt_series_from_sums(sums, 1000))
+        for i in range(3):
+            assert np.array_equal(
+                nt_series(scores[i]), nt_series_from_sums(np.add.reduce(cols[i], axis=-1), 1000)
+            )
+    # at k = 1 the column is the matrix itself
+    x = rng.standard_normal(1000)
+    assert np.array_equal(nt_series(x[:, None]), nt_series_from_sums([np.add.reduce(x)], 1000))
+
+
+def test_series_from_sums_with_covariance_matches_matrix_path():
+    rng = np.random.default_rng(36)
+    scores = rng.standard_normal((4, 60, 3))
+    a = rng.standard_normal((3, 3))
+    cov = a @ a.T + 3 * np.eye(3)
+    sums = np.add.reduce(np.ascontiguousarray(np.moveaxis(scores, -1, -2)), axis=-1)
+    assert np.array_equal(nt_series_from_sums(sums, 60, cov), nt_series(scores, cov))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_from_sums_rejects_non_finite_sums(bad):
+    with pytest.raises(ValueError, match="score matrix contains non-finite entries"):
+        nt_series_from_sums(np.array([[1.0, 2.0], [bad, 0.0]]), 10)
+
+
+def test_series_from_sums_checks_n_and_shape():
+    with pytest.raises(ValueError, match="no rows"):
+        nt_series_from_sums([1.0], 0)
+    with pytest.raises(ValueError, match="at least 1-d"):
+        nt_series_from_sums(1.0, 4)
+    with pytest.raises(ValueError, match="does not match"):
+        nt_series_from_sums([1.0, 2.0], 4, np.eye(3))
 
 
 # ---------------------------------------------------------------------------
