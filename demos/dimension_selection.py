@@ -17,13 +17,13 @@ from ntgof import (
     default_budget,
     default_weight_spec,
     linear_schedule,
-    nt_series,
+    nt_series_from_sums,
     schwarz_schedule,
     select_dimension,
     uniformity_spec,
     validate_penalty,
 )
-from ntgof.basis import design_matrix, legendre_basis
+from ntgof.basis import legendre_basis, score_sums
 
 
 def print_report(title, report):
@@ -74,7 +74,7 @@ def main():
             data = rng.random(n)
         else:
             data = contamination_alternative({2: c}, basis).sampler(rng, n)
-        series = nt_series(design_matrix(basis, data, spec.budget.d(n)))
+        series = nt_series_from_sums(score_sums(basis, data, spec.budget.d(n)), n)
         out = select_dimension(series, spec.penalty, n)
         print(f"  {c:>5.2f} {out.s:>3} {out.t_s:>9.3f}")
 

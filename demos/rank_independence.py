@@ -12,11 +12,11 @@ import numpy as np
 
 from ntgof import (
     MonteCarloConfig,
-    independence_rank_test,
     independence_spec,
     noisy_copy_pairs,
     power_curve,
     rank_transform,
+    run_test,
 )
 
 
@@ -31,13 +31,13 @@ def main():
     print("mid-rank transform of (10, 30, 20):", rank_transform(np.array([10.0, 30.0, 20.0])))
 
     for label, pairs in (("dependent", dependent), ("independent", independent)):
-        out = independence_rank_test(pairs, spec)
+        out = run_test(pairs, spec)
         print(f"{label:>12}: S = {out.s}, T_S = {out.t_s:.4f}")
 
     # monotone maps change the values but not the ranks
     warped = np.column_stack([np.exp(dependent[:, 0]), dependent[:, 1] ** 3])
-    a = independence_rank_test(dependent, spec)
-    b = independence_rank_test(warped, spec)
+    a = run_test(dependent, spec)
+    b = run_test(warped, spec)
     print(f"invariance under (exp x, y^3): T_S {a.t_s:.6f} -> {b.t_s:.6f}, "
           f"identical: {a.t_s == b.t_s}")
 

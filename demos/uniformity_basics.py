@@ -13,8 +13,8 @@ from ntgof import (
     contamination_alternative,
     null_distribution,
     p_value,
+    run_test,
     uniformity_spec,
-    uniformity_test,
 )
 
 
@@ -41,13 +41,13 @@ def main():
     print("=" * 64)
 
     null_data = rng.random(n)
-    null_out = uniformity_test(null_data, spec)
+    null_out = run_test(null_data, spec)
     show_outcome("uniform sample", null_out, n)
 
     # a bump in the third score direction: density 1 + 0.35 b_3
     alt = contamination_alternative({3: 0.35})
     alt_data = alt.sampler(rng, n)
-    alt_out = uniformity_test(alt_data, spec)
+    alt_out = run_test(alt_data, spec)
     show_outcome(f"contaminated sample ({alt.name})", alt_out, n)
 
     print("\ncalibrating the null distribution of T_S (2000 replications)...")

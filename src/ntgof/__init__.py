@@ -9,14 +9,15 @@ Layout:
 - :mod:`ntgof.basis` -- orthonormal score systems on [0, 1] (shifted
   Legendre by default) and their envelope constants.
 - :mod:`ntgof.statistics` -- the nested quadratic-form series every
-  test uses, the single weighted form, and Monte Carlo estimation of
-  score moment matrices.
+  test forms from its score sums, and Monte Carlo estimation of score
+  moment matrices.
 - :mod:`ntgof.selection` -- penalty schedules, dimension budgets, the
   penalized selector, and admissibility validators.
 - :mod:`ntgof.majorant` -- finite-sample tail bounds and their
   validity windows.
-- :mod:`ntgof.catalog` -- ready-made tests: uniformity, rank
-  independence, deconvolution, composite parametric nulls.
+- :mod:`ntgof.catalog` -- ready-made test specs (uniformity, rank
+  independence, deconvolution, composite parametric nulls), all run by
+  :func:`run_test`.
 - :mod:`ntgof.montecarlo` -- calibration, power curves, consistency
   and tail-rate probes; deterministic under any replication block size.
 - :mod:`ntgof.cli` -- the ``ntgof`` command.
@@ -40,14 +41,11 @@ from .catalog import (
     TestSpec,
     composite_score_statistic,
     composite_spec,
-    composite_test,
     contamination_alternative,
     deconvolution_score,
     deconvolution_spec,
-    deconvolution_test,
     gaussian_location_family,
     gaussian_noise,
-    independence_rank_test,
     independence_spec,
     noisy_copy_pairs,
     null_sampler,
@@ -55,7 +53,6 @@ from .catalog import (
     run_test,
     uniform_null,
     uniformity_spec,
-    uniformity_test,
 )
 from .errors import (
     InputError,
@@ -98,15 +95,6 @@ from .selection import (
     table_schedule,
     validate_penalty,
 )
-from .statistics import (
-    MeanVector,
-    NormalizingMatrix,
-    ScoreBasis,
-    estimate_moment_matrix,
-    nt_series,
-    nt_series_from_sums,
-    nt_statistic,
-    ordered_eigenvalues,
-)
+from .statistics import estimate_moment_matrix, nt_series_from_sums
 
 __version__ = "0.1.0"

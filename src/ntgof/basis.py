@@ -213,30 +213,31 @@ def gram_matrix(basis: OrthonormalBasis, k: int, nodes: int = 200) -> np.ndarray
     return (cols * w[:, None]).T @ cols
 
 
-def user_basis(
-    components: Sequence[Callable],
-    *,
-    nodes: int = 256,
-    tol: float = 1e-8,
-) -> OrthonormalBasis:
+# Gauss-Legendre nodes of a user basis's Gram check, and the largest
+# deviation from the identity it accepts.
+_USER_NODES = 256
+_USER_TOL = 1e-8
+
+
+def user_basis(components: Sequence[Callable]) -> OrthonormalBasis:
     """Wrap user-supplied score functions, verifying orthonormality.
 
     Every component must be a vectorized callable on [0, 1].  The
     augmented Gram matrix (constant function included) is computed with
-    ``nodes``-point Gauss-Legendre quadrature and compared to the
-    identity; any entry off by more than ``tol`` is a hard error.
+    _USER_NODES-point Gauss-Legendre quadrature and compared to the
+    identity; any entry off by more than _USER_TOL is a hard error.
     """
     basis = OrthonormalBasis(
         kind="user_supplied",
         max_degree=len(components),
         components=tuple(components),
     )
-    g = gram_matrix(basis, basis.max_degree, nodes=nodes)
+    g = gram_matrix(basis, basis.max_degree, nodes=_USER_NODES)
     err = np.max(np.abs(g - np.eye(g.shape[0])))
-    if err > tol:
+    if err > _USER_TOL:
         raise ValueError(
             f"supplied system is not orthonormal on [0, 1]: "
-            f"max Gram deviation {err:.3e} exceeds {tol:.1e}"
+            f"max Gram deviation {err:.3e} exceeds {_USER_TOL:.1e}"
         )
     return basis
 

@@ -97,7 +97,7 @@ from .selection import (
     schwarz_schedule,
     select_dimension,
 )
-from .statistics import ScoreBasis, estimate_moment_matrix, nt_series_from_sums
+from .statistics import estimate_moment_matrix, nt_series_from_sums
 
 __all__ = [
     "NullDensity",
@@ -113,13 +113,9 @@ __all__ = [
     "deconvolution_spec",
     "composite_spec",
     "rank_transform",
-    "uniformity_test",
-    "independence_rank_test",
     "deconvolution_score",
-    "deconvolution_test",
     "information_blocks",
     "composite_score_statistic",
-    "composite_test",
     "run_test",
     "run_block",
     "null_sampler",
@@ -411,18 +407,12 @@ def _uniformity_series(block, spec: TestSpec, d: int) -> np.ndarray:
     return nt_series_from_sums(score_sums(spec.basis, block, d), block.shape[-1])
 
 
-def uniformity_test(data, spec: TestSpec) -> SelectionOutcome:
-    """Data-driven smooth test of Uniform[0, 1] against smooth densities."""
-    return _run("uniformity", data, spec)
-
-
-def rank_transform(values, i: int | None = None):
+def rank_transform(values) -> np.ndarray:
     """Normalized mid-ranks (R - 1/2) / n, with average ranks on ties.
 
-    Passing a one-based index ``i`` returns that element's transformed
-    rank alone.  Ties are resolved by averaging, which keeps the ranks
-    sum-invariant, but tied data break the distribution-free guarantee,
-    so a warning is emitted.
+    Ties are resolved by averaging, which keeps the ranks sum-invariant,
+    but tied data break the distribution-free guarantee, so a warning is
+    emitted.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 1:
@@ -447,12 +437,7 @@ def rank_transform(values, i: int | None = None):
     run = np.cumsum(first) - 1
     ranks = np.empty(n)
     ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
-    u = (ranks - 0.5) / n
-    if i is not None:
-        if not 1 <= i <= n:
-            raise ValueError(f"index i={i} outside 1..{n}")
-        return float(u[i - 1])
-    return u
+    return (ranks - 0.5) / n
 
 
 def _untied_ranks(x: np.ndarray) -> np.ndarray | None:
@@ -488,11 +473,6 @@ def _independence_series(block, spec: TestSpec, d: int) -> np.ndarray:
     return nt_series_from_sums(sums, n)
 
 
-def independence_rank_test(pairs, spec: TestSpec) -> SelectionOutcome:
-    """Distribution-free test of independence for paired continuous data."""
-    return _run("independence_rank", pairs, spec)
-
-
 # ---------------------------------------------------------------------------
 # deconvolution
 
@@ -503,7 +483,6 @@ def deconvolution_score(
     null_density: NullDensity,
     noise: NoiseDensity,
     basis: OrthonormalBasis | None = None,
-    abs_tol: float = 1e-9,
 ) -> float:
     """Efficient score l_j at one observed (noisy) point.
 
@@ -531,12 +510,12 @@ def deconvolution_score(
         u = float(np.clip(null_density.cdf(np.asarray(s)), 0.0, 1.0))
         return eval_basis(basis, j, u) * den_f(s)
 
-    den, den_err = integrate.quad(den_f, lo, hi, epsabs=abs_tol, epsrel=1e-8, limit=200)
+    den, den_err = integrate.quad(den_f, lo, hi, epsabs=1e-9, epsrel=1e-8, limit=200)
     if den < 1e-300:
         raise NumericError(
             f"noise-smoothed null density vanishes at y={y:.6g}; score undefined"
         )
-    num, num_err = integrate.quad(num_f, lo, hi, epsabs=abs_tol, epsrel=1e-8, limit=200)
+    num, num_err = integrate.quad(num_f, lo, hi, epsabs=1e-9, epsrel=1e-8, limit=200)
     if not (math.isfinite(num) and math.isfinite(den)):
         raise NumericError(f"quadrature failed at y={y:.6g}")
     return num / den
@@ -695,7 +674,7 @@ def _deconv_artifacts(spec: TestSpec):
         cap = spec.budget.cap
         table = _DeconvScoreTable(spec, cap)
         moment = estimate_moment_matrix(
-            null_sampler(spec), ScoreBasis(cap, table.evaluate), spec.l_draws, spec.l_seed
+            null_sampler(spec), cap, table.evaluate, spec.l_draws, spec.l_seed
         )
         return table, moment
 
@@ -707,13 +686,14 @@ def _deconvolution_series(block, spec: TestSpec, d: int) -> np.ndarray:
     return nt_series_from_sums(table.sums(block, d), block.shape[-1], moment[:d, :d])
 
 
-def deconvolution_test(data, spec: TestSpec) -> SelectionOutcome:
-    """Data-driven score test of a null density observed through noise."""
-    return _run("deconvolution", data, spec)
-
-
 # ---------------------------------------------------------------------------
 # composite parametric null
+
+
+# Gauss-Legendre nodes of the information-block quadrature, and the
+# tail probability left out at each end of the family's support.
+_INFO_NODES = 400
+_INFO_TAIL = 1e-10
 
 
 def _numeric_information_blocks(
@@ -721,20 +701,18 @@ def _numeric_information_blocks(
     beta: np.ndarray,
     basis: OrthonormalBasis,
     k: int,
-    nodes: int = 400,
-    tail: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature evaluation of I_b (q x k) and I_bb (q x q).
 
-    Expectations are Gauss-Legendre integrals between the ``tail`` and
-    1 - ``tail`` quantiles; parameter derivatives are central
-    differences, which avoids requiring basis derivatives or analytic
-    CDF gradients from the family.
+    Expectations are _INFO_NODES-point Gauss-Legendre integrals between
+    the _INFO_TAIL and 1 - _INFO_TAIL quantiles; parameter derivatives
+    are central differences, which avoids requiring basis derivatives or
+    analytic CDF gradients from the family.
     """
     q = family.q
-    lo = family.ppf(tail, beta)
-    hi = family.ppf(1.0 - tail, beta)
-    t, w = _gauss_legendre(nodes)
+    lo = family.ppf(_INFO_TAIL, beta)
+    hi = family.ppf(1.0 - _INFO_TAIL, beta)
+    t, w = _gauss_legendre(_INFO_NODES)
     x = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * w
     dens = np.exp(np.asarray(family.logpdf(x, beta), dtype=float))
@@ -849,11 +827,6 @@ def composite_score_statistic(
     return float(_composite_series(data[None], family, basis, k, beta_hat)[0, -1])
 
 
-def composite_test(data, spec: TestSpec) -> SelectionOutcome:
-    """Data-driven efficient-score test of a parametric family."""
-    return _run("composite", data, spec)
-
-
 # ---------------------------------------------------------------------------
 # dispatch, null samplers, alternatives
 
@@ -866,8 +839,8 @@ _KIND_SERIES = {
 }
 
 
-def _run(kind: str, data, spec: TestSpec, batched: bool = False) -> SelectionOutcome:
-    series_of, ncols = _KIND_SERIES[kind]
+def _run(data, spec: TestSpec, batched: bool = False) -> SelectionOutcome:
+    series_of, ncols = _KIND_SERIES[spec.kind]
     data = _check_sample(data, ncols, batched)
     block = data if batched else data[None]
     n = block.shape[1]
@@ -877,7 +850,7 @@ def _run(kind: str, data, spec: TestSpec, batched: bool = False) -> SelectionOut
 
 def run_test(data, spec: TestSpec) -> SelectionOutcome:
     """Run whichever catalog test ``spec`` describes."""
-    return _run(spec.kind, data, spec)
+    return _run(data, spec)
 
 
 def run_block(block, spec: TestSpec) -> SelectionOutcome:
@@ -887,7 +860,7 @@ def run_block(block, spec: TestSpec) -> SelectionOutcome:
     outcome holds s and t_s per sample and the (B, d) series, each row
     bitwise equal to what :func:`run_test` gives that sample alone.
     """
-    return _run(spec.kind, block, spec, batched=True)
+    return _run(block, spec, batched=True)
 
 
 def null_sampler(spec: TestSpec) -> Callable[[np.random.Generator, int], np.ndarray]:

@@ -16,18 +16,16 @@ import pytest
 from scipy import integrate, stats
 
 import ntgof
+from _reference import column_sums, quadratic_form
 from ntgof.basis import design_matrix, eval_basis, legendre_basis, user_basis
 from ntgof.catalog import (
     composite_score_statistic,
     composite_spec,
-    composite_test,
     contamination_alternative,
     deconvolution_score,
     deconvolution_spec,
-    deconvolution_test,
     gaussian_location_family,
     gaussian_noise,
-    independence_rank_test,
     independence_spec,
     information_blocks,
     noisy_copy_pairs,
@@ -37,15 +35,14 @@ from ntgof.catalog import (
     run_test,
     uniform_null,
     uniformity_spec,
-    uniformity_test,
 )
 from ntgof.catalog import NullDensity, ParametricFamily, TestSpec as CatalogSpec
 from ntgof import catalog
 from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
 from ntgof.errors import NumericError, SingularMatrixError
 from ntgof.montecarlo import MonteCarloConfig, null_distribution
-from ntgof.selection import default_budget, fixed_budget, schwarz_schedule
-from ntgof.statistics import MeanVector, NormalizingMatrix, nt_series, nt_statistic
+from ntgof.selection import default_budget, fixed_budget, schwarz_schedule, select_dimension
+from ntgof.statistics import nt_series_from_sums
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +52,14 @@ from ntgof.statistics import MeanVector, NormalizingMatrix, nt_series, nt_statis
 def test_midpoint_grid_is_maximally_uniform():
     n = 100
     data = (np.arange(1, n + 1) - 0.5) / n
-    out = uniformity_test(data, uniformity_spec())
+    out = run_test(data, uniformity_spec())
     # every low-degree score sum cancels to quadrature error
     assert abs(out.series[0]) < 1e-20
     assert out.s == 1
 
 
 def test_two_symmetric_points():
-    out = uniformity_test(np.array([0.25, 0.75]), uniformity_spec())
+    out = run_test(np.array([0.25, 0.75]), uniformity_spec())
     assert out.series[0] == pytest.approx(0.0, abs=1e-28)
 
 
@@ -99,7 +96,7 @@ def test_uniformity_against_explicit_reimplementation():
     best = max(penalized)
     s_ref = next(i + 1 for i in range(d) if penalized[i] == best)
 
-    out = uniformity_test(data, uniformity_spec())
+    out = run_test(data, uniformity_spec())
     assert out.s == s_ref
     assert out.t_s == pytest.approx(series[s_ref - 1], abs=1e-10)
     assert np.max(np.abs(out.series - np.array(series))) < 1e-10
@@ -108,20 +105,20 @@ def test_uniformity_against_explicit_reimplementation():
 def test_uniformity_series_permutation_invariant():
     rng = np.random.default_rng(1)
     data = rng.random(60)
-    a = uniformity_test(data, uniformity_spec())
-    b = uniformity_test(data[::-1].copy(), uniformity_spec())
+    a = run_test(data, uniformity_spec())
+    b = run_test(data[::-1].copy(), uniformity_spec())
     assert np.allclose(a.series, b.series, rtol=0, atol=1e-12)
     assert a.s == b.s
 
 
 def test_uniformity_rejects_out_of_range_data():
     with pytest.raises(ValueError):
-        uniformity_test(np.array([0.5, 1.5]), uniformity_spec())
+        run_test(np.array([0.5, 1.5]), uniformity_spec())
 
 
 def test_uniformity_rejects_single_point():
     with pytest.raises(ValueError):
-        uniformity_test(np.array([0.5]), uniformity_spec())
+        run_test(np.array([0.5]), uniformity_spec())
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +126,18 @@ def test_uniformity_rejects_single_point():
 
 
 def test_rank_single_value():
-    assert rank_transform(np.array([7.0]), 1) == 0.5
+    assert rank_transform(np.array([7.0]))[0] == 0.5
 
 
 def test_rank_hand_example():
     # values (10, 30, 20): rank of the 30 is 3 -> (3 - 1/2)/3
-    assert rank_transform(np.array([10.0, 30.0, 20.0]), 2) == pytest.approx(2.5 / 3)
+    assert rank_transform(np.array([10.0, 30.0, 20.0]))[1] == pytest.approx(2.5 / 3)
 
 
 def test_rank_last_of_sorted():
     n = 9
     vals = np.arange(n, dtype=float)
-    assert rank_transform(vals, n) == pytest.approx((n - 0.5) / n)
+    assert rank_transform(vals)[n - 1] == pytest.approx((n - 0.5) / n)
 
 
 def test_rank_vector_between_zero_and_one():
@@ -182,7 +179,7 @@ def test_rank_invariant_under_monotone_map():
 
 
 def test_independence_hand_example():
-    out = independence_rank_test(np.array([[1.0, 2.0], [2.0, 1.0]]), independence_spec())
+    out = run_test(np.array([[1.0, 2.0], [2.0, 1.0]]), independence_spec())
     # l_1 sums to -1.5, so T_1 = 1.5^2 / 2
     assert out.series[0] == pytest.approx(1.125)
 
@@ -191,7 +188,7 @@ def test_perfect_dependence_oracle():
     n = 50
     x = np.arange(1, n + 1, dtype=float)
     pairs = np.column_stack([x, x])
-    out = independence_rank_test(pairs, independence_spec())
+    out = run_test(pairs, independence_spec())
     u = (np.arange(1, n + 1) - 0.5) / n
     t1 = (np.sum(3.0 * (2 * u - 1) ** 2) / math.sqrt(n)) ** 2
     assert out.series[0] == pytest.approx(t1, rel=1e-12)
@@ -201,18 +198,18 @@ def test_perfect_dependence_oracle():
 def test_independence_invariant_under_monotone_maps():
     rng = np.random.default_rng(3)
     pairs = rng.standard_normal((80, 2))
-    a = independence_rank_test(pairs, independence_spec())
+    a = run_test(pairs, independence_spec())
     warped = np.column_stack([np.exp(pairs[:, 0]), pairs[:, 1] ** 3])
-    b = independence_rank_test(warped, independence_spec())
+    b = run_test(warped, independence_spec())
     assert a.s == b.s
     assert np.array_equal(a.series, b.series)
 
 
 def test_independence_needs_pairs():
     with pytest.raises(ValueError):
-        independence_rank_test(np.array([[1.0, 2.0]]), independence_spec())
+        run_test(np.array([[1.0, 2.0]]), independence_spec())
     with pytest.raises(ValueError):
-        independence_rank_test(np.ones((5, 3)), independence_spec())
+        run_test(np.ones((5, 3)), independence_spec())
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +295,10 @@ def test_deconvolution_test_runs_and_caches():
     # n = 1296 (d = 6) reuses the table the n = 144 run built
     (table, _), = spec._cache.values()
     big = rng.random(1296) + 0.25 * rng.standard_normal(1296)
-    assert len(deconvolution_test(big, spec).series) == spec.budget.d(1296) == 6
+    assert len(run_test(big, spec).series) == spec.budget.d(1296) == 6
     (again, _), = spec._cache.values()
     assert again is table
-    out2 = deconvolution_test(data, spec)
+    out2 = run_test(data, spec)
     assert out2.t_s == out1.t_s
     # tabulated scores track the direct quadrature closely
     for y in (-0.3, 0.12, 0.55, 1.31):
@@ -420,7 +417,7 @@ def test_singular_moment_matrix_names_passing_dimension():
 def test_deconvolution_test_rejects_far_data():
     spec = small_deconv_spec()
     with pytest.raises(NumericError):
-        deconvolution_test(np.array([0.5, 0.6, 40.0]), spec)
+        run_test(np.array([0.5, 0.6, 40.0]), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +473,7 @@ def test_composite_series_matches_woodbury_weight():
     data = 0.3 + rng.standard_normal(1296)
     spec = composite_spec()
     d = spec.budget.d(data.size)
-    out = composite_test(data, spec)
+    out = run_test(data, spec)
     assert len(out.series) == d > 1
     beta_hat = spec.family.fit(data)
     u = spec.family.cdf(data, beta_hat)
@@ -484,10 +481,7 @@ def test_composite_series_matches_woodbury_weight():
     for k in range(1, d + 1):
         ib = i_b[:, :k]
         weight = np.eye(k) + ib.T @ np.linalg.inv(i_bb - ib @ ib.T) @ ib
-        want = nt_statistic(
-            MeanVector.from_scores(design_matrix(spec.basis, u, k)),
-            NormalizingMatrix.from_matrix(weight),
-        )
+        want = quadratic_form(design_matrix(spec.basis, u, k), np.linalg.inv(weight))
         assert out.series[k - 1] == pytest.approx(want, rel=1e-12)
 
 
@@ -495,8 +489,8 @@ def test_composite_statistic_location_invariant():
     rng = np.random.default_rng(10)
     data = rng.standard_normal(300)
     spec = composite_spec()
-    a = composite_test(data, spec)
-    b = composite_test(data + 7.5, spec)
+    a = run_test(data, spec)
+    b = run_test(data + 7.5, spec)
     assert a.s == b.s
     assert np.allclose(a.series, b.series, rtol=0, atol=1e-9)
 
@@ -518,7 +512,7 @@ def test_composite_reduces_to_cumulative_form_when_orthogonal():
     data = rng.random(100)
     for k in (1, 2, 4):
         w = composite_score_statistic(data, flat, k, beta_hat=np.zeros(1))
-        t = nt_series(design_matrix(legendre_basis(12), data, k))[-1]
+        t = nt_series_from_sums(design_matrix(legendre_basis(12), data, k).sum(0), 100)[-1]
         assert w == pytest.approx(t, abs=1e-8)
 
 
@@ -566,7 +560,7 @@ def test_composite_singular_middle_factor():
         # declared invariant, the shared Sigma fails the same way
         spec = composite_spec(family=dataclasses.replace(family, invariant=True))
         with pytest.raises(SingularMatrixError):
-            composite_test(rng.random(50), spec)
+            run_test(rng.random(50), spec)
 
 
 def test_invariant_block_path_matches_row_path():
@@ -630,7 +624,8 @@ def test_dispatch_matches_direct_call():
     data = rng.random(50)
     spec = uniformity_spec()
     a = run_test(data, spec)
-    b = uniformity_test(data, spec)
+    series = catalog._uniformity_series(data[None], spec, spec.budget.d(50))[0]
+    b = select_dimension(series, spec.penalty, 50)
     assert a.s == b.s and a.t_s == b.t_s
 
 
@@ -650,20 +645,11 @@ def test_block_rows_equal_samples_alone(spec):
         assert np.array_equal(out.series[i], alone.series)
 
 
-def _column_sums(scores):
-    """np.add.reduce over a contiguous copy of each column along the samples."""
-    return np.stack(
-        [np.add.reduce(np.ascontiguousarray(scores[..., j]), axis=-1)
-         for j in range(scores.shape[-1])],
-        axis=-1,
-    )
-
-
 def test_uniformity_series_equals_nt_series_of_design_matrix():
     spec = uniformity_spec()
     for n in (50, 500, 1296):
         x = np.random.default_rng(n).random(n)
-        want = nt_series(design_matrix(spec.basis, x, spec.budget.d(n)))
+        want = nt_series_from_sums(column_sums(design_matrix(spec.basis, x, spec.budget.d(n))), n)
         assert np.array_equal(run_test(x, spec).series, want)
 
 
@@ -678,14 +664,15 @@ def test_deconvolution_sums_of_a_block_row_equal_the_row_alone():
         assert sums.shape == (64, k)
         for i, row in enumerate(block):
             assert np.array_equal(sums[i], table.sums(row, k))
-            assert np.array_equal(sums[i], _column_sums(table.evaluate(row, k)))
+            assert np.array_equal(sums[i], column_sums(table.evaluate(row, k)))
 
 
 def _rank_transform_series(block, spec, d):
     """The independence series through rank_transform, row by row."""
     u = np.array([rank_transform(pairs[:, 0]) for pairs in block])
     v = np.array([rank_transform(pairs[:, 1]) for pairs in block])
-    return nt_series(design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d))
+    scores = design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d)
+    return nt_series_from_sums(column_sums(scores), block.shape[1])
 
 
 @pytest.mark.parametrize("n", [50, 500, 1296])
