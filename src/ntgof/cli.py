@@ -23,10 +23,11 @@ Flags: ``--kind {uniformity,independence,deconvolution,composite}``,
 Carlo replication draws from its own substream of ``--seed``.
 
 Exit codes: 0 = completed run (whatever the decision), 2 = input error
-(malformed CSV or config, with a line number when it is a CSV), 3 =
-numeric failure (singular normalizing matrix and friends).  All JSON
-numbers carry 17 significant digits so reports round-trip losslessly
-and repeated runs are byte-identical.
+(malformed CSV or config, with a line number when it is a CSV, or an
+``--out`` path that cannot be written: a missing directory is caught
+before the run starts), 3 = numeric failure (singular normalizing
+matrix and friends).  All JSON numbers carry 17 significant digits so
+reports round-trip losslessly and repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -430,6 +432,9 @@ def main(argv=None) -> int:
     if args.command in ("calibrate", "power") and args.mc_reps < 100:
         print("ntgof: --mc-reps must be >= 100", file=sys.stderr)
         return 2
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        print(f"ntgof: cannot write {args.out}: no such directory", file=sys.stderr)
+        return 2
     try:
         report = args.fn(args)
     except ValueError as e:  # InputError included
@@ -447,8 +452,12 @@ def main(argv=None) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"ntgof: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 2
     return 0
 
 

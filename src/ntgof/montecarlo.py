@@ -12,14 +12,21 @@ which is exact-level for any replication count, and the critical value
 at level alpha is the ceil((1 - alpha) * reps)-th order statistic.
 
 Replications run in blocks of at most _BLOCK rows and _BLOCK_OBS
-observations: each replication draws its sample from its own Philox
-substream addressed by (seed, path..., index), the draws of a block are
-stacked, and the catalog's block statistic runs once per block.  The
-block's stream keys are derived in one call and served by one reused
-Generator (:class:`KeyedStreams`), so a sampler must take every draw it
-needs from its generator before it returns.  Results land in
+observations, in two stages.  A helper thread, one per run, draws each
+replication's sample from its own Philox substream addressed by
+(seed, path..., index) and copies it into a buffer, while the calling
+thread tests the block drawn before it with one call of the catalog's
+block statistic.  Two buffers shaped like the run's first sample take
+turns, so at most two blocks exist at once.  The calling thread derives
+the stream keys, up to 4096 in one call, and one reused Generator moved
+to each key in turn serves every row (:class:`KeyedStreams`), so a
+sampler must take every draw it needs from its generator before it
+returns.  Samplers run on the helper thread: the caller's thread-local
+state, such as ``np.errstate``, does not reach them.  Results land in
 preallocated slots by index, and every row's numbers are those it would
-give alone, so any block size produces byte-identical output.
+give alone, so any block size produces byte-identical output.  A
+failure is reported for the lowest failing replication, as a
+one-by-one run would report it.
 Power studies additionally split the seed path: calibration replications
 and alternative replications never share a stream, so evaluating power
 does not silently recycle the noise that built the critical value.
@@ -36,7 +43,10 @@ least geometrically along a doubling n-grid.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,6 +81,8 @@ class MonteCarloConfig:
     n_grid: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.replications < 100:
             raise ValueError("need at least 100 replications for any calibration")
         if not 0.0 < self.alpha < 1.0:
@@ -120,6 +132,37 @@ _BLOCK = 64
 _BLOCK_OBS = 2**15
 
 
+def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out):
+    """Draw one sample per stream key; the helper thread runs this.
+
+    Returns (block, exception): the rows drawn before the sampler
+    raised, if it did, and what it raised.  Rows are copied into ``out``
+    and the block is a view of it.  Without ``out`` the block is a list
+    of the rows as drawn, and a row shaped unlike ``out``'s rows ends
+    the block, which is then a list.
+    """
+    kept: list = []
+    filled, err = 0, None
+    fits = None if out is None else out.shape[1:]
+    try:
+        for key in keys:
+            x = sampler(streams.at(key), n)
+            shape = np.shape(x)
+            if shape[:1] != (n,):
+                raise ValueError(f"sampler drew shape {shape} for n={n}")
+            if shape == fits:
+                out[filled] = x
+                filled += 1
+            elif out is None:
+                kept.append(x)
+            else:
+                kept = [*out[:filled], x]
+                break
+    except BaseException as e:  # handed to the calling thread, which raises it
+        err = e
+    return (kept if out is None or kept else out[:filled]), err
+
+
 def _replicate(
     spec: TestSpec,
     sampler: Callable[[np.random.Generator, int], np.ndarray],
@@ -133,35 +176,66 @@ def _replicate(
     Replication i tests ``sampler(rng, n)`` with rng in the state
     ``substream(seed, *path, i)`` starts in; one generator serves every
     row, so the sampler must have drawn all it needs when it returns.
-    The draws of each block are stacked and tested by one run_block call.
+    A helper thread draws the next block while this thread tests the
+    current one with one run_block call.  The first row is a block of
+    its own, drawn as a list; the other blocks go into two buffers
+    shaped like that row, used in turn.  The helper is joined before
+    this returns or raises.
     """
     t = np.empty(reps)
     s = np.empty(reps, dtype=int)
     rows = max(1, min(_BLOCK, _BLOCK_OBS // n))
     streams = KeyedStreams(seed, path)
-    for start in range(0, reps, rows):
-        stop = min(start + rows, reps)
-        draws: list = []
-        try:
-            for i, rng in streams.rows(start, stop):
-                x = sampler(rng, n)
-                if np.shape(x)[:1] != (n,):
-                    raise ValueError(f"sampler drew shape {np.shape(x)} for n={n}")
-                draws.append(x)
-            out = run_block(draws, spec)
-        except Exception as e:
-            for i, x in enumerate(draws, start):  # re-raise the first row failing alone
-                try:
-                    run_test(x, spec)
-                except Exception as first:
-                    _tag_replication(first, i)
-                    raise
-            if len(draws) < stop - start:  # drawing the next replication failed
-                _tag_replication(e, start + len(draws))
-            raise
-        t[start:stop] = out.t_s
-        s[start:stop] = out.s
-    return t, s
+    blocks = streams.blocks(0, reps, rows)
+    start, keys = next(blocks)
+    if len(keys) > 1:  # the first row is a block of its own: its shape sizes the buffers
+        blocks = itertools.chain([(start + 1, keys[1:])], blocks)
+    job: list = []  # (keys, out) of the block the helper draws next; empty to stop
+    drawn: list = []  # what it drew: (block, exception)
+    go, done = threading.Semaphore(0), threading.Semaphore(0)
+
+    def helper():
+        while go.acquire() and job:
+            drawn.append(_draw(sampler, n, streams, *job.pop()))
+            done.release()
+
+    thread = threading.Thread(target=helper, name="ntgof-draw", daemon=True)
+    thread.start()
+    try:
+        job.append((keys[:1], None))
+        go.release()
+        buffers = None
+        for k in itertools.count(1):
+            done.acquire()
+            block, err = drawn.pop()
+            nxt = None if err is not None else next(blocks, None)
+            if nxt is not None:  # the helper draws the next block meanwhile
+                if buffers is None:
+                    buffers = np.empty((2, rows) + np.shape(block[0]))
+                job.append((nxt[1], buffers[k % 2]))
+                go.release()
+            try:
+                if err is not None:
+                    raise err
+                out = run_block(block, spec)
+            except Exception as e:
+                for i, x in enumerate(block, start):  # re-raise the first row failing alone
+                    try:
+                        run_test(x, spec)
+                    except Exception as first:
+                        _tag_replication(first, i)
+                        raise
+                if e is err:  # drawing the next replication failed
+                    _tag_replication(e, start + len(block))
+                raise
+            t[start : start + len(block)] = out.t_s
+            s[start : start + len(block)] = out.s
+            if nxt is None:
+                return t, s
+            start = nxt[0]
+    finally:
+        go.release()  # with no job queued, the helper stops after its current block
+        thread.join()
 
 
 def null_distribution(

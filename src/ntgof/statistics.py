@@ -21,8 +21,8 @@ of v.
 Sigma is rarely available in closed form outside the orthonormal case,
 so :func:`estimate_moment_matrix` estimates the second-moment matrix
 E_0 l(Y)^T l(Y) from a null sampler by plain Monte Carlo: accumulate it
-in fixed-size chunks (each chunk on its own counter-based stream,
-reduced in chunk order) and sanity-check that every component mean is
+in fixed-size chunks (chunk i on the keyed stream (seed, i), reduced
+in chunk order) and sanity-check that every component mean is
 within a few standard errors of zero.
 """
 
@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import KeyedStreams
 from .errors import NumericError, ScoreMeanError, SingularMatrixError
 
 __all__ = ["nt_series_from_sums", "estimate_moment_matrix"]
@@ -118,12 +118,13 @@ def estimate_moment_matrix(
 
     ``evaluate`` maps a batch of m observations to their (m, k) score
     matrix.  Draws come from ``null_sampler(rng, m)`` in chunks of
-    _MOMENT_CHUNK, one Philox substream per chunk, and partial sums are
-    accumulated in chunk order.  Each component mean must land within
-    _MEAN_GATE standard errors of zero; a violation means the sampler is
-    not the null of this score system and raises ScoreMeanError rather
-    than returning a biased matrix.  Non-finite sums, from a sampler or
-    score system that returned NaN or infinity, raise NumericError.
+    _MOMENT_CHUNK, chunk i drawing what ``substream(seed, i)`` would,
+    and partial sums are accumulated in chunk order.  Each component
+    mean must land within _MEAN_GATE standard errors of zero; a
+    violation means the sampler is not the null of this score system
+    and raises ScoreMeanError rather than returning a biased matrix.
+    Non-finite sums, from a sampler or score system that returned NaN
+    or infinity, raise NumericError.
     """
     if k < 1:
         raise ValueError("score dimension k must be >= 1")
@@ -131,9 +132,10 @@ def estimate_moment_matrix(
         raise ValueError(f"need at least 10*k^2 = {10 * k * k} draws, got {draws}")
     outer = np.zeros((k, k))
     total = np.zeros(k)
-    for index, start in enumerate(range(0, draws, _MOMENT_CHUNK)):
+    chunks = range(0, draws, _MOMENT_CHUNK)
+    for start, (_, rng) in zip(chunks, KeyedStreams(seed, ()).rows(0, len(chunks))):
         m = min(_MOMENT_CHUNK, draws - start)
-        s = np.asarray(evaluate(null_sampler(substream(seed, index), m)), dtype=float)
+        s = np.asarray(evaluate(null_sampler(rng, m)), dtype=float)
         if s.shape != (m, k):
             raise ValueError(f"score evaluator returned shape {s.shape}, expected ({m}, {k})")
         outer += s.T @ s

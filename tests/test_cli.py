@@ -222,6 +222,37 @@ def test_bad_dmax(tmp_path, capsys):
     assert "dmax" in err
 
 
+def test_negative_seed(tmp_path, capsys):
+    # the flag is checked as a flag, not blamed on a replication
+    f = write_uniform_csv(tmp_path / "u.csv")
+    code, _, err = run_cli(capsys, "test", "--input", f, "--seed", "-1")
+    assert code == 2
+    assert err == "ntgof: seed must be a non-negative integer, got -1\n"
+
+
+def test_out_in_missing_directory_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    import ntgof.cli as cli_module
+
+    def never(*args):
+        raise AssertionError("calibrated although the report cannot be written")
+
+    monkeypatch.setattr(cli_module, "null_distribution", never)
+    f = write_uniform_csv(tmp_path / "u.csv")
+    out = tmp_path / "missing" / "r.json"
+    code, stdout, err = run_cli(capsys, "test", "--input", f, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"ntgof: cannot write {out}: no such directory\n"
+
+
+def test_unwritable_out(tmp_path, capsys):
+    f = write_uniform_csv(tmp_path / "u.csv")
+    code, stdout, err = run_cli(
+        capsys, "test", "--input", f, "--mc-reps", "100", "--out", str(tmp_path)
+    )
+    assert code == 2 and stdout == ""
+    assert err == f"ntgof: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_unknown_kind_is_usage_error(tmp_path, capsys):
     f = write_uniform_csv(tmp_path / "u.csv")
     with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,13 @@
 """Simulated reference distributions, power curves, and probes."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from ntgof import catalog, montecarlo
+from ntgof import _rng, catalog, montecarlo
 from ntgof.catalog import (
     AlternativeSpec,
     composite_spec,
@@ -40,6 +42,10 @@ def test_config_validation():
         MonteCarloConfig(replications=200, seed=0, alpha=1.0)
     with pytest.raises(ValueError, match="n_grid"):
         MonteCarloConfig(replications=200, seed=0, n_grid=(100, 100))
+    for seed in (-1, 1.0, "3", None):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer"):
+            MonteCarloConfig(replications=200, seed=seed)
+    assert MonteCarloConfig(replications=200, seed=np.int64(2**40)).seed == 2**40
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +254,20 @@ def test_replication_errors_carry_index():
         power_curve(spec, bad, cfg)
 
 
-def leaves_unit_interval_on_call(call):
-    """Uniform sampler whose draw on its call-th call (one-based) lies in [1, 2)."""
+def breaking_sampler(bad_draw=-1, broken=-1):
+    """Uniform alternative: call ``bad_draw`` draws in [1, 2), call ``broken`` raises.
+
+    Calls count from 0; a run makes one per replication, in order.
+    """
     calls = []
 
     def sampler(rng, n):
         calls.append(n)
-        return rng.random(n) + (len(calls) == call)
+        if len(calls) == broken + 1:
+            raise RuntimeError("sampler broke")
+        return rng.random(n) + (len(calls) == bad_draw + 1)
 
-    return AlternativeSpec(name="one bad draw", sampler=sampler, first_component=1)
+    return AlternativeSpec(name="breaks", sampler=sampler, first_component=1)
 
 
 def test_replication_error_names_exact_index_mid_block(monkeypatch):
@@ -267,7 +278,7 @@ def test_replication_error_names_exact_index_mid_block(monkeypatch):
     for block in (1, 64):
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         with pytest.raises(ValueError, match=r"^replication 37: basis argument outside"):
-            power_curve(spec, leaves_unit_interval_on_call(38), cfg)
+            power_curve(spec, breaking_sampler(bad_draw=37), cfg)
 
 
 def test_sampler_failures_keep_index_order(monkeypatch):
@@ -291,6 +302,109 @@ def test_sampler_failures_keep_index_order(monkeypatch):
         consistency_probe(spec, alt, cfg)
 
 
+def test_block_failure_precedes_next_block_sampler_failure(monkeypatch):
+    # at 4 rows a block, replication 5 is in block 1 and 9 in block 2,
+    # which the helper draws while block 1 is tested: the lower index is
+    # reported, whichever thread fails first
+    monkeypatch.setattr(montecarlo, "_BLOCK", 4)
+    spec = uniformity_spec()
+    cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
+    with pytest.raises(ValueError, match=r"^replication 5: basis argument outside"):
+        consistency_probe(spec, breaking_sampler(bad_draw=5, broken=9), cfg)
+    with pytest.raises(RuntimeError, match=r"^replication 5: sampler broke"):
+        consistency_probe(spec, breaking_sampler(bad_draw=9, broken=5), cfg)
+
+
+def test_samplers_run_on_a_helper_joined_on_every_path(monkeypatch):
+    before = set(threading.enumerate())
+    drawers = []
+
+    def drawing_on(alt):
+        def sampler(rng, n):
+            drawers.append(threading.current_thread())
+            return alt.sampler(rng, n)
+
+        return lambda spec: sampler
+
+    spec, cfg = uniformity_spec(), MonteCarloConfig(replications=300, seed=1)
+    monkeypatch.setattr(montecarlo, "null_sampler", drawing_on(breaking_sampler()))
+    null_distribution(spec, 50, cfg)
+    assert set(threading.enumerate()) == before
+    assert len(drawers) == 300 and len(set(drawers)) == 1
+    assert drawers[0] is not threading.current_thread()
+    # a statistic failure in block 2 while block 3 is drawn, then a
+    # sampler failure in block 2
+    for alt, error in ((breaking_sampler(bad_draw=150), ValueError),
+                       (breaking_sampler(broken=150), RuntimeError)):
+        monkeypatch.setattr(montecarlo, "null_sampler", drawing_on(alt))
+        with pytest.raises(error, match=r"^replication 150: "):
+            null_distribution(spec, 50, cfg)
+        assert set(threading.enumerate()) == before
+
+
+def test_row_of_another_shape_is_tested_alone():
+    # replication 70 does not fit the buffers shaped like the run's first
+    # row, so its block is tested as a list and the row fails alone
+    calls = []
+
+    def sampler(rng, n):
+        calls.append(n)
+        return rng.random(n) if len(calls) == 71 else rng.random((n, 2))
+
+    alt = AlternativeSpec(name="one column short", sampler=sampler, first_component=1)
+    cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
+    with pytest.raises(ValueError, match=r"^replication 70: data must be 2-dimensional"):
+        consistency_probe(independence_spec(), alt, cfg)
+
+
+def test_runs_longer_than_a_key_call_match_substream_loop(monkeypatch):
+    # the first row is a block of its own, and no block spans two
+    # key-derivation calls, so at 40 keys a call and 16 rows a block
+    # every third block is short and the two buffers are filled to
+    # varying lengths
+    monkeypatch.setattr(_rng, "_KEYS_PER_CALL", 40)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 16)
+    sizes = []
+
+    def counting(block, spec):
+        sizes.append(len(block))
+        return run_block(block, spec)
+
+    monkeypatch.setattr(montecarlo, "run_block", counting)
+    spec, reps, seed = uniformity_spec(), 130, 21
+    cal = null_distribution(spec, 60, MonteCarloConfig(replications=reps, seed=seed))
+    assert sizes == [1, 15, 16, 8] + [16, 16, 8] * 2 + [10]
+    t, s = reference_replications(spec, null_sampler(spec), 60, reps, seed, 0)
+    assert np.array_equal(cal.statistics, np.sort(t))
+    assert np.array_equal(cal.s_counts, np.bincount(s, minlength=len(cal.s_counts) + 1)[1:])
+
+
+def test_concurrent_calibrations_match_serial(monkeypatch):
+    # three calling threads, each with its helper, on two cores, with the
+    # interpreter switching threads every microsecond
+    monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+    spec = independence_spec()
+    cfgs = [MonteCarloConfig(replications=150, seed=seed) for seed in range(3)]
+    serial = [null_distribution(spec, 40, cfg).statistics for cfg in cfgs]
+    got = [None] * len(cfgs)
+
+    def run(j):
+        got[j] = null_distribution(spec, 40, cfgs[j]).statistics
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(len(cfgs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+
+
 def test_block_rows_shrink_at_large_n(monkeypatch):
     # a block holds at most _BLOCK_OBS observations, so its memory does
     # not grow with n; the numbers are those of one-row blocks
@@ -307,7 +421,7 @@ def test_block_rows_shrink_at_large_n(monkeypatch):
     sizes.clear()
     monkeypatch.setattr(montecarlo, "_BLOCK_OBS", 2**16)
     assert np.array_equal(null_distribution(spec, 20_000, cfg).statistics, big.statistics)
-    assert sizes == [3] * 33 + [1]
+    assert sizes == [1, 2] + [3] * 32 + [1]  # the first row is a block of its own
 
 
 def test_sampler_must_draw_n_observations():

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from ntgof._rng import KeyedStreams, _philox_keys, substream
+from ntgof import _rng
+from ntgof._rng import _KEYS_PER_CALL, KeyedStreams, _philox_keys, substream
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 7)
 PATHS = ((), (0,), (3, 1), (2**33, 0))
@@ -37,14 +38,22 @@ def test_negative_seed_raises_like_seed_sequence():
         next(KeyedStreams(-1, (0,)).rows(0, 1))
 
 
-def test_keyed_streams_draw_like_substreams():
+def test_keyed_streams_draw_like_substreams(monkeypatch):
     # each row draws an odd number of 32-bit words, so a half-used
     # buffer would leak into the next row if the reset missed it
-    rows = list(range(60, 140))  # crosses a key-derivation call
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2:])
+        return _philox_keys(*args)
+
+    monkeypatch.setattr(_rng, "_philox_keys", counting)
+    rows = list(range(60, 80 + _KEYS_PER_CALL))
     got = []
     for i, rng in KeyedStreams(11, (2, 5)).rows(rows[0], rows[-1] + 1):
         got.append((i, rng.integers(0, 1000, 3, dtype=np.int32), rng.standard_normal(2)))
     assert [i for i, *_ in got] == rows
+    assert calls == [(60, 60 + _KEYS_PER_CALL), (60 + _KEYS_PER_CALL, 80 + _KEYS_PER_CALL)]
     for i, ints, normals in got:
         ref = substream(11, 2, 5, i)
         assert np.array_equal(ints, ref.integers(0, 1000, 3, dtype=np.int32))
