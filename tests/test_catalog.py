@@ -728,6 +728,26 @@ def test_fixed_budget_one_calibrations_are_pinned(kind):
     assert list(cal.s_counts) == [200]
 
 
+# Default-budget calibrations (d(500) = 4) at n = 500, R = 200, seed 21.
+# Pinned to the last bit, so any change that moves a statistic at d >= 2
+# shows here; a drift made on purpose must re-pin and say by how much.
+DEFAULT_BUDGET = {
+    "uniformity": (uniformity_spec, "df67d4e80f53930e", 4.413531028358762, [197, 3, 0, 0]),
+    "independence_rank": (independence_spec, "6182975925188982", 3.5793840835630064, [198, 2, 0, 0]),
+    "deconvolution": (deconvolution_spec, "f9385cee66c200e0", 5.968866766572289, [194, 5, 1, 0]),
+    "composite": (composite_spec, "45fafeb8a284b1a9", 3.593352900440842, [195, 5, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_BUDGET))
+def test_default_budget_calibrations_are_pinned(kind):
+    make, digest, critical, s_counts = DEFAULT_BUDGET[kind]
+    cal = null_distribution(make(), 500, MonteCarloConfig(replications=200, seed=21))
+    assert hashlib.sha256(cal.statistics.tobytes()).hexdigest()[:16] == digest
+    assert cal.critical_value == critical
+    assert list(cal.s_counts) == s_counts
+
+
 def test_user_basis_nan_scores_fail_loudly():
     def b1(x):
         x = np.asarray(x, dtype=float)
