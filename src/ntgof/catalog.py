@@ -7,8 +7,12 @@ statistic series T_1, ..., T_d from the sums with
 :func:`nt_series_from_sums` (the nested quadratic forms in the scores'
 null covariance, which is the identity for orthonormal scores), and
 hand the series to the penalized selector.  No kind forms a (B, n, d)
-array of scores.  What varies is where the scores come from and what
-their covariance is:
+array of scores.  For a given spec and n everything but the sample is
+fixed, so :func:`_prepare` works it out once -- d(n), the kind's
+artifacts and the gated Cholesky factor of a shared covariance -- and
+returns the block test that :func:`run_test` runs on one sample and the
+Monte Carlo engine on every block.  What varies is where the scores
+come from and what their covariance is:
 
 uniformity
     Observations already live on [0, 1]; the scores are the shifted
@@ -72,6 +76,7 @@ c_j b_j for power studies come from :func:`contamination_alternative`.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -97,7 +102,7 @@ from .selection import (
     schwarz_schedule,
     select_dimension,
 )
-from .statistics import estimate_moment_matrix, nt_series_from_sums
+from .statistics import _gated_factor, _series, estimate_moment_matrix, nt_series_from_sums
 
 __all__ = [
     "NullDensity",
@@ -117,7 +122,6 @@ __all__ = [
     "information_blocks",
     "composite_score_statistic",
     "run_test",
-    "run_block",
     "null_sampler",
     "contamination_alternative",
     "noisy_copy_pairs",
@@ -214,18 +218,9 @@ def gaussian_location_family() -> ParametricFamily:
 
     The MLE is the sample mean and every information block is free of
     mu (location invariance), so the family is ``invariant`` and its
-    blocks are cached per (basis, k).  The key holds the basis itself,
-    not its id: an id can be reused once its basis is garbage-collected.
+    blocks are evaluated at mu = 0 whatever beta is asked for.
     """
     from scipy import special  # only this family needs it; keeps import ntgof numpy-only
-
-    cache: dict = {}
-
-    def info(beta, basis, k):
-        key = (basis, k)
-        if key not in cache:
-            cache[key] = _numeric_information_blocks(_family, np.zeros(1), basis, k)
-        return cache[key]
 
     _family = ParametricFamily(
         name="gaussian_location",
@@ -235,7 +230,9 @@ def gaussian_location_family() -> ParametricFamily:
         fit=lambda data: np.mean(data, axis=-1, keepdims=True),
         sampler=lambda rng, n, beta: beta[0] + rng.standard_normal(n),
         ppf=lambda p, beta: beta[0] + special.ndtri(p),
-        information=info,
+        information=lambda beta, basis, k: _numeric_information_blocks(
+            _family, np.zeros(1), basis, k
+        ),
         invariant=True,
     )
     return _family
@@ -304,6 +301,8 @@ class TestSpec:
                 )
             if self.grid_points < 64:
                 raise ValueError("grid_points too small for score tabulation")
+            if not isinstance(self.l_seed, numbers.Integral) or self.l_seed < 0:
+                raise ValueError(f"l_seed must be a non-negative integer, got {self.l_seed!r}")
         if self.kind == "composite":
             if self.family is None or self.beta0 is None:
                 raise ValueError("composite spec needs family and beta0")
@@ -403,10 +402,6 @@ def _check_sample(data, ncols: int | None, batched: bool = False) -> np.ndarray:
     return data
 
 
-def _uniformity_series(block, spec: TestSpec, d: int) -> np.ndarray:
-    return nt_series_from_sums(score_sums(spec.basis, block, d), block.shape[-1])
-
-
 def rank_transform(values) -> np.ndarray:
     """Normalized mid-ranks (R - 1/2) / n, with average ranks on ties.
 
@@ -420,7 +415,7 @@ def rank_transform(values) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("values contain non-finite entries")
     n = values.size
-    order = np.argsort(values, kind="mergesort")
+    order = np.argsort(values, kind="mergesort")  # stable: ties keep their order
     ordered = values[order]
     first = np.empty(n, dtype=bool)  # first element of each run of ties
     first[0] = True
@@ -441,8 +436,11 @@ def rank_transform(values) -> np.ndarray:
 
 
 def _untied_ranks(x: np.ndarray) -> np.ndarray | None:
-    """Zero-based ranks along the last axis of x, or None if a row has ties."""
-    order = np.argsort(x, axis=-1, kind="mergesort")
+    """Zero-based ranks along the last axis of x, or None if a row has ties.
+
+    Distinct values have one sorting permutation, so any sort will do.
+    """
+    order = np.argsort(x, axis=-1)
     ordered = np.take_along_axis(x, order, axis=-1)
     if np.any(ordered[..., 1:] == ordered[..., :-1]):
         return None
@@ -451,26 +449,25 @@ def _untied_ranks(x: np.ndarray) -> np.ndarray | None:
     return ranks
 
 
-def _independence_series(block, spec: TestSpec, d: int) -> np.ndarray:
-    """Product-score series of a (B, n, 2) block of pairs.
+def _independence_sums(block, basis: OrthonormalBasis, table: np.ndarray) -> np.ndarray:
+    """(B, d) product-score sums of a (B, n, 2) block of pairs.
 
     Untied ranks are a permutation of 0..n-1 with mid-rank (r + 1/2) / n,
-    so b_j at a rank is a lookup in one per-n table of the basis.  A
+    so b_j at a rank is a lookup in row j of the per-n (d, n) ``table``.  A
     block with a tied row goes through :func:`rank_transform` row by
     row instead, which averages the ties and warns.
     """
-    n = block.shape[1]
+    d = table.shape[0]
     ranks = [_untied_ranks(block[..., c]) for c in (0, 1)]
     if ranks[0] is None or ranks[1] is None:
         u, v = (np.array([rank_transform(pairs[:, c]) for pairs in block]) for c in (0, 1))
-        planes = zip(_score_planes(spec.basis, u, d), _score_planes(spec.basis, v, d))
+        planes = zip(_score_planes(basis, u, d), _score_planes(basis, v, d))
     else:
-        table = design_matrix(spec.basis, (np.arange(n) + 0.5) / n, d).T.copy()
         planes = ((np.take(col, ranks[0]), np.take(col, ranks[1])) for col in table)
     sums = np.empty((block.shape[0], d))
     for j, (bu, bv) in enumerate(planes):
         sums[:, j] = np.add.reduce(bu * bv, axis=-1)
-    return nt_series_from_sums(sums, n)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +678,6 @@ def _deconv_artifacts(spec: TestSpec):
     return _cached(spec, "deconv", build)
 
 
-def _deconvolution_series(block, spec: TestSpec, d: int) -> np.ndarray:
-    table, moment = _deconv_artifacts(spec)
-    return nt_series_from_sums(table.sums(block, d), block.shape[-1], moment[:d, :d])
-
-
 # ---------------------------------------------------------------------------
 # composite parametric null
 
@@ -779,37 +771,21 @@ def _composite_cov(family: ParametricFamily, beta, basis, d: int) -> np.ndarray:
         ) from None
 
 
-def _composite_series(block, family: ParametricFamily, basis, d: int, beta_hat=None, cov=None):
+def _composite_series(block, family: ParametricFamily, basis, d: int, beta_hat=None):
     """Efficient-score series W_1..W_d of every sample in a (B, n) block.
 
     Each sample's scores b_j(F(X_i; beta_hat)) are normalized by their
     asymptotic covariance Sigma = I - I_b^T I_bb^{-1} I_b at dimension d,
-    with beta_hat its MLE unless given.  ``cov`` is an invariant
-    family's Sigma, shared by every row: the fit and the CDF then run
-    once on the whole block.  Without it the fit, the CDF and Sigma are
-    formed row by row.
+    with beta_hat its MLE unless given, all formed row by row (an
+    invariant family's block path is in :func:`_prepare`).
     """
     n = block.shape[-1]
-    if cov is not None:
-        u = np.clip(np.asarray(family.cdf(block, family.fit(block)), dtype=float), 0.0, 1.0)
-        return nt_series_from_sums(score_sums(basis, u, d), n, cov)
     us, covs = [], []
     for x in block:
         beta = family.fit(x) if beta_hat is None else np.asarray(beta_hat, dtype=float)
         us.append(np.clip(np.asarray(family.cdf(x, beta), dtype=float), 0.0, 1.0))
         covs.append(_composite_cov(family, beta, basis, d))
     return nt_series_from_sums(score_sums(basis, np.array(us), d), n, np.array(covs))
-
-
-def _composite_spec_series(block, spec: TestSpec, d: int) -> np.ndarray:
-    """The composite kind's series; an invariant family's Sigma is cached per d."""
-    family = spec.family
-    cov = None
-    if family.invariant:
-        cov = _cached(
-            spec, ("sigma", d), lambda: _composite_cov(family, spec.beta0, spec.basis, d)
-        )
-    return _composite_series(block, family, spec.basis, d, cov=cov)
 
 
 def composite_score_statistic(
@@ -828,39 +804,59 @@ def composite_score_statistic(
 
 
 # ---------------------------------------------------------------------------
-# dispatch, null samplers, alternatives
-
-# kind -> (series (B, d) of a block of B samples, columns of one observation)
-_KIND_SERIES = {
-    "uniformity": (_uniformity_series, None),
-    "independence_rank": (_independence_series, 2),
-    "deconvolution": (_deconvolution_series, None),
-    "composite": (_composite_spec_series, None),
-}
+# the prepared test, null samplers, alternatives
 
 
-def _run(data, spec: TestSpec, batched: bool = False) -> SelectionOutcome:
-    series_of, ncols = _KIND_SERIES[spec.kind]
-    data = _check_sample(data, ncols, batched)
-    block = data if batched else data[None]
-    n = block.shape[1]
-    series = series_of(block, spec, spec.budget.d(n))
-    return select_dimension(series if batched else series[0], spec.penalty, n)
+def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
+    """(shape of one sample, block test) of ``spec`` at sample size n.
+
+    Everything but the sample is fixed here, on the calling thread: d(n),
+    the kind's artifacts (score table, rank table, Sigma) and the gated
+    Cholesky factor of a covariance every sample shares, so an artifact
+    failure raises before any sample is drawn.  The test maps a block of
+    B samples, (B, n) or (B, n, 2), to their SelectionOutcome; each row's
+    numbers are those the sample gives alone.  A family that is not
+    ``invariant`` forms and gates its Sigma row by row in every block.
+    """
+    d = spec.budget.d(n)
+    basis, family, cov = spec.basis, spec.family, None
+    if spec.kind == "uniformity":
+        sums = lambda block: score_sums(basis, block, d)
+    elif spec.kind == "independence_rank":
+        table = design_matrix(basis, (np.arange(n) + 0.5) / n, d).T.copy()  # (d, n)
+        sums = lambda block: _independence_sums(block, basis, table)
+    elif spec.kind == "deconvolution":
+        table, moment = _deconv_artifacts(spec)
+        cov = moment[:d, :d]
+        sums = lambda block: table.sums(block, d)
+    elif family.invariant:
+        cov = _cached(spec, ("sigma", d), lambda: _composite_cov(family, spec.beta0, basis, d))
+
+        def sums(block):
+            u = np.asarray(family.cdf(block, family.fit(block)), dtype=float)
+            return score_sums(basis, np.clip(u, 0.0, 1.0), d)
+    else:
+        sums = None
+    factor = None if cov is None else _gated_factor(cov, d)
+    ncols = 2 if spec.kind == "independence_rank" else None
+
+    def test(block) -> SelectionOutcome:
+        block = _check_sample(block, ncols, batched=True)
+        if sums is None:
+            series = _composite_series(block, family, basis, d)
+        else:
+            series = _series(sums(block), n, factor)
+        return select_dimension(series, spec.penalty, n)
+
+    return (n,) if ncols is None else (n, ncols), test
 
 
 def run_test(data, spec: TestSpec) -> SelectionOutcome:
     """Run whichever catalog test ``spec`` describes."""
-    return _run(data, spec)
-
-
-def run_block(block, spec: TestSpec) -> SelectionOutcome:
-    """Run ``spec``'s test on each of B samples of equal size n at once.
-
-    ``block`` is (B, n), or (B, n, 2) for the independence kind.  The
-    outcome holds s and t_s per sample and the (B, d) series, each row
-    bitwise equal to what :func:`run_test` gives that sample alone.
-    """
-    return _run(block, spec, batched=True)
+    data = _check_sample(data, 2 if spec.kind == "independence_rank" else None)
+    n = data.shape[0]
+    series = _prepare(spec, n)[1](data[None]).series[0]
+    return select_dimension(series, spec.penalty, n)
 
 
 def null_sampler(spec: TestSpec) -> Callable[[np.random.Generator, int], np.ndarray]:

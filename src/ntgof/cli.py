@@ -429,6 +429,9 @@ def main(argv=None) -> int:
     if not 0.0 < args.alpha < 1.0:
         print("ntgof: --alpha must lie strictly between 0 and 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"ntgof: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     if args.command in ("calibrate", "power") and args.mc_reps < 100:
         print("ntgof: --mc-reps must be >= 100", file=sys.stderr)
         return 2

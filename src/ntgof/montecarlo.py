@@ -11,22 +11,25 @@ distribution of T_S.  The p-value uses the add-one estimator
 which is exact-level for any replication count, and the critical value
 at level alpha is the ceil((1 - alpha) * reps)-th order statistic.
 
-Replications run in blocks of at most _BLOCK rows and _BLOCK_OBS
+Each run first prepares the test for its (spec, n) on the calling
+thread: d(n), the artifacts and the factor of a shared covariance, so
+an artifact failure raises before replication 0 and names none.
+Replications then run in blocks of at most _BLOCK rows and _BLOCK_OBS
 observations, in two stages.  A helper thread, one per run, draws each
 replication's sample from its own Philox substream addressed by
 (seed, path..., index) and copies it into a buffer, while the calling
-thread tests the block drawn before it with one call of the catalog's
-block statistic.  Two buffers shaped like the run's first sample take
-turns, so at most two blocks exist at once.  The calling thread derives
-the stream keys, up to 4096 in one call, and one reused Generator moved
-to each key in turn serves every row (:class:`KeyedStreams`), so a
-sampler must take every draw it needs from its generator before it
-returns.  Samplers run on the helper thread: the caller's thread-local
-state, such as ``np.errstate``, does not reach them.  Results land in
-preallocated slots by index, and every row's numbers are those it would
-give alone, so any block size produces byte-identical output.  A
-failure is reported for the lowest failing replication, as a
-one-by-one run would report it.
+thread runs the prepared test once on the block drawn before it.  Two
+buffers, shaped by the prepared test, take turns, so at most two blocks
+exist at once; a sample of another shape fails its replication.  The
+calling thread derives the stream keys, up to 4096 in one call, and one
+reused Generator moved to each key in turn serves every row
+(:class:`KeyedStreams`), so a sampler must take every draw it needs
+from its generator before it returns.  Samplers run on the helper
+thread: the caller's thread-local state, such as ``np.errstate``, does
+not reach them.  Results land in preallocated slots by index, and every
+row's numbers are those it would give alone, so any block size produces
+byte-identical output.  A failure is reported for the lowest failing
+replication, as a one-by-one run would report it.
 Power studies additionally split the seed path: calibration replications
 and alternative replications never share a stream, so evaluating power
 does not silently recycle the noise that built the critical value.
@@ -53,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rng import KeyedStreams, substream
-from .catalog import AlternativeSpec, TestSpec, null_sampler, run_block, run_test
+from .catalog import AlternativeSpec, TestSpec, _prepare, null_sampler
 
 __all__ = [
     "MonteCarloConfig",
@@ -132,35 +135,26 @@ _BLOCK = 64
 _BLOCK_OBS = 2**15
 
 
-def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out):
-    """Draw one sample per stream key; the helper thread runs this.
+def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out: np.ndarray):
+    """Draw one sample per stream key into ``out``'s rows; the helper thread runs this.
 
-    Returns (block, exception): the rows drawn before the sampler
-    raised, if it did, and what it raised.  Rows are copied into ``out``
-    and the block is a view of it.  Without ``out`` the block is a list
-    of the rows as drawn, and a row shaped unlike ``out``'s rows ends
-    the block, which is then a list.
+    Returns (block, exception): the view of ``out`` holding the rows
+    drawn before the sampler raised or drew a sample shaped unlike
+    ``out``'s rows, and what was raised.
     """
-    kept: list = []
     filled, err = 0, None
-    fits = None if out is None else out.shape[1:]
     try:
         for key in keys:
             x = sampler(streams.at(key), n)
-            shape = np.shape(x)
-            if shape[:1] != (n,):
-                raise ValueError(f"sampler drew shape {shape} for n={n}")
-            if shape == fits:
-                out[filled] = x
-                filled += 1
-            elif out is None:
-                kept.append(x)
-            else:
-                kept = [*out[:filled], x]
-                break
+            if np.shape(x) != out.shape[1:]:
+                raise ValueError(
+                    f"sampler drew shape {np.shape(x)} for n={n}; the test takes {out.shape[1:]}"
+                )
+            out[filled] = x
+            filled += 1
     except BaseException as e:  # handed to the calling thread, which raises it
         err = e
-    return (kept if out is None or kept else out[:filled]), err
+    return out[:filled], err
 
 
 def _replicate(
@@ -176,21 +170,20 @@ def _replicate(
     Replication i tests ``sampler(rng, n)`` with rng in the state
     ``substream(seed, *path, i)`` starts in; one generator serves every
     row, so the sampler must have drawn all it needs when it returns.
-    A helper thread draws the next block while this thread tests the
-    current one with one run_block call.  The first row is a block of
-    its own, drawn as a list; the other blocks go into two buffers
-    shaped like that row, used in turn.  The helper is joined before
-    this returns or raises.
+    The test is prepared for (spec, n) before anything is drawn.  A
+    helper thread draws the next block into one of two buffers, shaped
+    by the prepared test and used in turn, while this thread tests the
+    current one.  The helper is joined before this returns or raises.
     """
+    shape, test = _prepare(spec, n)
     t = np.empty(reps)
     s = np.empty(reps, dtype=int)
     rows = max(1, min(_BLOCK, _BLOCK_OBS // n))
+    buffers = np.empty((2, rows) + shape)
     streams = KeyedStreams(seed, path)
     blocks = streams.blocks(0, reps, rows)
     start, keys = next(blocks)
-    if len(keys) > 1:  # the first row is a block of its own: its shape sizes the buffers
-        blocks = itertools.chain([(start + 1, keys[1:])], blocks)
-    job: list = []  # (keys, out) of the block the helper draws next; empty to stop
+    job = [(keys, buffers[0])]  # (keys, out) of the block the helper draws next; empty to stop
     drawn: list = []  # what it drew: (block, exception)
     go, done = threading.Semaphore(0), threading.Semaphore(0)
 
@@ -202,28 +195,24 @@ def _replicate(
     thread = threading.Thread(target=helper, name="ntgof-draw", daemon=True)
     thread.start()
     try:
-        job.append((keys[:1], None))
         go.release()
-        buffers = None
         for k in itertools.count(1):
             done.acquire()
             block, err = drawn.pop()
             nxt = None if err is not None else next(blocks, None)
             if nxt is not None:  # the helper draws the next block meanwhile
-                if buffers is None:
-                    buffers = np.empty((2, rows) + np.shape(block[0]))
                 job.append((nxt[1], buffers[k % 2]))
                 go.release()
             try:
                 if err is not None:
                     raise err
-                out = run_block(block, spec)
+                out = test(block)
             except Exception as e:
-                for i, x in enumerate(block, start):  # re-raise the first row failing alone
+                for i in range(len(block)):  # re-raise the first row failing alone
                     try:
-                        run_test(x, spec)
+                        test(block[i : i + 1])
                     except Exception as first:
-                        _tag_replication(first, i)
+                        _tag_replication(first, start + i)
                         raise
                 if e is err:  # drawing the next replication failed
                     _tag_replication(e, start + len(block))

@@ -79,31 +79,40 @@ def nt_series_from_sums(sums, n: int, cov=None) -> np.ndarray:
     sums = np.asarray(sums, dtype=float)
     if sums.ndim < 1:
         raise ValueError(f"score sums must be at least 1-d, got shape {sums.shape}")
+    return _series(sums, n, None if cov is None else _gated_factor(cov, sums.shape[-1]))
+
+
+def _gated_factor(cov, k: int) -> np.ndarray:
+    """Lower Cholesky factor of each (k, k) matrix of ``cov``, after the 1e-10 gate."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape[-2:] != (k, k):
+        raise ValueError(f"covariance shape {cov.shape} does not match k={k}")
+    failed, w = _fails_gate(cov)
+    if np.any(failed):
+        row = np.unravel_index(np.argmax(failed), failed.shape)
+        j = 0  # the largest leading block of the first failing matrix that passes
+        while not _fails_gate(cov[row][: j + 1, : j + 1])[0]:
+            j += 1
+        fix = f"is {j} x {j}: cap the dimension at {j}" if j else "is none"
+        err = SingularMatrixError(
+            f"score covariance is singular at dimension {k} (eigenvalue range "
+            f"[{w[row][0]:.3e}, {w[row][-1]:.3e}]); "
+            f"the largest leading block that passes {fix}"
+        )
+        err.max_dimension = j or None
+        raise err
+    return np.linalg.cholesky(cov)
+
+
+def _series(sums: np.ndarray, n: int, factor=None) -> np.ndarray:
+    """T_1..T_k of score sums (..., k): one solve against ``factor``, then a cumsum."""
     if n < 1:
         raise ValueError("score matrix has no rows")
     if not np.all(np.isfinite(sums)):
         raise ValueError("score matrix contains non-finite entries")
-    k = sums.shape[-1]
     v = sums / math.sqrt(n)
-    if cov is not None:
-        cov = np.asarray(cov, dtype=float)
-        if cov.shape[-2:] != (k, k):
-            raise ValueError(f"covariance shape {cov.shape} does not match k={k}")
-        failed, w = _fails_gate(cov)
-        if np.any(failed):
-            row = np.unravel_index(np.argmax(failed), failed.shape)
-            j = 0  # the largest leading block of the first failing matrix that passes
-            while not _fails_gate(cov[row][: j + 1, : j + 1])[0]:
-                j += 1
-            fix = f"is {j} x {j}: cap the dimension at {j}" if j else "is none"
-            err = SingularMatrixError(
-                f"score covariance is singular at dimension {k} (eigenvalue range "
-                f"[{w[row][0]:.3e}, {w[row][-1]:.3e}]); "
-                f"the largest leading block that passes {fix}"
-            )
-            err.max_dimension = j or None
-            raise err
-        v = np.linalg.solve(np.linalg.cholesky(cov), v[..., None])[..., 0]
+    if factor is not None:
+        v = np.linalg.solve(factor, v[..., None])[..., 0]
     return np.cumsum(v * v, axis=-1)
 
 

@@ -1,6 +1,9 @@
-"""Explicit forms the package's score-sum paths are checked against."""
+"""Explicit forms the package's score-sum paths are checked against, and
+the block test those paths run on."""
 
 import numpy as np
+
+from ntgof.catalog import _prepare
 
 
 def quadratic_form(scores, cov):
@@ -17,3 +20,8 @@ def column_sums(scores):
          for j in range(scores.shape[-1])],
         axis=-1,
     )
+
+
+def block_test(block, spec):
+    """``spec``'s test prepared at the block's n and run on the (B, n[, 2]) block."""
+    return _prepare(spec, np.shape(block)[1])[1](block)

@@ -16,8 +16,8 @@ import pytest
 from scipy import integrate, stats
 
 import ntgof
-from _reference import column_sums, quadratic_form
-from ntgof.basis import design_matrix, eval_basis, legendre_basis, user_basis
+from _reference import block_test, column_sums, quadratic_form
+from ntgof.basis import design_matrix, eval_basis, legendre_basis, score_sums, user_basis
 from ntgof.catalog import (
     composite_score_statistic,
     composite_spec,
@@ -31,7 +31,6 @@ from ntgof.catalog import (
     noisy_copy_pairs,
     null_sampler,
     rank_transform,
-    run_block,
     run_test,
     uniform_null,
     uniformity_spec,
@@ -379,6 +378,13 @@ def test_deconvolution_spec_needs_moment_draws_at_cap():
     assert deconvolution_spec(l_draws=1440).l_draws == 1440
 
 
+def test_deconvolution_spec_needs_a_non_negative_integer_l_seed():
+    for bad in (-1, 1.5, "3"):
+        with pytest.raises(ValueError, match="l_seed must be a non-negative integer"):
+            deconvolution_spec(l_seed=bad)
+    assert deconvolution_spec(l_seed=np.int64(3)).l_seed == 3
+
+
 def test_cold_spec_builds_artifacts_once_under_two_workers(monkeypatch):
     # two of the caller's threads start on a cold spec; the build sleeps
     # so that an unguarded cache lets the second thread start its own
@@ -571,7 +577,7 @@ def test_invariant_block_path_matches_row_path():
         family=dataclasses.replace(gaussian_location_family(), invariant=False)
     )
     block = 0.4 + np.random.default_rng(23).standard_normal((9, 400))
-    a, b = run_block(block, block_spec), run_block(block, row_spec)
+    a, b = block_test(block, block_spec), block_test(block, row_spec)
     assert np.array_equal(a.series, b.series)
     assert np.array_equal(a.t_s, b.t_s) and np.array_equal(a.s, b.s)
     cfg = MonteCarloConfig(replications=200, seed=2**40 + 3)
@@ -624,7 +630,7 @@ def test_dispatch_matches_direct_call():
     data = rng.random(50)
     spec = uniformity_spec()
     a = run_test(data, spec)
-    series = catalog._uniformity_series(data[None], spec, spec.budget.d(50))[0]
+    series = nt_series_from_sums(score_sums(spec.basis, data, spec.budget.d(50)), 50)
     b = select_dimension(series, spec.penalty, 50)
     assert a.s == b.s and a.t_s == b.t_s
 
@@ -637,7 +643,7 @@ def test_dispatch_matches_direct_call():
 def test_block_rows_equal_samples_alone(spec):
     rng = np.random.default_rng(6)
     block = np.stack([null_sampler(spec)(rng, 90) for _ in range(5)])
-    out = run_block(block, spec)
+    out = block_test(block, spec)
     assert out.series.shape == (5, spec.budget.d(90))
     for i, data in enumerate(block):
         alone = run_test(data, spec)
@@ -683,10 +689,26 @@ def test_rank_table_matches_rank_transform_bitwise(n):
     block = rng.standard_normal((16, n, 2))
     block[1, :, 1] = block[1, :, 0] ** 3  # perfect dependence
     block[2] = np.column_stack([np.arange(n), np.arange(n)[::-1]])  # sorted, reversed
-    series = catalog._independence_series(block, spec, d)
+    series = block_test(block, spec).series
     assert np.array_equal(series, _rank_transform_series(block, spec, d))
     for i in range(16):
-        assert np.array_equal(series[i], catalog._independence_series(block[i : i + 1], spec, d)[0])
+        assert np.array_equal(series[i], block_test(block[i : i + 1], spec).series[0])
+
+
+@pytest.mark.parametrize("n", [50, 500, 1296])
+def test_untied_ranks_equal_stable_sort_ranks_bitwise(n):
+    # distinct values have one sorting permutation, so the default sort
+    # gives the ranks a stable sort gives
+    x = np.random.default_rng(n + 1).standard_normal((64, n))
+    ranks = catalog._untied_ranks(x)
+    want = np.empty_like(ranks)
+    np.put_along_axis(want, np.argsort(x, axis=-1, kind="mergesort"), np.arange(n), axis=-1)
+    assert np.array_equal(ranks, want)
+    x[5, 7] = x[5, 3]  # one tie: no ranks, and the block's test warns
+    assert catalog._untied_ranks(x) is None
+    pairs = np.stack([x, np.random.default_rng(n).standard_normal((64, n))], axis=-1)
+    with pytest.warns(UserWarning, match="tie"):
+        block_test(pairs, independence_spec())
 
 
 def test_tied_block_uses_mid_ranks_and_warns():
@@ -697,13 +719,13 @@ def test_tied_block_uses_mid_ranks_and_warns():
     block[3, : n // 2, 1] = 0.0  # one row with ties in one coordinate
     d = spec.budget.d(n)
     with pytest.warns(UserWarning, match="tie"):
-        series = catalog._independence_series(block, spec, d)
+        series = block_test(block, spec).series
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert np.array_equal(series, _rank_transform_series(block, spec, d))
     # untied rows read the rank table alone and give the same bits
     for i in (0, 1, 2, 4, 5):
-        assert np.array_equal(series[i], catalog._independence_series(block[i : i + 1], spec, d)[0])
+        assert np.array_equal(series[i], block_test(block[i : i + 1], spec).series[0])
 
 
 # fixed_budget(1) calibrations at n = 80, R = 200, seed 21.  A one-column
@@ -770,7 +792,7 @@ def test_user_basis_nan_scores_fail_loudly():
 def test_block_path_forms_no_score_tensor(spec, monkeypatch):
     rng = np.random.default_rng(18)
     block = np.stack([null_sampler(spec)(rng, 90) for _ in range(8)])
-    run_block(block, spec)  # builds the spec's artifacts
+    block_test(block, spec)  # builds the spec's artifacts
     shapes = []
     real = catalog.design_matrix
 
@@ -779,7 +801,7 @@ def test_block_path_forms_no_score_tensor(spec, monkeypatch):
         return real(basis, x, k)
 
     monkeypatch.setattr(catalog, "design_matrix", recording)
-    run_block(block, spec)
+    block_test(block, spec)
     # only the independence kind's per-n rank table, one point per rank
     assert shapes == ([(90,)] if spec.kind == "independence_rank" else [])
 

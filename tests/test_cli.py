@@ -227,7 +227,37 @@ def test_negative_seed(tmp_path, capsys):
     f = write_uniform_csv(tmp_path / "u.csv")
     code, _, err = run_cli(capsys, "test", "--input", f, "--seed", "-1")
     assert code == 2
-    assert err == "ntgof: seed must be a non-negative integer, got -1\n"
+    assert err == "ntgof: --seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["test", "calibrate", "power", "probe"])
+def test_negative_seed_named_by_every_subcommand(tmp_path, capsys, command):
+    # the tail-rate probe takes no MonteCarloConfig, so only the flag
+    # check stands between its seed and the stream keys
+    if command == "test":
+        path = write_uniform_csv(tmp_path / "u.csv")
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "n": 100,
+            "n_grid": [16, 32],
+            "alternative": {"type": "contamination", "coefficients": {"1": 0.3}},
+            "probe": "tail_rate",
+        }))
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "ntgof: --seed must be a non-negative integer, got -1\n"
+
+
+def test_negative_l_seed_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"n": 100, "l_seed": -1, "l_draws": 20000, "grid_points": 501}')
+    code, out, err = run_cli(
+        capsys, "calibrate", "--kind", "deconvolution", "--input", str(cfg), "--mc-reps", "100"
+    )
+    assert code == 2 and out == ""
+    assert "l_seed" in err
+    assert "replication" not in err
 
 
 def test_out_in_missing_directory_fails_before_the_run(tmp_path, capsys, monkeypatch):
@@ -275,10 +305,11 @@ def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_replication_exit_codes(tmp_path, capsys):
-    # a replication that fails inside a Monte Carlo block keeps its exit
-    # code: 2 for a bad sample (a 1-column alternative for the pairs
-    # test), 3 for a numeric failure (the 12 x 12 moment matrix of this
-    # small deconvolution spec fails the eigenvalue gate)
+    # a failed run keeps its exit code: 2 for a bad sample (a 1-column
+    # alternative for the pairs test), named by its replication, and 3
+    # for a numeric failure (the 12 x 12 moment matrix of this small
+    # deconvolution spec fails the eigenvalue gate), which is found
+    # before replication 0 and so names none
     pow_cfg = tmp_path / "p.json"
     pow_cfg.write_text(json.dumps({
         "n_grid": [100],
@@ -288,7 +319,7 @@ def test_failed_replication_exit_codes(tmp_path, capsys):
         capsys, "power", "--kind", "independence", "--input", str(pow_cfg), "--mc-reps", "100"
     )
     assert code == 2
-    assert "replication 0: data must be 2-dimensional" in err
+    assert "replication 0: sampler drew shape (100,) for n=100; the test takes (100, 2)" in err
     cal_cfg = tmp_path / "c.json"
     cal_cfg.write_text('{"n": 200, "l_draws": 20000, "grid_points": 501}')
     code, _, err = run_cli(
@@ -296,7 +327,7 @@ def test_failed_replication_exit_codes(tmp_path, capsys):
         "--input", str(cal_cfg), "--mc-reps", "100",
     )
     assert code == 3
-    assert "numeric failure: replication 0: score covariance is singular at dimension 12" in err
+    assert "ntgof: numeric failure: score covariance is singular at dimension 12" in err
     assert "--dmax 11" in err
 
 

@@ -10,16 +10,17 @@ import pytest
 from ntgof import _rng, catalog, montecarlo
 from ntgof.catalog import (
     AlternativeSpec,
+    ParametricFamily,
     composite_spec,
     contamination_alternative,
     deconvolution_spec,
     noisy_copy_pairs,
     null_sampler,
-    run_block,
     run_test,
     uniformity_spec,
     independence_spec,
 )
+from ntgof.errors import SingularMatrixError
 from ntgof.montecarlo import (
     MonteCarloConfig,
     consistency_probe,
@@ -233,6 +234,49 @@ def test_information_blocks_built_once_per_dimension(monkeypatch):
     assert spec.budget.d(500) != spec.budget.d(5000)
 
 
+@pytest.mark.parametrize("kind", ["composite", "deconvolution"])
+def test_shared_covariance_is_gated_and_factored_once_per_run(monkeypatch, kind, deconv_spec):
+    # four blocks of 64 rows share one Sigma: one eigvalsh and one
+    # cholesky, both on the d x d matrix, before replication 0
+    spec = composite_spec() if kind == "composite" else deconv_spec
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    null_distribution(spec, 100, MonteCarloConfig(replications=100, seed=1))  # artifacts
+    for name in ("eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    null_distribution(spec, 100, MonteCarloConfig(replications=200, seed=1))
+    d = spec.budget.d(100)
+    assert calls == [("eigvalsh", (d, d)), ("cholesky", (d, d))]
+
+
+def test_artifact_failure_raises_before_any_draw(monkeypatch):
+    # a singular shared Sigma fails while the test is prepared: untagged,
+    # with its own type, and no sample is drawn
+    family = ParametricFamily(
+        name="uninformative",
+        q=1,
+        cdf=lambda x, beta: np.clip(x, 0.0, 1.0),
+        logpdf=lambda x, beta: np.zeros_like(np.asarray(x, dtype=float)),
+        fit=lambda data: np.zeros(data.shape[:-1] + (1,)),
+        sampler=lambda rng, n, beta: rng.random(n),
+        ppf=lambda p, beta: p,
+        information=lambda beta, basis, k: (np.zeros((1, k)), np.zeros((1, 1))),
+        invariant=True,
+    )
+    draws = []
+    monkeypatch.setattr(montecarlo, "null_sampler", lambda spec: lambda rng, n: draws.append(n))
+    with pytest.raises(SingularMatrixError, match="^Fisher information I_bb is singular"):
+        null_distribution(composite_spec(family=family), 100, MonteCarloConfig(100, seed=0))
+    assert draws == []
+
+
 def test_power_requires_grid():
     with pytest.raises(ValueError, match="n_grid"):
         power_curve(
@@ -343,8 +387,8 @@ def test_samplers_run_on_a_helper_joined_on_every_path(monkeypatch):
 
 
 def test_row_of_another_shape_is_tested_alone():
-    # replication 70 does not fit the buffers shaped like the run's first
-    # row, so its block is tested as a list and the row fails alone
+    # replication 70 does not fit the buffers the prepared test shaped, so
+    # drawing it fails and replications 64 to 69 are tested before it
     calls = []
 
     def sampler(rng, n):
@@ -353,27 +397,38 @@ def test_row_of_another_shape_is_tested_alone():
 
     alt = AlternativeSpec(name="one column short", sampler=sampler, first_component=1)
     cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
-    with pytest.raises(ValueError, match=r"^replication 70: data must be 2-dimensional"):
+    with pytest.raises(
+        ValueError, match=r"^replication 70: sampler drew shape \(50,\) for n=50; the test takes \(50, 2\)"
+    ):
         consistency_probe(independence_spec(), alt, cfg)
 
 
+def counting_blocks(sizes):
+    """A stand-in for catalog._prepare whose test records each block's rows."""
+
+    def prepare(spec, n):
+        shape, test = catalog._prepare(spec, n)
+
+        def counting(block):
+            sizes.append(len(block))
+            return test(block)
+
+        return shape, counting
+
+    return prepare
+
+
 def test_runs_longer_than_a_key_call_match_substream_loop(monkeypatch):
-    # the first row is a block of its own, and no block spans two
-    # key-derivation calls, so at 40 keys a call and 16 rows a block
-    # every third block is short and the two buffers are filled to
-    # varying lengths
+    # no block spans two key-derivation calls, so at 40 keys a call and
+    # 16 rows a block every third block is short and the two buffers are
+    # filled to varying lengths
     monkeypatch.setattr(_rng, "_KEYS_PER_CALL", 40)
     monkeypatch.setattr(montecarlo, "_BLOCK", 16)
     sizes = []
-
-    def counting(block, spec):
-        sizes.append(len(block))
-        return run_block(block, spec)
-
-    monkeypatch.setattr(montecarlo, "run_block", counting)
+    monkeypatch.setattr(montecarlo, "_prepare", counting_blocks(sizes))
     spec, reps, seed = uniformity_spec(), 130, 21
     cal = null_distribution(spec, 60, MonteCarloConfig(replications=reps, seed=seed))
-    assert sizes == [1, 15, 16, 8] + [16, 16, 8] * 2 + [10]
+    assert sizes == [16, 16, 8] * 3 + [10]
     t, s = reference_replications(spec, null_sampler(spec), 60, reps, seed, 0)
     assert np.array_equal(cal.statistics, np.sort(t))
     assert np.array_equal(cal.s_counts, np.bincount(s, minlength=len(cal.s_counts) + 1)[1:])
@@ -409,19 +464,14 @@ def test_block_rows_shrink_at_large_n(monkeypatch):
     # a block holds at most _BLOCK_OBS observations, so its memory does
     # not grow with n; the numbers are those of one-row blocks
     sizes = []
-
-    def counting(block, spec):
-        sizes.append(len(block))
-        return run_block(block, spec)
-
     spec, cfg = uniformity_spec(), MonteCarloConfig(replications=100, seed=2)
-    monkeypatch.setattr(montecarlo, "run_block", counting)
+    monkeypatch.setattr(montecarlo, "_prepare", counting_blocks(sizes))
     big = null_distribution(spec, 20_000, cfg)
     assert sizes == [1] * 100
     sizes.clear()
     monkeypatch.setattr(montecarlo, "_BLOCK_OBS", 2**16)
     assert np.array_equal(null_distribution(spec, 20_000, cfg).statistics, big.statistics)
-    assert sizes == [1, 2] + [3] * 32 + [1]  # the first row is a block of its own
+    assert sizes == [3] * 33 + [1]
 
 
 def test_sampler_must_draw_n_observations():

