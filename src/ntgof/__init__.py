@@ -42,7 +42,6 @@ from .catalog import (
     composite_score_statistic,
     composite_spec,
     contamination_alternative,
-    deconvolution_score,
     deconvolution_spec,
     gaussian_location_family,
     gaussian_noise,

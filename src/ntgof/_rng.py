@@ -1,19 +1,19 @@
 """Deterministic random-stream plumbing.
 
 Every randomized routine in the package draws from Philox counter-based
-streams addressed by (seed, path): the same address always yields the
-same stream, however the work around it is grouped.  The Monte Carlo
-engine draws replication i from its own address, so results are
-bit-identical for any block size.
+streams addressed by (seed, path): the stream of (seed, *path, i) is
+the one ``Philox(SeedSequence(entropy=seed, spawn_key=(*path, i)))``
+starts, so the same address always yields the same stream, however the
+work around it is grouped.  The Monte Carlo engine draws replication i
+from its own address, so results are bit-identical for any block size.
 
-A fresh :func:`substream` costs a SeedSequence, its hash and two new
-objects per address.  :class:`KeyedStreams` serves the consecutive
-addresses (seed, *path, i) of a run from one Philox and one Generator:
-it hashes up to _KEYS_PER_CALL indices at once, with NumPy's
-SeedSequence hash written out in vectorized integer arithmetic, and
-moves the Philox to each key in turn with counter 0 and an empty
-buffer -- the state a fresh substream starts in, so the draws are the
-same bits.
+A fresh SeedSequence per address costs its hash and two new objects.
+:class:`KeyedStreams` serves the consecutive addresses (seed, *path, i)
+of a run from one Philox and one Generator: it hashes up to
+_KEYS_PER_CALL indices at once, with NumPy's SeedSequence hash written
+out in vectorized integer arithmetic, and moves the Philox to each key
+in turn with counter 0 and an empty buffer -- the state a fresh Philox
+starts in, so the draws are the same bits.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["substream", "KeyedStreams"]
-
-
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Generator for the work item addressed by ``path`` under ``seed``."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
+__all__ = ["KeyedStreams"]
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), which NumPy
@@ -72,7 +66,7 @@ def _mix(x, y):
 
 
 def _philox_keys(seed: int, path: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """(stop - start, 2) uint64 Philox keys of substream(seed, *path, i), i in [start, stop).
+    """(stop - start, 2) uint64 Philox keys of the streams (seed, *path, i), i in [start, stop).
 
     Row i equals ``SeedSequence(entropy=seed, spawn_key=(*path, i))
     .generate_state(2, np.uint64)``, the key ``Philox`` takes from that
@@ -116,11 +110,12 @@ _KEYS_PER_CALL = 4096
 
 
 class KeyedStreams:
-    """The substreams (seed, *path, i) of consecutive indices, from one Generator.
+    """The streams (seed, *path, i) of consecutive indices, from one Generator.
 
     ``at(key)`` moves the one Generator to the start of the stream with
-    that key, so it draws the same bits as ``substream(seed, *path, i)``
-    for the index i the key was derived for.  ``blocks`` derives the
+    that key, so it draws the same bits as a Generator on
+    ``Philox(SeedSequence(entropy=seed, spawn_key=(*path, i)))`` for the
+    index i the key was derived for.  ``blocks`` derives the
     keys, ``rows`` does both.  The Generator is one object for every
     row: a caller must take every draw it needs from it before moving
     it to the next key.

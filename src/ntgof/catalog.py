@@ -40,10 +40,10 @@ deconvolution
 
     tabulated once per spec, at the dimension cap, on an evenly spaced
     y-grid with a fixed Gauss-Legendre rule (which assumes f0 is smooth
-    on its support; :func:`deconvolution_score` remains the
-    adaptive-quadrature oracle).  An observation's grid cell is computed
-    arithmetically from the spacing and corrected by one comparison each
-    way against the grid, then the scores are interpolated linearly.
+    on its support), one row per degree.  An observation's grid cell is
+    computed arithmetically from the spacing and corrected by one
+    comparison each way against the grid, then the scores are
+    interpolated linearly.
     These are not orthonormal, so the moment matrix is
     estimated from the null sampler, also once at the cap, and the
     statistic series uses its nested leading blocks.
@@ -118,7 +118,6 @@ __all__ = [
     "deconvolution_spec",
     "composite_spec",
     "rank_transform",
-    "deconvolution_score",
     "information_blocks",
     "composite_score_statistic",
     "run_test",
@@ -474,50 +473,6 @@ def _independence_sums(block, basis: OrthonormalBasis, table: np.ndarray) -> np.
 # deconvolution
 
 
-def deconvolution_score(
-    y: float,
-    j: int,
-    null_density: NullDensity,
-    noise: NoiseDensity,
-    basis: OrthonormalBasis | None = None,
-) -> float:
-    """Efficient score l_j at one observed (noisy) point.
-
-    Both integrals run over the intersection of the null support with
-    [y - 8 scale, y + 8 scale]; a denominator below 1e-300 means the
-    observation is impossibly far from the support for this noise and
-    raises NumericError rather than dividing by (numerical) zero.
-    """
-    from scipy import integrate  # only this oracle needs it; keeps import ntgof numpy-only
-
-    basis = basis or legendre_basis(12)
-    if not 1 <= j <= basis.max_degree:
-        raise ValueError(f"degree j={j} outside 1..{basis.max_degree}")
-    lo = max(null_density.support[0], y - 8.0 * noise.scale)
-    hi = min(null_density.support[1], y + 8.0 * noise.scale)
-    if not lo < hi:
-        raise NumericError(
-            f"observation y={y:.6g} is more than 8 noise scales from the null support"
-        )
-
-    def den_f(s):
-        return float(null_density.pdf(np.asarray(s)) * noise.pdf(np.asarray(y - s)))
-
-    def num_f(s):
-        u = float(np.clip(null_density.cdf(np.asarray(s)), 0.0, 1.0))
-        return eval_basis(basis, j, u) * den_f(s)
-
-    den, den_err = integrate.quad(den_f, lo, hi, epsabs=1e-9, epsrel=1e-8, limit=200)
-    if den < 1e-300:
-        raise NumericError(
-            f"noise-smoothed null density vanishes at y={y:.6g}; score undefined"
-        )
-    num, num_err = integrate.quad(num_f, lo, hi, epsabs=1e-9, epsrel=1e-8, limit=200)
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise NumericError(f"quadrature failed at y={y:.6g}")
-    return num / den
-
-
 # Gauss-Legendre nodes per grid point of the deconvolution score table,
 # and grid rows integrated at once; a block's largest array, the basis
 # values, holds _DECONV_BLOCK * _DECONV_NODES * k floats.
@@ -535,11 +490,12 @@ class _DeconvScoreTable:
 
     Both integrals of every grid point use one fixed _DECONV_NODES-point
     Gauss-Legendre rule over the window [y - 8 scale, y + 8 scale]
-    intersected with the null support, the same range
-    :func:`deconvolution_score` integrates adaptively.  The window stops
-    at the support's ends, so the rule sees f0 only where it should be
-    smooth; a null density with kinks or spikes inside its support
-    needs the adaptive oracle instead.
+    intersected with the null support.  The window stops at the
+    support's ends, so the rule sees f0 only where it should be smooth;
+    a null density with kinks or spikes inside its support needs an
+    adaptive rule instead.  Each degree keeps one contiguous row of
+    scores and one of cell slopes, and :meth:`evaluate` and :meth:`sums`
+    both interpolate through :meth:`_interp`.
     """
 
     def __init__(self, spec: TestSpec, k: int):
@@ -550,8 +506,8 @@ class _DeconvScoreTable:
         # endpoint and the scores are flat, so clamped interpolation is
         # exact to within the table resolution.
         self.grid = np.linspace(a - 6.0 * scale, b + 6.0 * scale, spec.grid_points)
-        # scores[i, j - 1] holds l_j(grid[i])
-        self.scores = np.empty((spec.grid_points, k))
+        # scores[j - 1, i] holds l_j(grid[i])
+        self.scores = np.empty((k, spec.grid_points))
         t, w = _gauss_legendre(_DECONV_NODES)
         for start in range(0, spec.grid_points, _DECONV_BLOCK):
             y = self.grid[start : start + _DECONV_BLOCK, None]
@@ -573,13 +529,11 @@ class _DeconvScoreTable:
             if np.any(bad_rows):
                 bad = float(y[np.argmax(bad_rows), 0])
                 raise NumericError(f"quadrature failed at y={bad:.6g}")
-            self.scores[start : start + _DECONV_BLOCK] = num / den[:, None]
-        # slope of each grid cell; the zero row past the last point makes
-        # points clamped to grid[-1] read scores[-1] exactly
+            self.scores[:, start : start + _DECONV_BLOCK] = (num / den[:, None]).T
+        # slope of each grid cell; the zero past the last point makes
+        # points clamped to grid[-1] read scores[:, -1] exactly
         self._slopes = np.zeros_like(self.scores)
-        self._slopes[:-1] = np.diff(self.scores, axis=0) / np.diff(self.grid)[:, None]
-        # the same two tables with one contiguous row per degree, for sums
-        self._degrees = (self._slopes.T.copy(), self.scores.T.copy())
+        self._slopes[:, :-1] = np.diff(self.scores, axis=1) / np.diff(self.grid)
         self.k = k
         self._domain = (a - 8.0 * scale, b + 8.0 * scale)
         # cells per unit of y, and the upper edge of every cell (the last
@@ -615,34 +569,39 @@ class _DeconvScoreTable:
         i += self._upper[i] <= y
         return i, y - grid[i]
 
-    def evaluate(self, y, k: int | None = None) -> np.ndarray:
-        """(m, k) scores l_1..l_k at the m points y; k defaults to all columns.
+    def _interp(self, i, dy, rows) -> np.ndarray:
+        """Scores of the table rows ``rows`` at cells i, with dy = y - grid[i].
 
-        Linear interpolation, clamped outside the grid: slope[i] *
-        (y - grid[i]) + score[i] in the point's cell i, the same numbers
-        as ``np.interp`` column by column.
+        ``rows`` is one degree's row index, which gives that degree's
+        scores in i's shape, or a slice of rows, which gives one such plane
+        per degree along a new first axis.  Linear interpolation, clamped
+        outside the grid: slope[i] * dy + score[i], the same numbers as
+        ``np.interp`` degree by degree.
+        """
+        out = np.take(self._slopes[rows], i, axis=-1)
+        out *= dy
+        out += np.take(self.scores[rows], i, axis=-1)
+        return out
+
+    def evaluate(self, y) -> np.ndarray:
+        """(m, k) scores l_1..l_k at the m points y, as a C-contiguous array.
+
+        :func:`estimate_moment_matrix` forms s.T @ s from it, and a
+        transposed view could take another BLAS path and other bits.
         """
         i, dy = self._cells(y)
-        out = np.take(self._slopes, i, axis=0)
-        out *= dy[:, None]
-        out += np.take(self.scores, i, axis=0)
-        return out if k is None else out[:, :k]
+        return np.ascontiguousarray(self._interp(i, dy, slice(None)).T)
 
     def sums(self, block, k: int) -> np.ndarray:
         """(B, k) sums of l_1..l_k over each row of a (B, n) block.
 
-        The scores are :meth:`evaluate`'s numbers, formed one degree at a
-        time from that degree's contiguous table rows, and each sum is
-        NumPy's pairwise sum along the sample's contiguous row.
+        Each sum is NumPy's pairwise sum of one degree's scores along the
+        sample's contiguous row.
         """
         i, dy = self._cells(block)
-        slopes, scores = self._degrees
         out = np.empty(dy.shape[:-1] + (k,))
         for j in range(k):
-            val = np.take(slopes[j], i)
-            val *= dy
-            val += np.take(scores[j], i)
-            np.add.reduce(val, axis=-1, out=out[..., j])
+            np.add.reduce(self._interp(i, dy, j), axis=-1, out=out[..., j])
         return out
 
 
@@ -899,11 +858,15 @@ def noisy_copy_pairs(noise_sd: float, name: str | None = None) -> AlternativeSpe
     )
 
 
+# Evenly spaced points of [0, 1] at which a contamination density must
+# stay positive.
+_DENSITY_GRID = 4096
+
+
 def contamination_alternative(
     coefficients: Mapping[int, float] | Sequence[float],
     basis: OrthonormalBasis | None = None,
     name: str | None = None,
-    grid_points: int = 4096,
 ) -> AlternativeSpec:
     """Smooth contaminated-uniform alternative g = 1 + sum c_j b_j.
 
@@ -931,7 +894,7 @@ def contamination_alternative(
             g = g + c * eval_basis(basis, j, x)
         return g
 
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, _DENSITY_GRID)
     gmin = float(np.min(density(grid)))
     if gmin <= 0.0:
         raise ValueError(

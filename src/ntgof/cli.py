@@ -20,7 +20,7 @@ Flags: ``--kind {uniformity,independence,deconvolution,composite}``,
 ``--input PATH``, ``--penalty {schwarz|linear2k|table:<path>}``,
 ``--dmax {auto|<int>}``, ``--alpha``, ``--mc-reps``, ``--seed``,
 ``--out``.  A penalty table CSV has columns ``k,n,pi``.  Each Monte
-Carlo replication draws from its own substream of ``--seed``.
+Carlo replication draws from its own stream of ``--seed``.
 
 Exit codes: 0 = completed run (whatever the decision), 2 = input error
 (malformed CSV or config, with a line number when it is a CSV, or an
@@ -194,6 +194,21 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
+def _config_int(value, key: str) -> int:
+    """A config value that must be a JSON integer, not a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f'config "{key}" must be an integer, got {json.dumps(value)}')
+    return value
+
+
+def _n_grid(cfg: dict, path: str, what: str, least: int = 1) -> tuple[int, ...]:
+    """The config's "n_grid": a list of at least ``least`` integer sample sizes."""
+    grid = cfg.get("n_grid")
+    if not isinstance(grid, list) or len(grid) < least:
+        raise InputError(f'{path}: {what} needs an "n_grid" list of >= {least} sizes')
+    return tuple(_config_int(n, f"n_grid[{i}]") for i, n in enumerate(grid))
+
+
 # ---------------------------------------------------------------------------
 # spec assembly
 
@@ -235,9 +250,9 @@ def _build_spec(kind: str, penalty, budget, config: dict) -> TestSpec:
             noise=gaussian_noise(sigma),
             penalty=penalty,
             budget=budget,
-            l_draws=int(config.get("l_draws", 200_000)),
-            l_seed=int(config.get("l_seed", 0)),
-            grid_points=int(config.get("grid_points", 2001)),
+            l_draws=_config_int(config.get("l_draws", 200_000), "l_draws"),
+            l_seed=_config_int(config.get("l_seed", 0), "l_seed"),
+            grid_points=_config_int(config.get("grid_points", 2001), "grid_points"),
         )
     if kind == "composite":
         beta0 = config.get("beta0", [0.0])
@@ -315,7 +330,7 @@ def _cmd_calibrate(args) -> dict:
     cfg = _read_config(args.input)
     if "n" not in cfg:
         raise InputError(f'{args.input}: calibrate config needs "n"')
-    n = int(cfg["n"])
+    n = _config_int(cfg["n"], "n")
     budget = _parse_budget(args.dmax, legendre_basis(12).max_degree)
     spec = _build_spec(args.kind, _parse_penalty(args.penalty), budget, cfg)
     config = MonteCarloConfig(replications=args.mc_reps, seed=args.seed, alpha=args.alpha)
@@ -335,14 +350,12 @@ def _cmd_calibrate(args) -> dict:
 
 def _cmd_power(args) -> dict:
     cfg = _read_config(args.input)
-    grid = cfg.get("n_grid")
-    if not isinstance(grid, list) or not grid:
-        raise InputError(f'{args.input}: power config needs a non-empty "n_grid"')
+    grid = _n_grid(cfg, args.input, "power config")
     budget = _parse_budget(args.dmax, legendre_basis(12).max_degree)
     spec = _build_spec(args.kind, _parse_penalty(args.penalty), budget, cfg)
     alternative = _parse_alternative(args.kind, cfg)
     config = MonteCarloConfig(
-        replications=args.mc_reps, seed=args.seed, alpha=args.alpha, n_grid=tuple(grid)
+        replications=args.mc_reps, seed=args.seed, alpha=args.alpha, n_grid=grid
     )
     result = power_curve(spec, alternative, config)
     out = result.as_dict()
@@ -354,14 +367,12 @@ def _cmd_probe(args) -> dict:
     cfg = _read_config(args.input)
     which = cfg.get("probe")
     if which == "consistency":
-        grid = cfg.get("n_grid")
-        if not isinstance(grid, list) or not grid:
-            raise InputError(f'{args.input}: probe config needs a non-empty "n_grid"')
+        grid = _n_grid(cfg, args.input, "probe config")
         budget = _parse_budget(args.dmax, legendre_basis(12).max_degree)
         spec = _build_spec(args.kind, _parse_penalty(args.penalty), budget, cfg)
         alternative = _parse_alternative(args.kind, cfg)
         config = MonteCarloConfig(
-            replications=args.mc_reps, seed=args.seed, alpha=args.alpha, n_grid=tuple(grid)
+            replications=args.mc_reps, seed=args.seed, alpha=args.alpha, n_grid=grid
         )
         result = consistency_probe(
             spec, alternative, config, threshold=float(cfg.get("threshold", 0.8))
@@ -371,15 +382,13 @@ def _cmd_probe(args) -> dict:
         stype = sampler_cfg.get("type", "rademacher") if isinstance(sampler_cfg, dict) else None
         if stype != "rademacher":
             raise InputError('tail_rate probe supports sampler {"type": "rademacher"}')
-        grid = cfg.get("n_grid")
-        if not isinstance(grid, list) or len(grid) < 2:
-            raise InputError(f'{args.input}: tail_rate probe needs an "n_grid" of >= 2 sizes')
+        grid = _n_grid(cfg, args.input, "tail_rate probe", least=2)
         result = tail_rate_probe(
             draw=lambda rng, m: 2.0 * rng.integers(0, 2, m) - 1.0,
             mean=0.0,
             sigma=float(cfg.get("sigma", 1.0)),
             y=float(cfg.get("y", 0.5)),
-            n_grid=[int(v) for v in grid],
+            n_grid=grid,
             replications=args.mc_reps,
             seed=args.seed,
             factor=float(cfg.get("factor", 2.0)),
@@ -432,7 +441,7 @@ def main(argv=None) -> int:
     if args.seed < 0:
         print(f"ntgof: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
         return 2
-    if args.command in ("calibrate", "power") and args.mc_reps < 100:
+    if args.mc_reps < 100:
         print("ntgof: --mc-reps must be >= 100", file=sys.stderr)
         return 2
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):

@@ -16,8 +16,9 @@ thread: d(n), the artifacts and the factor of a shared covariance, so
 an artifact failure raises before replication 0 and names none.
 Replications then run in blocks of at most _BLOCK rows and _BLOCK_OBS
 observations, in two stages.  A helper thread, one per run, draws each
-replication's sample from its own Philox substream addressed by
-(seed, path..., index) and copies it into a buffer, while the calling
+replication's sample from its own Philox stream, the one
+``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts for
+replication i, and copies it into a buffer, while the calling
 thread runs the prepared test once on the block drawn before it.  Two
 buffers, shaped by the prepared test, take turns, so at most two blocks
 exist at once; a sample of another shape fails its replication.  The
@@ -55,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import KeyedStreams, substream
+from ._rng import KeyedStreams
 from .catalog import AlternativeSpec, TestSpec, _prepare, null_sampler
 
 __all__ = [
@@ -70,7 +71,6 @@ __all__ = [
     "power_curve",
     "consistency_probe",
     "tail_rate_probe",
-    "substream",
 ]
 
 
@@ -167,9 +167,10 @@ def _replicate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(T_S values, S values) of ``reps`` replications of the test.
 
-    Replication i tests ``sampler(rng, n)`` with rng in the state
-    ``substream(seed, *path, i)`` starts in; one generator serves every
-    row, so the sampler must have drawn all it needs when it returns.
+    Replication i tests ``sampler(rng, n)`` with rng in the state a
+    Philox on ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts
+    in; one generator serves every row, so the sampler must have drawn
+    all it needs when it returns.
     The test is prepared for (spec, n) before anything is drawn.  A
     helper thread draws the next block into one of two buffers, shaped
     by the prepared test and used in turn, while this thread tests the
@@ -234,7 +235,7 @@ def null_distribution(
 ) -> CalibrationResult:
     """Simulate the null distribution of T_S and its alpha critical value.
 
-    Replication i draws from the substream (seed, 0, i); the returned
+    Replication i draws from the stream (seed, 0, i); the returned
     statistics are sorted ascending and the critical value is the
     ceil((1 - alpha) * reps)-th order statistic.
     """
@@ -303,7 +304,7 @@ def power_curve(
 ) -> PowerCurveResult:
     """Rejection rate of the calibrated test along the n-grid.
 
-    At each grid size the critical value is calibrated on the substream
+    At each grid size the critical value is calibrated on the stream
     family (seed, gi, 0, .) and the alternative replications use
     (seed, gi, 1, .): disjoint streams by construction.  A replication
     rejects when its T_S exceeds the calibrated critical value.
@@ -421,7 +422,7 @@ def tail_rate_probe(
     """Empirical large-deviation tails of a bounded i.i.d. mean.
 
     For each n in the grid, estimates P(|mean_n - mean| >= y) over
-    ``replications`` independent substreams (seed, grid index, i), each
+    ``replications`` independent streams (seed, grid index, i), each
     consumed by ``draw`` within its call, and reports it next to the
     reference rate exp(-n y^2 / (2 sigma)).  Passes when each successive
     tail is at most the previous divided by ``factor`` (with a doubling

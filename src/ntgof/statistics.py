@@ -21,9 +21,10 @@ of v.
 Sigma is rarely available in closed form outside the orthonormal case,
 so :func:`estimate_moment_matrix` estimates the second-moment matrix
 E_0 l(Y)^T l(Y) from a null sampler by plain Monte Carlo: accumulate it
-in fixed-size chunks (chunk i on the keyed stream (seed, i), reduced
-in chunk order) and sanity-check that every component mean is
-within a few standard errors of zero.
+in fixed-size chunks (chunk i on the stream
+``SeedSequence(entropy=seed, spawn_key=(i,))`` starts, reduced in chunk
+order) and sanity-check that every component mean is within a few
+standard errors of zero.
 """
 
 from __future__ import annotations
@@ -127,11 +128,12 @@ def estimate_moment_matrix(
 
     ``evaluate`` maps a batch of m observations to their (m, k) score
     matrix.  Draws come from ``null_sampler(rng, m)`` in chunks of
-    _MOMENT_CHUNK, chunk i drawing what ``substream(seed, i)`` would,
-    and partial sums are accumulated in chunk order.  Each component
-    mean must land within _MEAN_GATE standard errors of zero; a
-    violation means the sampler is not the null of this score system
-    and raises ScoreMeanError rather than returning a biased matrix.
+    _MOMENT_CHUNK, chunk i drawing from the stream of
+    ``SeedSequence(entropy=seed, spawn_key=(i,))``, and partial sums
+    are accumulated in chunk order.  Each component mean must land
+    within _MEAN_GATE standard errors of zero; a violation means the
+    sampler is not the null of this score system and raises
+    ScoreMeanError rather than returning a biased matrix.
     Non-finite sums, from a sampler or score system that returned NaN
     or infinity, raise NumericError.
     """

@@ -1,9 +1,57 @@
-"""Explicit forms the package's score-sum paths are checked against, and
-the block test those paths run on."""
+"""Explicit forms the package's fast paths are checked against, and the
+block test those paths run on."""
+
+import math
 
 import numpy as np
+from scipy import integrate
 
+from ntgof.basis import eval_basis, legendre_basis
 from ntgof.catalog import _prepare
+from ntgof.errors import NumericError
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """A fresh Generator on the stream (seed, *path), which KeyedStreams must match."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def deconvolution_score(y, j, null_density, noise, basis=None) -> float:
+    """Efficient score l_j at one observed (noisy) point, by adaptive quadrature.
+
+    Both integrals run over the intersection of the null support with
+    [y - 8 scale, y + 8 scale], the window the score table integrates
+    by its fixed rule; a denominator below 1e-300 means the observation
+    is impossibly far from the support for this noise and raises
+    NumericError rather than dividing by (numerical) zero.
+    """
+    basis = basis or legendre_basis(12)
+    if not 1 <= j <= basis.max_degree:
+        raise ValueError(f"degree j={j} outside 1..{basis.max_degree}")
+    lo = max(null_density.support[0], y - 8.0 * noise.scale)
+    hi = min(null_density.support[1], y + 8.0 * noise.scale)
+    if not lo < hi:
+        raise NumericError(
+            f"observation y={y:.6g} is more than 8 noise scales from the null support"
+        )
+
+    def den_f(s):
+        return float(null_density.pdf(np.asarray(s)) * noise.pdf(np.asarray(y - s)))
+
+    def num_f(s):
+        u = float(np.clip(null_density.cdf(np.asarray(s)), 0.0, 1.0))
+        return eval_basis(basis, j, u) * den_f(s)
+
+    den, _ = integrate.quad(den_f, lo, hi, epsabs=1e-9, epsrel=1e-8, limit=200)
+    if den < 1e-300:
+        raise NumericError(
+            f"noise-smoothed null density vanishes at y={y:.6g}; score undefined"
+        )
+    num, _ = integrate.quad(num_f, lo, hi, epsabs=1e-9, epsrel=1e-8, limit=200)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise NumericError(f"quadrature failed at y={y:.6g}")
+    return num / den
 
 
 def quadratic_form(scores, cov):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from _reference import substream
 from ntgof.basis import design_matrix, gram_matrix, legendre_basis, sup_norm_bound
 from ntgof.catalog import (
     AlternativeSpec,
@@ -29,7 +30,6 @@ from ntgof.montecarlo import (
     MonteCarloConfig,
     null_distribution,
     power_curve,
-    substream,
     tail_rate_probe,
 )
 from ntgof.statistics import nt_series_from_sums

@@ -215,6 +215,59 @@ def test_too_few_replications(tmp_path, capsys):
     assert "mc-reps" in err
 
 
+@pytest.mark.parametrize("command", ["test", "calibrate", "power", "probe"])
+def test_too_few_replications_named_by_every_subcommand(tmp_path, capsys, command):
+    if command == "test":
+        path = write_uniform_csv(tmp_path / "u.csv")
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "n": 100,
+            "n_grid": [16, 32],
+            "alternative": {"type": "contamination", "coefficients": {"1": 0.3}},
+            "probe": "tail_rate",
+        }))
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--mc-reps", "50")
+    assert code == 2 and out == ""
+    assert err == "ntgof: --mc-reps must be >= 100\n"
+
+
+CONTAMINATION = {"type": "contamination", "coefficients": {"1": 0.3}}
+
+
+@pytest.mark.parametrize(
+    "command, kind, config, key, shown",
+    [
+        ("calibrate", "uniformity", {"n": 100.7}, "n", "100.7"),
+        ("calibrate", "uniformity", {"n": "abc"}, "n", '"abc"'),
+        ("calibrate", "uniformity", {"n": True}, "n", "true"),
+        ("power", "uniformity", {"n_grid": [100.5, 200], "alternative": CONTAMINATION},
+         "n_grid[0]", "100.5"),
+        ("probe", "uniformity",
+         {"probe": "consistency", "n_grid": [100, "200"], "alternative": CONTAMINATION},
+         "n_grid[1]", '"200"'),
+        ("probe", "uniformity", {"probe": "tail_rate", "n_grid": [16, 32.0]},
+         "n_grid[1]", "32.0"),
+        ("calibrate", "deconvolution", {"n": 100, "l_draws": "many"}, "l_draws", '"many"'),
+        ("calibrate", "deconvolution", {"n": 100, "l_seed": 1.5}, "l_seed", "1.5"),
+        ("calibrate", "deconvolution", {"n": 100, "grid_points": 501.0}, "grid_points", "501.0"),
+    ],
+    ids=["n-float", "n-string", "n-bool", "power-n_grid-float", "consistency-n_grid-string",
+         "tail_rate-n_grid-float", "l_draws-string", "l_seed-float", "grid_points-float"],
+)
+def test_integer_config_fields_are_read_strictly(
+    tmp_path, capsys, command, kind, config, key, shown
+):
+    # a float used to be truncated and a string failed in int() naming no key
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, command, "--kind", kind, "--input", str(cfg), "--mc-reps", "100"
+    )
+    assert code == 2 and out == ""
+    assert err == f'ntgof: config "{key}" must be an integer, got {shown}\n'
+
+
 def test_bad_dmax(tmp_path, capsys):
     f = write_uniform_csv(tmp_path / "u.csv")
     code, _, err = run_cli(capsys, "test", "--input", f, "--dmax", "20")

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from _reference import substream
 from ntgof import _rng, catalog, montecarlo
 from ntgof.catalog import (
     AlternativeSpec,
@@ -27,7 +28,6 @@ from ntgof.montecarlo import (
     null_distribution,
     p_value,
     power_curve,
-    substream,
     tail_rate_probe,
 )
 

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from _reference import substream
 from ntgof import _rng
-from ntgof._rng import _KEYS_PER_CALL, KeyedStreams, _philox_keys, substream
+from ntgof._rng import _KEYS_PER_CALL, KeyedStreams, _philox_keys
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 7)
 PATHS = ((), (0,), (3, 1), (2**33, 0))

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _reference import block_test, column_sums, quadratic_form
-from ntgof._rng import substream
+from _reference import block_test, column_sums, quadratic_form, substream
 from ntgof.basis import design_matrix, legendre_basis
 from ntgof.catalog import _deconv_artifacts, deconvolution_spec, uniformity_spec
 from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
