@@ -26,8 +26,9 @@ independence_rank
     mid-rank (R_i - 1/2) / n and use the product scores
     l_j = b_j(u_i) * b_j(v_i).  Ranks make the test distribution-free;
     the products are uncorrelated with unit variance under
-    independence, so identity normalization applies.  Untied ranks
-    are a permutation, so each b_j(u_i) is a lookup in a per-n table.
+    independence, so identity normalization applies.  Every mid-rank,
+    tied or not, is one of the 2n - 1 multiples of 1/2 in [1, n], so
+    each b_j(u_i) is a lookup in a per-n table.
 
 deconvolution
     The sample is Y = X + eps with known noise density h; the null says
@@ -66,7 +67,8 @@ composite
     itself ``invariant`` (its information blocks are free of beta, as
     for location and location-scale families) has one Sigma per
     dimension: it is built once per spec, at beta0, and a block of
-    samples is fitted and transformed in one call each.
+    samples is fitted and transformed in one call each.  Any other
+    family is fitted row by row, with Sigma at each row's own beta_hat.
 
 Monte Carlo calibration needs the matching null samplers; use
 :func:`null_sampler`.  Smooth contamination alternatives g = 1 + sum
@@ -87,7 +89,6 @@ import numpy as np
 from .basis import (
     OrthonormalBasis,
     _gauss_legendre,
-    _score_planes,
     design_matrix,
     eval_basis,
     legendre_basis,
@@ -99,10 +100,11 @@ from .selection import (
     PenaltySchedule,
     SelectionOutcome,
     default_budget,
+    fixed_budget,
     schwarz_schedule,
     select_dimension,
 )
-from .statistics import _gated_factor, _series, estimate_moment_matrix, nt_series_from_sums
+from .statistics import _gated_factor, _series, estimate_moment_matrix
 
 __all__ = [
     "NullDensity",
@@ -194,7 +196,9 @@ class ParametricFamily:
     beta, and ``fit`` and ``cdf`` work on a block -- ``fit`` maps data
     (..., n) to (..., q) and ``cdf(x, beta)`` broadcasts beta (..., q)
     against x (..., n).  The composite test then forms Sigma once per
-    spec and dimension and fits a whole block of samples at once.
+    spec and dimension, at beta0, and fits a whole block of samples at
+    once; otherwise it fits each sample alone and forms its Sigma at that
+    sample's beta_hat.
     """
 
     name: str
@@ -401,6 +405,39 @@ def _check_sample(data, ncols: int | None, batched: bool = False) -> np.ndarray:
     return data
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """m = 2R - 2 for the mid-rank R of every entry along the last axis of x.
+
+    A run of ties at sorted positions a..b shares the mid-rank
+    (a + b)/2 + 1, so m = a + b, which is 2a for an untied entry.  The
+    order among tied values does not matter, so any sort will do.  Tied
+    data break the distribution-free guarantee, so a warning is emitted.
+    """
+    order = np.argsort(x, axis=-1)
+    ordered = np.take_along_axis(x, order, axis=-1)
+    pos = np.arange(x.shape[-1])
+    tied = ordered[..., 1:] == ordered[..., :-1]
+    if np.any(tied):
+        warnings.warn(
+            "tied observations: using average ranks; the null distribution "
+            "of the rank test is no longer exact",
+            UserWarning,
+            stacklevel=3,
+        )
+        # sorted positions where a run of ties starts and where one stops
+        starts = np.insert(~tied, 0, True, axis=-1)
+        stops = np.insert(~tied, tied.shape[-1], True, axis=-1)
+        first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+        last = np.where(stops, pos, pos[-1])[..., ::-1]
+        last = np.minimum.accumulate(last, axis=-1)[..., ::-1]
+        sorted_m = first + last
+    else:
+        sorted_m = 2 * pos
+    m = np.empty_like(order)
+    np.put_along_axis(m, order, sorted_m, axis=-1)
+    return m
+
+
 def rank_transform(values) -> np.ndarray:
     """Normalized mid-ranks (R - 1/2) / n, with average ranks on ties.
 
@@ -413,59 +450,20 @@ def rank_transform(values) -> np.ndarray:
         raise ValueError("values must be a non-empty 1-d array")
     if not np.all(np.isfinite(values)):
         raise ValueError("values contain non-finite entries")
-    n = values.size
-    order = np.argsort(values, kind="mergesort")  # stable: ties keep their order
-    ordered = values[order]
-    first = np.empty(n, dtype=bool)  # first element of each run of ties
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    if not np.all(first):
-        warnings.warn(
-            "tied observations: using average ranks; the null distribution "
-            "of the rank test is no longer exact",
-            UserWarning,
-            stacklevel=2,
-        )
-    # a run of ties at sorted positions [a, b) gets the mid-rank (a + 1 + b) / 2
-    bounds = np.append(np.flatnonzero(first), n)
-    run = np.cumsum(first) - 1
-    ranks = np.empty(n)
-    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
-    return (ranks - 0.5) / n
+    return (_midranks(values) + 1) / (2 * values.size)
 
 
-def _untied_ranks(x: np.ndarray) -> np.ndarray | None:
-    """Zero-based ranks along the last axis of x, or None if a row has ties.
-
-    Distinct values have one sorting permutation, so any sort will do.
-    """
-    order = np.argsort(x, axis=-1)
-    ordered = np.take_along_axis(x, order, axis=-1)
-    if np.any(ordered[..., 1:] == ordered[..., :-1]):
-        return None
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(x.shape[-1]), axis=-1)
-    return ranks
-
-
-def _independence_sums(block, basis: OrthonormalBasis, table: np.ndarray) -> np.ndarray:
+def _independence_sums(block, table: np.ndarray) -> np.ndarray:
     """(B, d) product-score sums of a (B, n, 2) block of pairs.
 
-    Untied ranks are a permutation of 0..n-1 with mid-rank (r + 1/2) / n,
-    so b_j at a rank is a lookup in row j of the per-n (d, n) ``table``.  A
-    block with a tied row goes through :func:`rank_transform` row by
-    row instead, which averages the ties and warns.
+    Row j of the per-n (d, 2n - 1) ``table`` holds b_j at every mid-rank
+    (m/2 + 1/2) / n, so each score is a lookup at the entry's
+    :func:`_midranks` value.
     """
-    d = table.shape[0]
-    ranks = [_untied_ranks(block[..., c]) for c in (0, 1)]
-    if ranks[0] is None or ranks[1] is None:
-        u, v = (np.array([rank_transform(pairs[:, c]) for pairs in block]) for c in (0, 1))
-        planes = zip(_score_planes(basis, u, d), _score_planes(basis, v, d))
-    else:
-        planes = ((np.take(col, ranks[0]), np.take(col, ranks[1])) for col in table)
-    sums = np.empty((block.shape[0], d))
-    for j, (bu, bv) in enumerate(planes):
-        sums[:, j] = np.add.reduce(bu * bv, axis=-1)
+    u, v = (_midranks(block[..., c]) for c in (0, 1))
+    sums = np.empty((block.shape[0], table.shape[0]))
+    for j, col in enumerate(table):
+        sums[:, j] = np.add.reduce(np.take(col, u) * np.take(col, v), axis=-1)
     return sums
 
 
@@ -730,36 +728,24 @@ def _composite_cov(family: ParametricFamily, beta, basis, d: int) -> np.ndarray:
         ) from None
 
 
-def _composite_series(block, family: ParametricFamily, basis, d: int, beta_hat=None):
-    """Efficient-score series W_1..W_d of every sample in a (B, n) block.
-
-    Each sample's scores b_j(F(X_i; beta_hat)) are normalized by their
-    asymptotic covariance Sigma = I - I_b^T I_bb^{-1} I_b at dimension d,
-    with beta_hat its MLE unless given, all formed row by row (an
-    invariant family's block path is in :func:`_prepare`).
-    """
-    n = block.shape[-1]
-    us, covs = [], []
-    for x in block:
-        beta = family.fit(x) if beta_hat is None else np.asarray(beta_hat, dtype=float)
-        us.append(np.clip(np.asarray(family.cdf(x, beta), dtype=float), 0.0, 1.0))
-        covs.append(_composite_cov(family, beta, basis, d))
-    return nt_series_from_sums(score_sums(basis, np.array(us), d), n, np.array(covs))
-
-
 def composite_score_statistic(
     data,
     family: ParametricFamily,
     k: int,
     basis: OrthonormalBasis | None = None,
-    beta_hat=None,
 ) -> float:
-    """Efficient-score statistic W_k for a parametric null with MLE plug-in."""
-    data = _check_sample(data, None)
+    """Efficient-score statistic W_k for a parametric null with MLE plug-in.
+
+    This is T_k of the composite test at ``fixed_budget(k)`` with beta0 at
+    zero.  An ``invariant`` family's Sigma is taken at beta0, any other
+    family's at the sample's beta_hat; for :func:`gaussian_location_family`,
+    whose information blocks are evaluated at mu = 0, the two agree.
+    """
     basis = basis or legendre_basis(12)
     if not 1 <= k <= basis.max_degree:
         raise ValueError(f"k={k} outside 1..{basis.max_degree}")
-    return float(_composite_series(data[None], family, basis, k, beta_hat)[0, -1])
+    spec = composite_spec(family, basis=basis, budget=fixed_budget(k))
+    return float(run_test(data, spec).series[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -774,38 +760,46 @@ def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
     Cholesky factor of a covariance every sample shares, so an artifact
     failure raises before any sample is drawn.  The test maps a block of
     B samples, (B, n) or (B, n, 2), to their SelectionOutcome; each row's
-    numbers are those the sample gives alone.  A family that is not
-    ``invariant`` forms and gates its Sigma row by row in every block.
+    numbers are those the sample gives alone.  Every kind maps the block
+    to its (score sums, Cholesky factor), the factor being None for
+    orthonormal scores, and the test forms the series from that pair.  A
+    family that is not ``invariant`` forms and gates its Sigma row by row
+    in every block.
     """
     d = spec.budget.d(n)
-    basis, family, cov = spec.basis, spec.family, None
+    basis, family = spec.basis, spec.family
     if spec.kind == "uniformity":
-        sums = lambda block: score_sums(basis, block, d)
+        scores = lambda block: (score_sums(basis, block, d), None)
     elif spec.kind == "independence_rank":
-        table = design_matrix(basis, (np.arange(n) + 0.5) / n, d).T.copy()  # (d, n)
-        sums = lambda block: _independence_sums(block, basis, table)
+        # b_j at the mid-ranks (m/2 + 1/2) / n, m = 0..2n-2
+        table = design_matrix(basis, (np.arange(2 * n - 1) / 2 + 0.5) / n, d).T.copy()
+        scores = lambda block: (_independence_sums(block, table), None)
     elif spec.kind == "deconvolution":
         table, moment = _deconv_artifacts(spec)
-        cov = moment[:d, :d]
-        sums = lambda block: table.sums(block, d)
+        factor = _gated_factor(moment[:d, :d], d)
+        scores = lambda block: (table.sums(block, d), factor)
     elif family.invariant:
         cov = _cached(spec, ("sigma", d), lambda: _composite_cov(family, spec.beta0, basis, d))
+        factor = _gated_factor(cov, d)
 
-        def sums(block):
+        def scores(block):
             u = np.asarray(family.cdf(block, family.fit(block)), dtype=float)
-            return score_sums(basis, np.clip(u, 0.0, 1.0), d)
+            return score_sums(basis, np.clip(u, 0.0, 1.0), d), factor
     else:
-        sums = None
-    factor = None if cov is None else _gated_factor(cov, d)
+
+        def scores(block):
+            us, covs = [], []
+            for x in block:
+                beta = family.fit(x)
+                us.append(np.clip(np.asarray(family.cdf(x, beta), dtype=float), 0.0, 1.0))
+                covs.append(_composite_cov(family, beta, basis, d))
+            return score_sums(basis, np.array(us), d), _gated_factor(np.array(covs), d)
+
     ncols = 2 if spec.kind == "independence_rank" else None
 
     def test(block) -> SelectionOutcome:
-        block = _check_sample(block, ncols, batched=True)
-        if sums is None:
-            series = _composite_series(block, family, basis, d)
-        else:
-            series = _series(sums(block), n, factor)
-        return select_dimension(series, spec.penalty, n)
+        sums, factor = scores(_check_sample(block, ncols, batched=True))
+        return select_dimension(_series(sums, n, factor), spec.penalty, n)
 
     return (n,) if ncols is None else (n, ncols), test
 

@@ -73,7 +73,9 @@ from .selection import (
 )
 
 CLI_KINDS = ("uniformity", "independence", "deconvolution", "composite")
-_KIND_MAP = {"independence": "independence_rank"}
+
+# degree of the Legendre basis every CLI spec uses, and so the largest --dmax
+_MAX_DEGREE = legendre_basis(12).max_degree
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,14 @@ def _config_int(value, key: str) -> int:
     return value
 
 
+def _config_float(value, key: str) -> float:
+    """A config value that must be a finite JSON number, not a bool, a string or NaN."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise InputError(f'config "{key}" must be a finite number, got {json.dumps(value)}')
+    return float(value)
+
+
 def _n_grid(cfg: dict, path: str, what: str, least: int = 1) -> tuple[int, ...]:
     """The config's "n_grid": a list of at least ``least`` integer sample sizes."""
     grid = cfg.get("n_grid")
@@ -225,39 +235,46 @@ def _parse_penalty(text: str) -> PenaltySchedule:
     )
 
 
-def _parse_budget(text: str, max_degree: int):
+def _parse_budget(text: str):
     if text == "auto":
-        return default_budget(cap=min(12, max_degree))
+        return default_budget(cap=_MAX_DEGREE)
     try:
         d = int(text)
     except ValueError:
         raise InputError(f"--dmax must be 'auto' or an integer, got {text!r}") from None
-    if not 1 <= d <= max_degree:
-        raise InputError(f"--dmax {d} outside 1..{max_degree}")
+    if not 1 <= d <= _MAX_DEGREE:
+        raise InputError(f"--dmax {d} outside 1..{_MAX_DEGREE}")
     return fixed_budget(d)
 
 
-def _build_spec(kind: str, penalty, budget, config: dict) -> TestSpec:
-    if kind == "uniformity":
-        return uniformity_spec(penalty=penalty, budget=budget)
-    if kind == "independence":
-        return independence_spec(penalty=penalty, budget=budget)
-    if kind == "deconvolution":
-        sigma = float(config.get("noise_sigma", 0.25))
+def _study(args, cfg: dict, n_grid: tuple[int, ...] = ()) -> tuple[TestSpec, MonteCarloConfig]:
+    """The spec and the Monte Carlo config that the flags and ``cfg`` describe."""
+    common = {"budget": _parse_budget(args.dmax), "penalty": _parse_penalty(args.penalty)}
+    if args.kind == "uniformity":
+        spec = uniformity_spec(**common)
+    elif args.kind == "independence":
+        spec = independence_spec(**common)
+    elif args.kind == "deconvolution":
+        sigma = _config_float(cfg.get("noise_sigma", 0.25), "noise_sigma")
         if sigma <= 0:
             raise InputError("noise_sigma must be positive")
-        return deconvolution_spec(
+        spec = deconvolution_spec(
             noise=gaussian_noise(sigma),
-            penalty=penalty,
-            budget=budget,
-            l_draws=_config_int(config.get("l_draws", 200_000), "l_draws"),
-            l_seed=_config_int(config.get("l_seed", 0), "l_seed"),
-            grid_points=_config_int(config.get("grid_points", 2001), "grid_points"),
+            l_draws=_config_int(cfg.get("l_draws", 200_000), "l_draws"),
+            l_seed=_config_int(cfg.get("l_seed", 0), "l_seed"),
+            grid_points=_config_int(cfg.get("grid_points", 2001), "grid_points"),
+            **common,
         )
-    if kind == "composite":
-        beta0 = config.get("beta0", [0.0])
-        return composite_spec(beta0=np.asarray(beta0, dtype=float), penalty=penalty, budget=budget)
-    raise InputError(f"unknown kind {kind!r}")
+    else:
+        beta0 = cfg.get("beta0", [0.0])
+        if not isinstance(beta0, list):
+            raise InputError(f'config "beta0" must be a list, got {json.dumps(beta0)}')
+        beta0 = [_config_float(b, f"beta0[{i}]") for i, b in enumerate(beta0)]
+        spec = composite_spec(beta0=np.array(beta0), **common)
+    config = MonteCarloConfig(
+        replications=args.mc_reps, seed=args.seed, alpha=args.alpha, n_grid=n_grid
+    )
+    return spec, config
 
 
 def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
@@ -276,7 +293,7 @@ def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
     if alt["type"] == "noisy_copy":
         if kind != "independence":
             raise InputError("noisy_copy alternative only applies to --kind independence")
-        return noisy_copy_pairs(float(alt.get("noise_sd", 0.5)))
+        return noisy_copy_pairs(_config_float(alt.get("noise_sd", 0.5), "noise_sd"))
     raise InputError(f"unknown alternative type {alt['type']!r}")
 
 
@@ -289,13 +306,11 @@ def _cmd_test(args) -> dict:
     columns = ("x", "y") if kind == "independence" else ("x",)
     data = _read_csv_columns(args.input, columns)
     n = int(data.shape[0])
-    budget = _parse_budget(args.dmax, legendre_basis(12).max_degree)
-    spec = _build_spec(kind, _parse_penalty(args.penalty), budget, {})
+    spec, config = _study(args, {})
     try:
         outcome = run_test(data, spec)
     except ValueError as e:
         raise InputError(f"{args.input}: {e}") from e
-    config = MonteCarloConfig(replications=args.mc_reps, seed=args.seed, alpha=args.alpha)
     calibration = null_distribution(spec, n, config)
     p = p_value(outcome.t_s, calibration)
     decision = "reject" if p <= args.alpha else "accept"
@@ -331,9 +346,7 @@ def _cmd_calibrate(args) -> dict:
     if "n" not in cfg:
         raise InputError(f'{args.input}: calibrate config needs "n"')
     n = _config_int(cfg["n"], "n")
-    budget = _parse_budget(args.dmax, legendre_basis(12).max_degree)
-    spec = _build_spec(args.kind, _parse_penalty(args.penalty), budget, cfg)
-    config = MonteCarloConfig(replications=args.mc_reps, seed=args.seed, alpha=args.alpha)
+    spec, config = _study(args, cfg)
     result = null_distribution(spec, n, config)
     out = result.as_dict()
     out.update(
@@ -350,13 +363,8 @@ def _cmd_calibrate(args) -> dict:
 
 def _cmd_power(args) -> dict:
     cfg = _read_config(args.input)
-    grid = _n_grid(cfg, args.input, "power config")
-    budget = _parse_budget(args.dmax, legendre_basis(12).max_degree)
-    spec = _build_spec(args.kind, _parse_penalty(args.penalty), budget, cfg)
+    spec, config = _study(args, cfg, _n_grid(cfg, args.input, "power config"))
     alternative = _parse_alternative(args.kind, cfg)
-    config = MonteCarloConfig(
-        replications=args.mc_reps, seed=args.seed, alpha=args.alpha, n_grid=grid
-    )
     result = power_curve(spec, alternative, config)
     out = result.as_dict()
     out.update({"command": "power", "kind": args.kind, "penalty": args.penalty})
@@ -367,16 +375,10 @@ def _cmd_probe(args) -> dict:
     cfg = _read_config(args.input)
     which = cfg.get("probe")
     if which == "consistency":
-        grid = _n_grid(cfg, args.input, "probe config")
-        budget = _parse_budget(args.dmax, legendre_basis(12).max_degree)
-        spec = _build_spec(args.kind, _parse_penalty(args.penalty), budget, cfg)
+        spec, config = _study(args, cfg, _n_grid(cfg, args.input, "probe config"))
         alternative = _parse_alternative(args.kind, cfg)
-        config = MonteCarloConfig(
-            replications=args.mc_reps, seed=args.seed, alpha=args.alpha, n_grid=grid
-        )
-        result = consistency_probe(
-            spec, alternative, config, threshold=float(cfg.get("threshold", 0.8))
-        )
+        threshold = _config_float(cfg.get("threshold", 0.8), "threshold")
+        result = consistency_probe(spec, alternative, config, threshold=threshold)
     elif which == "tail_rate":
         sampler_cfg = cfg.get("sampler", {})
         stype = sampler_cfg.get("type", "rademacher") if isinstance(sampler_cfg, dict) else None
@@ -386,12 +388,12 @@ def _cmd_probe(args) -> dict:
         result = tail_rate_probe(
             draw=lambda rng, m: 2.0 * rng.integers(0, 2, m) - 1.0,
             mean=0.0,
-            sigma=float(cfg.get("sigma", 1.0)),
-            y=float(cfg.get("y", 0.5)),
+            sigma=_config_float(cfg.get("sigma", 1.0), "sigma"),
+            y=_config_float(cfg.get("y", 0.5), "y"),
             n_grid=grid,
             replications=args.mc_reps,
             seed=args.seed,
-            factor=float(cfg.get("factor", 2.0)),
+            factor=_config_float(cfg.get("factor", 2.0), "factor"),
         )
     else:
         raise InputError(f'{args.input}: "probe" must be "consistency" or "tail_rate"')

@@ -91,6 +91,8 @@ class MonteCarloConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        if any(n < 2 for n in self.n_grid):
+            raise ValueError(f"n_grid sizes must be >= 2, got {list(self.n_grid)}")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
 
@@ -228,6 +230,13 @@ def _replicate(
         thread.join()
 
 
+def _calibrate(spec: TestSpec, n: int, config: MonteCarloConfig, path: tuple[int, ...]):
+    """(sorted T_S, S, critical value) of null replications on the streams (seed, *path, .)."""
+    t, s = _replicate(spec, null_sampler(spec), n, config.replications, config.seed, path)
+    t.sort()
+    return t, s, float(t[math.ceil((1.0 - config.alpha) * config.replications) - 1])
+
+
 def null_distribution(
     spec: TestSpec,
     n: int,
@@ -241,18 +250,15 @@ def null_distribution(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    t, s = _replicate(spec, null_sampler(spec), n, config.replications, config.seed, (0,))
-    t.sort()
-    idx = math.ceil((1.0 - config.alpha) * config.replications)
-    d = spec.budget.d(n)
+    t, s, crit = _calibrate(spec, n, config, (0,))
     return CalibrationResult(
         n=n,
         alpha=config.alpha,
         replications=config.replications,
         seed=config.seed,
-        critical_value=float(t[idx - 1]),
+        critical_value=crit,
         statistics=t,
-        s_counts=np.bincount(s, minlength=d + 1)[1:],
+        s_counts=np.bincount(s, minlength=spec.budget.d(n) + 1)[1:],
     )
 
 
@@ -313,12 +319,7 @@ def power_curve(
         raise ValueError("config.n_grid must be non-empty for a power curve")
     points = []
     for gi, n in enumerate(config.n_grid):
-        t_null, _ = _replicate(
-            spec, null_sampler(spec), n, config.replications, config.seed, (gi, 0)
-        )
-        t_null.sort()
-        idx = math.ceil((1.0 - config.alpha) * config.replications)
-        crit = float(t_null[idx - 1])
+        crit = _calibrate(spec, n, config, (gi, 0))[2]
         t_alt, _ = _replicate(
             spec, alternative.sampler, n, config.replications, config.seed, (gi, 1)
         )

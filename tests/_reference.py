@@ -54,6 +54,26 @@ def deconvolution_score(y, j, null_density, noise, basis=None) -> float:
     return num / den
 
 
+def rank_transform(values) -> np.ndarray:
+    """Normalized mid-ranks (R - 1/2) / n of a 1-d sample, by one stable sort.
+
+    A run of ties gets the average of its ranks.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    order = np.argsort(values, kind="mergesort")  # stable: ties keep their order
+    ordered = values[order]
+    first = np.empty(n, dtype=bool)  # first element of each run of ties
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    # a run of ties at sorted positions [a, b) gets the mid-rank (a + 1 + b) / 2
+    bounds = np.append(np.flatnonzero(first), n)
+    run = np.cumsum(first) - 1
+    ranks = np.empty(n)
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
+    return (ranks - 0.5) / n
+
+
 def quadratic_form(scores, cov):
     """n * lbar^T cov^{-1} lbar for an n-by-k score matrix, by one solve."""
     scores = np.asarray(scores, dtype=float)

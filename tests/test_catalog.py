@@ -16,6 +16,7 @@ import pytest
 from scipy import integrate, stats
 
 import ntgof
+import _reference
 from _reference import block_test, column_sums, deconvolution_score, quadratic_form
 from ntgof.basis import design_matrix, eval_basis, legendre_basis, score_sums, user_basis
 from ntgof.catalog import (
@@ -516,7 +517,7 @@ def test_composite_reduces_to_cumulative_form_when_orthogonal():
     rng = np.random.default_rng(2)
     data = rng.random(100)
     for k in (1, 2, 4):
-        w = composite_score_statistic(data, flat, k, beta_hat=np.zeros(1))
+        w = composite_score_statistic(data, flat, k)
         t = nt_series_from_sums(design_matrix(legendre_basis(12), data, k).sum(0), 100)[-1]
         assert w == pytest.approx(t, abs=1e-8)
 
@@ -561,11 +562,23 @@ def test_composite_singular_middle_factor():
     rng = np.random.default_rng(8)
     for family in (bad, no_info):
         with pytest.raises(SingularMatrixError):
-            composite_score_statistic(rng.random(50), family, 2, beta_hat=np.zeros(1))
+            composite_score_statistic(rng.random(50), family, 2)
         # declared invariant, the shared Sigma fails the same way
         spec = composite_spec(family=dataclasses.replace(family, invariant=True))
         with pytest.raises(SingularMatrixError):
             run_test(rng.random(50), spec)
+
+
+@pytest.mark.parametrize("invariant", [True, False])
+def test_composite_score_statistic_is_the_prepared_test(invariant):
+    family = dataclasses.replace(gaussian_location_family(), invariant=invariant)
+    data = 0.2 + np.random.default_rng(24).standard_normal(300)
+    for k in (1, 3, 6):
+        spec = composite_spec(family, budget=fixed_budget(k))
+        want = run_test(data, spec).series[-1]
+        assert composite_score_statistic(data, family, k) == want
+    with pytest.raises(ValueError, match="k=13 outside 1..12"):
+        composite_score_statistic(data, family, 13)
 
 
 def test_invariant_block_path_matches_row_path():
@@ -673,9 +686,9 @@ def test_deconvolution_sums_of_a_block_row_equal_the_row_alone():
 
 
 def _rank_transform_series(block, spec, d):
-    """The independence series through rank_transform, row by row."""
-    u = np.array([rank_transform(pairs[:, 0]) for pairs in block])
-    v = np.array([rank_transform(pairs[:, 1]) for pairs in block])
+    """The independence series through the reference rank transform, row by row."""
+    u = np.array([_reference.rank_transform(pairs[:, 0]) for pairs in block])
+    v = np.array([_reference.rank_transform(pairs[:, 1]) for pairs in block])
     scores = design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d)
     return nt_series_from_sums(column_sums(scores), block.shape[1])
 
@@ -697,14 +710,17 @@ def test_rank_table_matches_rank_transform_bitwise(n):
 @pytest.mark.parametrize("n", [50, 500, 1296])
 def test_untied_ranks_equal_stable_sort_ranks_bitwise(n):
     # distinct values have one sorting permutation, so the default sort
-    # gives the ranks a stable sort gives
+    # gives twice the zero-based ranks a stable sort gives
     x = np.random.default_rng(n + 1).standard_normal((64, n))
-    ranks = catalog._untied_ranks(x)
-    want = np.empty_like(ranks)
+    want = np.empty((64, n), dtype=np.intp)
     np.put_along_axis(want, np.argsort(x, axis=-1, kind="mergesort"), np.arange(n), axis=-1)
-    assert np.array_equal(ranks, want)
-    x[5, 7] = x[5, 3]  # one tie: no ranks, and the block's test warns
-    assert catalog._untied_ranks(x) is None
+    assert np.array_equal(catalog._midranks(x), 2 * want)
+    x[5, 7] = x[5, 3]  # one tie: the pair shares a mid-rank, and the block's test warns
+    with pytest.warns(UserWarning, match="tie"):
+        m = catalog._midranks(x)
+    assert m[5, 7] == m[5, 3]
+    assert np.array_equal((m[5] + 1) / (2 * n), _reference.rank_transform(x[5]))
+    assert np.array_equal(np.delete(m, 5, axis=0), np.delete(2 * want, 5, axis=0))
     pairs = np.stack([x, np.random.default_rng(n).standard_normal((64, n))], axis=-1)
     with pytest.warns(UserWarning, match="tie"):
         block_test(pairs, independence_spec())
@@ -719,12 +735,32 @@ def test_tied_block_uses_mid_ranks_and_warns():
     d = spec.budget.d(n)
     with pytest.warns(UserWarning, match="tie"):
         series = block_test(block, spec).series
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert np.array_equal(series, _rank_transform_series(block, spec, d))
+    assert np.array_equal(series, _rank_transform_series(block, spec, d))
     # untied rows read the rank table alone and give the same bits
     for i in (0, 1, 2, 4, 5):
         assert np.array_equal(series[i], block_test(block[i : i + 1], spec).series[0])
+
+
+@pytest.mark.parametrize("n", [2, 7, 300])
+def test_tied_blocks_match_reference_ranks_bitwise(n):
+    # ties in both coordinates, runs of every length, a constant column
+    spec = independence_spec()
+    d = spec.budget.d(n)
+    rng = np.random.default_rng(n + 40)
+    block = np.round(rng.standard_normal((8, n, 2)), 1)
+    block[:, 1] = block[:, 0]  # every row tied in both coordinates
+    block[1, :, 0] = 3.0  # a constant column
+    block[2] = 1.0  # both columns constant
+    block[3, :, 1] = rng.integers(0, 2, n)  # two long runs
+    with pytest.warns(UserWarning, match="tie"):
+        series = block_test(block, spec).series
+    assert np.array_equal(series, _rank_transform_series(block, spec, d))
+    for i in range(8):
+        with pytest.warns(UserWarning, match="tie"):
+            alone = run_test(block[i], spec).series
+            u = (catalog._midranks(block[i, :, 0]) + 1) / (2 * n)
+        assert np.array_equal(series[i], alone)
+        assert np.array_equal(u, _reference.rank_transform(block[i, :, 0]))
 
 
 # fixed_budget(1) calibrations at n = 80, R = 200, seed 21.  A one-column
@@ -801,8 +837,8 @@ def test_block_path_forms_no_score_tensor(spec, monkeypatch):
 
     monkeypatch.setattr(catalog, "design_matrix", recording)
     block_test(block, spec)
-    # only the independence kind's per-n rank table, one point per rank
-    assert shapes == ([(90,)] if spec.kind == "independence_rank" else [])
+    # only the independence kind's per-n rank table, one point per mid-rank
+    assert shapes == ([(179,)] if spec.kind == "independence_rank" else [])
 
 
 @pytest.mark.parametrize(

@@ -268,6 +268,61 @@ def test_integer_config_fields_are_read_strictly(
     assert err == f'ntgof: config "{key}" must be an integer, got {shown}\n'
 
 
+NOISY_COPY = {"type": "noisy_copy", "noise_sd": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, kind, config, key",
+    [
+        ("calibrate", "deconvolution", {"n": 100, "noise_sigma": None}, "noise_sigma"),
+        ("calibrate", "composite", {"n": 100, "beta0": [None]}, "beta0[0]"),
+        ("probe", "uniformity",
+         {"probe": "consistency", "n_grid": [100, 200], "alternative": CONTAMINATION,
+          "threshold": None}, "threshold"),
+        ("probe", "uniformity", {"probe": "tail_rate", "n_grid": [16, 32], "sigma": None},
+         "sigma"),
+        ("probe", "uniformity", {"probe": "tail_rate", "n_grid": [16, 32], "y": None}, "y"),
+        ("probe", "uniformity", {"probe": "tail_rate", "n_grid": [16, 32], "factor": None},
+         "factor"),
+        ("power", "independence",
+         {"n_grid": [100], "alternative": dict(NOISY_COPY, noise_sd=None)}, "noise_sd"),
+    ],
+    ids=["noise_sigma", "beta0", "threshold", "sigma", "y", "factor", "noise_sd"],
+)
+@pytest.mark.parametrize(
+    "value, shown", [(True, "true"), ("wide", '"wide"'), (math.nan, "NaN"), (-math.inf, "-Infinity")]
+)
+def test_float_config_fields_are_read_strictly(
+    tmp_path, capsys, command, kind, config, key, value, shown
+):
+    # a bool used to pass as 0 or 1, a string failed in float() naming no
+    # key, and NaN or infinity failed later or not at all
+    config = json.loads(json.dumps(config).replace("null", json.dumps(value)))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, command, "--kind", kind, "--input", str(cfg), "--mc-reps", "100"
+    )
+    assert code == 2 and out == ""
+    assert err == f'ntgof: config "{key}" must be a finite number, got {shown}\n'
+
+
+def test_float_config_fields_take_json_integers(tmp_path, capsys):
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({"probe": "tail_rate", "n_grid": [16, 64], "sigma": 1, "y": 1}))
+    code, out, err = run_cli(capsys, "probe", "--input", str(cfg), "--mc-reps", "100")
+    assert code == 0, err
+    assert json.loads(out)["rows"][0]["reference_rate"] == math.exp(-8.0)
+
+
+def test_power_n_grid_below_two_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"n_grid": [1, 50], "alternative": CONTAMINATION}))
+    code, out, err = run_cli(capsys, "power", "--input", str(cfg), "--mc-reps", "100")
+    assert code == 2 and out == ""
+    assert err == "ntgof: n_grid sizes must be >= 2, got [1, 50]\n"
+
+
 def test_bad_dmax(tmp_path, capsys):
     f = write_uniform_csv(tmp_path / "u.csv")
     code, _, err = run_cli(capsys, "test", "--input", f, "--dmax", "20")

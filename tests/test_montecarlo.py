@@ -49,6 +49,14 @@ def test_config_validation():
     assert MonteCarloConfig(replications=200, seed=np.int64(2**40)).seed == 2**40
 
 
+@pytest.mark.parametrize("grid", [(1, 50), (0, 50), (-3, 50)])
+def test_config_rejects_n_grid_sizes_below_two(grid):
+    # checked with the config, not blamed on replication 0 of the first size
+    with pytest.raises(ValueError, match=r"^n_grid sizes must be >= 2, got \["):
+        MonteCarloConfig(replications=200, seed=0, n_grid=grid)
+    assert MonteCarloConfig(replications=200, seed=0, n_grid=(2, 50)).n_grid == (2, 50)
+
+
 # ---------------------------------------------------------------------------
 # null calibration
 
