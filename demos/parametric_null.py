@@ -13,8 +13,8 @@ import numpy as np
 
 from ntgof import (
     MonteCarloConfig,
-    composite_score_statistic,
     composite_spec,
+    fixed_budget,
     gaussian_location_family,
     null_distribution,
     p_value,
@@ -39,8 +39,10 @@ def main():
 
     rng = np.random.default_rng(9)
     x = rng.standard_normal(300)
-    w_here = composite_score_statistic(x, family, k)
-    w_shifted = composite_score_statistic(x + 17.5, family, k)
+    # W_k is the last entry of the composite test's series at a fixed k
+    fixed = composite_spec(family, basis=basis, budget=fixed_budget(k))
+    w_here = run_test(x, fixed).series[-1]
+    w_shifted = run_test(x + 17.5, fixed).series[-1]
     print(f"\nlocation invariance: W_4(x) = {w_here:.10f}, "
           f"W_4(x + 17.5) = {w_shifted:.10f}")
 

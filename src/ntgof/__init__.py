@@ -39,7 +39,6 @@ from .catalog import (
     NullDensity,
     ParametricFamily,
     TestSpec,
-    composite_score_statistic,
     composite_spec,
     contamination_alternative,
     deconvolution_spec,

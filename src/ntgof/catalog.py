@@ -65,10 +65,16 @@ composite
     Woodbury form I + I_b^T (I_bb - I_b I_b^T)^{-1} I_b, and Sigma is
     singular exactly when that middle factor is.  A family that declares
     itself ``invariant`` (its information blocks are free of beta, as
-    for location and location-scale families) has one Sigma per
-    dimension: it is built once per spec, at beta0, and a block of
-    samples is fitted and transformed in one call each.  Any other
-    family is fitted row by row, with Sigma at each row's own beta_hat.
+    for location and location-scale families) has one Sigma: it is
+    built once per spec, at beta0 and the dimension cap, every dimension
+    d uses its leading d x d block, and a block of samples is fitted and
+    transformed in one call each.  Any other family is fitted row by
+    row, with Sigma at each row's own beta_hat and dimension.
+
+Each spec builds at most one artifact (the deconvolution score table
+and moment matrix, or an invariant family's Sigma), from its own inputs
+and at its cap; a spec made from it by ``dataclasses.replace`` builds
+its own.
 
 Monte Carlo calibration needs the matching null samplers; use
 :func:`null_sampler`.  Smooth contamination alternatives g = 1 + sum
@@ -100,7 +106,6 @@ from .selection import (
     PenaltySchedule,
     SelectionOutcome,
     default_budget,
-    fixed_budget,
     schwarz_schedule,
     select_dimension,
 )
@@ -121,7 +126,6 @@ __all__ = [
     "composite_spec",
     "rank_transform",
     "information_blocks",
-    "composite_score_statistic",
     "run_test",
     "null_sampler",
     "contamination_alternative",
@@ -196,9 +200,9 @@ class ParametricFamily:
     beta, and ``fit`` and ``cdf`` work on a block -- ``fit`` maps data
     (..., n) to (..., q) and ``cdf(x, beta)`` broadcasts beta (..., q)
     against x (..., n).  The composite test then forms Sigma once per
-    spec and dimension, at beta0, and fits a whole block of samples at
-    once; otherwise it fits each sample alone and forms its Sigma at that
-    sample's beta_hat.
+    spec, at beta0 and the budget cap, slices its leading block at each
+    dimension, and fits a whole block of samples at once; otherwise it
+    fits each sample alone and forms its Sigma at that sample's beta_hat.
     """
 
     name: str
@@ -280,7 +284,9 @@ class TestSpec:
     l_draws: int = 200_000
     l_seed: int = 0
     grid_points: int = 2001
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # the artifact _artifact builds from this spec's own inputs; not an
+    # __init__ argument, so dataclasses.replace starts the copy empty
+    _built: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -532,7 +538,6 @@ class _DeconvScoreTable:
         # points clamped to grid[-1] read scores[:, -1] exactly
         self._slopes = np.zeros_like(self.scores)
         self._slopes[:, :-1] = np.diff(self.scores, axis=1) / np.diff(self.grid)
-        self.k = k
         self._domain = (a - 8.0 * scale, b + 8.0 * scale)
         # cells per unit of y, and the upper edge of every cell (the last
         # cell, a single point, has none)
@@ -601,38 +606,6 @@ class _DeconvScoreTable:
         for j in range(k):
             np.add.reduce(self._interp(i, dy, j), axis=-1, out=out[..., j])
         return out
-
-
-# Serializes the check-and-build in _cached, so that callers' threads
-# starting on a cold spec build each artifact once between them.
-_CACHE_LOCK = threading.Lock()
-
-
-def _cached(spec: TestSpec, key, build: Callable):
-    """The artifact ``spec._cache[key]``, made by ``build()`` on first use."""
-    with _CACHE_LOCK:
-        if key not in spec._cache:
-            spec._cache[key] = build()
-        return spec._cache[key]
-
-
-def _deconv_artifacts(spec: TestSpec):
-    """Cached (score table, moment matrix), built once at the budget cap.
-
-    A test at dimension d uses the table's first d columns and the
-    leading d x d block of the moment matrix, so moving between sample
-    sizes never rebuilds either.
-    """
-
-    def build():
-        cap = spec.budget.cap
-        table = _DeconvScoreTable(spec, cap)
-        moment = estimate_moment_matrix(
-            null_sampler(spec), cap, table.evaluate, spec.l_draws, spec.l_seed
-        )
-        return table, moment
-
-    return _cached(spec, "deconv", build)
 
 
 # ---------------------------------------------------------------------------
@@ -728,24 +701,33 @@ def _composite_cov(family: ParametricFamily, beta, basis, d: int) -> np.ndarray:
         ) from None
 
 
-def composite_score_statistic(
-    data,
-    family: ParametricFamily,
-    k: int,
-    basis: OrthonormalBasis | None = None,
-) -> float:
-    """Efficient-score statistic W_k for a parametric null with MLE plug-in.
+# Serializes the check-and-build in _artifact, so that callers' threads
+# starting on a cold spec build it once between them.
+_ARTIFACT_LOCK = threading.Lock()
 
-    This is T_k of the composite test at ``fixed_budget(k)`` with beta0 at
-    zero.  An ``invariant`` family's Sigma is taken at beta0, any other
-    family's at the sample's beta_hat; for :func:`gaussian_location_family`,
-    whose information blocks are evaluated at mu = 0, the two agree.
+
+def _artifact(spec: TestSpec):
+    """The spec's one artifact, built from its own inputs at the budget cap.
+
+    For deconvolution it is (score table, moment matrix), for an
+    ``invariant`` composite family Sigma at beta0.  A test at dimension d
+    slices the leading d columns or d x d block, so moving between sample
+    sizes never rebuilds it.  It lives in the spec's ``_built`` slot,
+    which a spec made by ``dataclasses.replace`` does not share.
     """
-    basis = basis or legendre_basis(12)
-    if not 1 <= k <= basis.max_degree:
-        raise ValueError(f"k={k} outside 1..{basis.max_degree}")
-    spec = composite_spec(family, basis=basis, budget=fixed_budget(k))
-    return float(run_test(data, spec).series[-1])
+    with _ARTIFACT_LOCK:
+        if spec._built is None:
+            cap = spec.budget.cap
+            if spec.kind == "deconvolution":
+                table = _DeconvScoreTable(spec, cap)
+                moment = estimate_moment_matrix(
+                    null_sampler(spec), cap, table.evaluate, spec.l_draws, spec.l_seed
+                )
+                built = (table, moment)
+            else:
+                built = _composite_cov(spec.family, spec.beta0, spec.basis, cap)
+            object.__setattr__(spec, "_built", built)
+        return spec._built
 
 
 # ---------------------------------------------------------------------------
@@ -756,15 +738,17 @@ def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
     """(shape of one sample, block test) of ``spec`` at sample size n.
 
     Everything but the sample is fixed here, on the calling thread: d(n),
-    the kind's artifacts (score table, rank table, Sigma) and the gated
-    Cholesky factor of a covariance every sample shares, so an artifact
-    failure raises before any sample is drawn.  The test maps a block of
-    B samples, (B, n) or (B, n, 2), to their SelectionOutcome; each row's
-    numbers are those the sample gives alone.  Every kind maps the block
-    to its (score sums, Cholesky factor), the factor being None for
-    orthonormal scores, and the test forms the series from that pair.  A
-    family that is not ``invariant`` forms and gates its Sigma row by row
-    in every block.
+    the per-n rank table, the spec's :func:`_artifact` and the gated
+    Cholesky factor of the d x d block of a covariance every sample
+    shares, so an artifact failure raises before any sample is drawn.
+    Only that block is gated: a cap-sized matrix that fails the gate
+    still serves every d whose leading block passes.  The test maps a
+    block of B samples, (B, n) or (B, n, 2), to their SelectionOutcome;
+    each row's numbers are those the sample gives alone.  Every kind maps
+    the block to its (score sums, Cholesky factor), the factor being None
+    for orthonormal scores, and the test forms the series from that pair.
+    A family that is not ``invariant`` forms and gates its Sigma row by
+    row, at d, in every block.
     """
     d = spec.budget.d(n)
     basis, family = spec.basis, spec.family
@@ -775,12 +759,11 @@ def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
         table = design_matrix(basis, (np.arange(2 * n - 1) / 2 + 0.5) / n, d).T.copy()
         scores = lambda block: (_independence_sums(block, table), None)
     elif spec.kind == "deconvolution":
-        table, moment = _deconv_artifacts(spec)
+        table, moment = _artifact(spec)
         factor = _gated_factor(moment[:d, :d], d)
         scores = lambda block: (table.sums(block, d), factor)
     elif family.invariant:
-        cov = _cached(spec, ("sigma", d), lambda: _composite_cov(family, spec.beta0, basis, d))
-        factor = _gated_factor(cov, d)
+        factor = _gated_factor(_artifact(spec)[:d, :d], d)
 
         def scores(block):
             u = np.asarray(family.cdf(block, family.fit(block)), dtype=float)
@@ -876,6 +859,9 @@ def contamination_alternative(
         coeffs = {int(j): float(c) for j, c in coefficients.items() if c != 0.0}
     else:
         coeffs = {j + 1: float(c) for j, c in enumerate(coefficients) if c != 0.0}
+    for j, c in coeffs.items():
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient of degree {j} must be finite, got {c}")
     if not coeffs:
         raise ValueError("alternative needs at least one non-zero coefficient")
     jmax = max(coeffs)

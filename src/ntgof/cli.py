@@ -285,10 +285,13 @@ def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
         coeffs = alt.get("coefficients")
         if not isinstance(coeffs, dict) or not coeffs:
             raise InputError('contamination alternative needs a "coefficients" map')
-        try:
-            parsed = {int(j): float(c) for j, c in coeffs.items()}
-        except (TypeError, ValueError):
-            raise InputError("contamination coefficients must map degree -> value") from None
+        parsed = {}
+        for j, c in coeffs.items():
+            try:
+                degree = int(j)
+            except ValueError:
+                raise InputError("contamination coefficients must map degree -> value") from None
+            parsed[degree] = _config_float(c, f"coefficients[{j}]")
         return contamination_alternative(parsed)
     if alt["type"] == "noisy_copy":
         if kind != "independence":

@@ -432,6 +432,8 @@ def tail_rate_probe(
     ns = [int(n) for n in n_grid]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_grid must hold at least 2 strictly increasing sizes")
+    if ns[0] < 1:
+        raise ValueError(f"n_grid sizes must be >= 1, got {ns}")
     if replications < 100:
         raise ValueError("need at least 100 replications")
     if y < 0 or not sigma > 0:

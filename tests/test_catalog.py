@@ -20,7 +20,6 @@ import _reference
 from _reference import block_test, column_sums, deconvolution_score, quadratic_form
 from ntgof.basis import design_matrix, eval_basis, legendre_basis, score_sums, user_basis
 from ntgof.catalog import (
-    composite_score_statistic,
     composite_spec,
     contamination_alternative,
     deconvolution_spec,
@@ -290,12 +289,12 @@ def test_deconvolution_test_runs_and_caches():
     assert out1.s >= 1
     assert math.isfinite(out1.t_s)
     assert len(out1.series) == spec.budget.d(n)
-    # artifacts are built once per spec, at the budget cap: a run at
+    # the artifact is built once per spec, at the budget cap: a run at
     # n = 1296 (d = 6) reuses the table the n = 144 run built
-    (table, _), = spec._cache.values()
+    table, _ = spec._built
     big = rng.random(1296) + 0.25 * rng.standard_normal(1296)
     assert len(run_test(big, spec).series) == spec.budget.d(1296) == 6
-    (again, _), = spec._cache.values()
+    again, _ = spec._built
     assert again is table
     out2 = run_test(data, spec)
     assert out2.t_s == out1.t_s
@@ -406,7 +405,7 @@ def test_cold_spec_builds_artifacts_once_under_two_workers(monkeypatch):
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert builds == [spec.budget.cap]
-    assert len(spec._cache) == 1
+    assert type(spec._built[0]) is CountingTable
 
 
 def test_singular_moment_matrix_names_passing_dimension():
@@ -418,6 +417,45 @@ def test_singular_moment_matrix_names_passing_dimension():
         run_test(data, spec)
     assert e.value.max_dimension == 11
     assert "--dmax" not in str(e.value)  # the CLI adds its flag name
+
+
+def _zero_cross_information_family():
+    # invariant like the Gaussian location family, with I_b = 0: Sigma = I
+    return dataclasses.replace(
+        gaussian_location_family(),
+        information=lambda beta, basis, k: (np.zeros((1, k)), np.ones((1, 1))),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, changes",
+    [
+        ("deconvolution", {"noise": gaussian_noise(0.6)}),
+        ("deconvolution", {"l_seed": 1}),
+        ("composite", {"family": _zero_cross_information_family()}),
+    ],
+    ids=["noise", "l_seed", "family"],
+)
+def test_replaced_spec_builds_its_own_artifact(kind, changes):
+    # dataclasses.replace used to hand the new spec the old spec's
+    # artifacts, so it tested with the old score table or Sigma
+    rng = np.random.default_rng(40)
+    if kind == "deconvolution":
+        make = lambda **kw: deconvolution_spec(l_draws=20_000, grid_points=501, **kw)
+        data = rng.random(200) + 0.25 * rng.standard_normal(200)
+    else:
+        make, data = composite_spec, 0.3 + rng.standard_normal(200)
+    spec = make()
+    run_test(data, spec)  # builds the old spec's artifact
+    replaced = dataclasses.replace(spec, **changes)
+    assert np.array_equal(run_test(data, replaced).series, run_test(data, make(**changes)).series)
+
+
+def test_private_spec_fields_are_not_init_arguments():
+    # dataclasses.replace passes every __init__ field on, so derived state
+    # held in one would be shared with specs built from other inputs
+    private = [f for f in dataclasses.fields(CatalogSpec) if f.name.startswith("_")]
+    assert private and not any(f.init for f in private)
 
 
 def test_deconvolution_test_rejects_far_data():
@@ -517,19 +555,19 @@ def test_composite_reduces_to_cumulative_form_when_orthogonal():
     rng = np.random.default_rng(2)
     data = rng.random(100)
     for k in (1, 2, 4):
-        w = composite_score_statistic(data, flat, k)
+        w = run_test(data, composite_spec(flat, budget=fixed_budget(k))).series[-1]
         t = nt_series_from_sums(design_matrix(legendre_basis(12), data, k).sum(0), 100)[-1]
         assert w == pytest.approx(t, abs=1e-8)
 
 
 def test_composite_chi_square_mean():
     # W_1 over null replications should average near 1
-    fam = gaussian_location_family()
+    spec = composite_spec(gaussian_location_family(), budget=fixed_budget(1))
     vals = []
     rng = np.random.default_rng(5)
     for _ in range(2000):
         data = rng.standard_normal(500)
-        vals.append(composite_score_statistic(data, fam, 1))
+        vals.append(run_test(data, spec).series[-1])
     assert 0.8 < np.mean(vals) < 1.2
 
 
@@ -562,23 +600,21 @@ def test_composite_singular_middle_factor():
     rng = np.random.default_rng(8)
     for family in (bad, no_info):
         with pytest.raises(SingularMatrixError):
-            composite_score_statistic(rng.random(50), family, 2)
+            run_test(rng.random(50), composite_spec(family, budget=fixed_budget(2)))
         # declared invariant, the shared Sigma fails the same way
         spec = composite_spec(family=dataclasses.replace(family, invariant=True))
         with pytest.raises(SingularMatrixError):
             run_test(rng.random(50), spec)
-
-
-@pytest.mark.parametrize("invariant", [True, False])
-def test_composite_score_statistic_is_the_prepared_test(invariant):
-    family = dataclasses.replace(gaussian_location_family(), invariant=invariant)
-    data = 0.2 + np.random.default_rng(24).standard_normal(300)
-    for k in (1, 3, 6):
-        spec = composite_spec(family, budget=fixed_budget(k))
-        want = run_test(data, spec).series[-1]
-        assert composite_score_statistic(data, family, k) == want
-    with pytest.raises(ValueError, match="k=13 outside 1..12"):
-        composite_score_statistic(data, family, 13)
+    # singular only in the cap's last direction: the invariant Sigma is
+    # built at the cap, and only the d x d block a test uses is gated
+    last_only = dataclasses.replace(
+        bad,
+        information=lambda beta, basis, k: (np.eye(1, k, k - 1), np.ones((1, 1))),
+        invariant=True,
+    )
+    data = rng.random(50)
+    out = run_test(data, composite_spec(family=last_only))
+    assert np.array_equal(out.series, run_test(data, uniformity_spec()).series)
 
 
 def test_invariant_block_path_matches_row_path():
@@ -673,7 +709,7 @@ def test_uniformity_series_equals_nt_series_of_design_matrix():
 
 def test_deconvolution_sums_of_a_block_row_equal_the_row_alone():
     spec = small_deconv_spec()
-    table, _ = catalog._deconv_artifacts(spec)
+    table, _ = catalog._artifact(spec)
     rng = np.random.default_rng(15)
     block = rng.random((64, 500)) + 0.25 * rng.standard_normal((64, 500))
     block[0, :3] = [-1.9, 2.9, table.grid[7]]  # clamped ends and a grid point
@@ -893,6 +929,13 @@ def test_contamination_rejects_non_density():
     # 1 + 0.6 b_1 dips below zero near x = 0
     with pytest.raises(ValueError, match="density"):
         contamination_alternative({1: 0.6})
+    # a NaN coefficient used to pass the density check, which NaN fails
+    # to trip, and broke the sampler
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="degree 2 must be finite"):
+            contamination_alternative({1: 0.1, 2: bad})
+        with pytest.raises(ValueError, match="degree 1 must be finite"):
+            contamination_alternative([bad])
 
 
 def test_contamination_rejects_empty():

@@ -286,8 +286,11 @@ NOISY_COPY = {"type": "noisy_copy", "noise_sd": 0.5}
          "factor"),
         ("power", "independence",
          {"n_grid": [100], "alternative": dict(NOISY_COPY, noise_sd=None)}, "noise_sd"),
+        ("power", "uniformity",
+         {"n_grid": [100], "alternative": dict(CONTAMINATION, coefficients={"1": None})},
+         "coefficients[1]"),
     ],
-    ids=["noise_sigma", "beta0", "threshold", "sigma", "y", "factor", "noise_sd"],
+    ids=["noise_sigma", "beta0", "threshold", "sigma", "y", "factor", "noise_sd", "coefficients"],
 )
 @pytest.mark.parametrize(
     "value, shown", [(True, "true"), ("wide", '"wide"'), (math.nan, "NaN"), (-math.inf, "-Infinity")]

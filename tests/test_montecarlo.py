@@ -222,9 +222,9 @@ def test_samplers_of_varying_draws_match_substream_loop(monkeypatch, block, deco
             assert point.rejection_rate == float(np.mean(t_alt > crit))
 
 
-def test_information_blocks_built_once_per_dimension(monkeypatch):
+def test_information_blocks_built_once_per_spec(monkeypatch):
     # the Gaussian location family is invariant: Sigma is formed once per
-    # (spec, d), not once per replication
+    # spec, at the cap, not once per replication or per dimension
     dims = []
 
     def counting(family, beta, basis, k):
@@ -235,10 +235,10 @@ def test_information_blocks_built_once_per_dimension(monkeypatch):
     monkeypatch.setattr(catalog, "information_blocks", counting)
     spec = composite_spec()
     null_distribution(spec, 500, MonteCarloConfig(replications=2000, seed=7))
-    assert dims == [spec.budget.d(500)]
+    assert dims == [spec.budget.cap]
     null_distribution(spec, 500, MonteCarloConfig(replications=100, seed=8))
     null_distribution(spec, 5000, MonteCarloConfig(replications=100, seed=8))
-    assert dims == [spec.budget.d(500), spec.budget.d(5000)]
+    assert dims == [spec.budget.cap]
     assert spec.budget.d(500) != spec.budget.d(5000)
 
 
@@ -592,6 +592,9 @@ def test_tail_rate_validation():
         tail_rate_probe(rademacher, 0.0, 1.0, 0.5, n_grid=(16, 32), replications=50, seed=0)
     with pytest.raises(ValueError):
         tail_rate_probe(rademacher, 0.0, -1.0, 0.5, n_grid=(16, 32), replications=200, seed=0)
+    # a size of 0 used to average empty samples and report a tail of 0
+    with pytest.raises(ValueError, match=r"n_grid sizes must be >= 1, got \[0, 16\]"):
+        tail_rate_probe(rademacher, 0.0, 1.0, 0.5, n_grid=(0, 16), replications=200, seed=0)
 
 
 # ---------------------------------------------------------------------------

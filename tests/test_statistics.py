@@ -7,7 +7,7 @@ import pytest
 
 from _reference import block_test, column_sums, quadratic_form, substream
 from ntgof.basis import design_matrix, legendre_basis
-from ntgof.catalog import _deconv_artifacts, deconvolution_spec, uniformity_spec
+from ntgof.catalog import _artifact, deconvolution_spec, uniformity_spec
 from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
 from ntgof.selection import fixed_budget
 from ntgof.statistics import estimate_moment_matrix, nt_series_from_sums
@@ -282,7 +282,7 @@ def test_series_gates_every_row_of_a_batch():
 
 def small_deconv_scores_and_moment():
     # the real moment matrix at the cap (12) of a cheap deconvolution spec
-    table, moment = _deconv_artifacts(deconvolution_spec(l_draws=20_000, grid_points=501))
+    table, moment = _artifact(deconvolution_spec(l_draws=20_000, grid_points=501))
     rng = np.random.default_rng(33)
     y = rng.random(400) + 0.25 * rng.standard_normal(400)
     return table.evaluate(y), moment
