@@ -167,17 +167,26 @@ def score_sums(basis: OrthonormalBasis, x, k: int) -> np.ndarray:
     """Score sums sum_i b_j(x_i), j = 1..k, of each sample in x.
 
     ``x`` holds samples along its last axis, (..., n), and the result is
-    (..., k).  The scores are formed one degree at a time, and each sum
-    is NumPy's pairwise sum along one sample's contiguous row, so a
-    sample's sums do not depend on the samples beside it and equal
-    ``np.add.reduce`` over the contiguous columns of
-    :func:`design_matrix`.  No (..., n, k) array is formed.
+    (..., k).  The scores are formed one degree at a time and summed by
+    :func:`_sum_planes`, so the sums equal ``np.add.reduce`` over the
+    contiguous columns of :func:`design_matrix`.  No (..., n, k) array
+    is formed.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 1:
         raise ValueError("score sums need samples along a last axis")
-    planes = _score_planes(basis, x, k)
-    out = np.empty(x.shape[:-1] + (k,))
+    return _sum_planes(_score_planes(basis, x, k), x.shape[:-1], k)
+
+
+def _sum_planes(planes, lead: tuple[int, ...], k: int) -> np.ndarray:
+    """(*lead, k) sums of k score planes, each (*lead, n), along their last axis.
+
+    This is the summation rule of every kind's score sums: each degree
+    is summed by NumPy's pairwise sum along one sample's contiguous row,
+    so a sample's sums do not depend on the samples beside it and any
+    block size gives the same bits.
+    """
+    out = np.empty(lead + (k,))
     for j, plane in enumerate(planes):
         np.add.reduce(np.ascontiguousarray(plane), axis=-1, out=out[..., j])
     return out

@@ -95,6 +95,7 @@ import numpy as np
 from .basis import (
     OrthonormalBasis,
     _gauss_legendre,
+    _sum_planes,
     design_matrix,
     eval_basis,
     legendre_basis,
@@ -105,6 +106,8 @@ from .selection import (
     DimensionBudget,
     PenaltySchedule,
     SelectionOutcome,
+    _penalties,
+    _select,
     default_budget,
     schwarz_schedule,
     select_dimension,
@@ -170,13 +173,11 @@ class NoiseDensity:
     sampler: Callable[[np.random.Generator, int], np.ndarray]
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("noise scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"noise scale must be finite and positive, got {self.scale!r}")
 
 
 def gaussian_noise(sigma: float) -> NoiseDensity:
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
     return NoiseDensity(
         name=f"gaussian({sigma:g})",
         pdf=lambda e: np.exp(-0.5 * (e / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi)),
@@ -254,15 +255,13 @@ class AlternativeSpec:
     returns: the Monte Carlo engine moves one generator on to the next
     replication's stream after each call.  ``first_component`` is the
     index K of the first score direction the alternative actually
-    excites (when known), and ``leading_coefficient`` the corresponding
-    score mean; consistency probes use them to know which P(S >= K)
-    should climb to one.
+    excites (when known); consistency probes use it to know which
+    P(S >= K) should climb to one.
     """
 
     name: str
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     first_component: int | None = None
-    leading_coefficient: float | None = None
 
 
 @dataclass(frozen=True)
@@ -395,19 +394,16 @@ def composite_spec(
 # uniformity and rank independence
 
 
-def _check_sample(data, ncols: int | None, batched: bool = False) -> np.ndarray:
-    """One sample (n,) or (n, ncols); with ``batched``, a block of them."""
+def _check_sample(data, ncols: int | None) -> np.ndarray:
+    """One sample, (n,) or (n, ncols), of at least 2 observations."""
     data = np.asarray(data, dtype=float)
-    lead = int(batched)
-    want = (1 if ncols is None else 2) + lead
+    want = 1 if ncols is None else 2
     if data.ndim != want:
         raise ValueError(f"data must be {want}-dimensional, got shape {data.shape}")
     if ncols is not None and data.shape[-1] != ncols:
         raise ValueError(f"data must have {ncols} columns, got {data.shape[-1]}")
-    if data.shape[lead] < 2:
+    if data.shape[0] < 2:
         raise ValueError("need at least 2 observations")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("data contains non-finite values")
     return data
 
 
@@ -457,20 +453,6 @@ def rank_transform(values) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("values contain non-finite entries")
     return (_midranks(values) + 1) / (2 * values.size)
-
-
-def _independence_sums(block, table: np.ndarray) -> np.ndarray:
-    """(B, d) product-score sums of a (B, n, 2) block of pairs.
-
-    Row j of the per-n (d, 2n - 1) ``table`` holds b_j at every mid-rank
-    (m/2 + 1/2) / n, so each score is a lookup at the entry's
-    :func:`_midranks` value.
-    """
-    u, v = (_midranks(block[..., c]) for c in (0, 1))
-    sums = np.empty((block.shape[0], table.shape[0]))
-    for j, col in enumerate(table):
-        sums[:, j] = np.add.reduce(np.take(col, u) * np.take(col, v), axis=-1)
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -596,16 +578,9 @@ class _DeconvScoreTable:
         return np.ascontiguousarray(self._interp(i, dy, slice(None)).T)
 
     def sums(self, block, k: int) -> np.ndarray:
-        """(B, k) sums of l_1..l_k over each row of a (B, n) block.
-
-        Each sum is NumPy's pairwise sum of one degree's scores along the
-        sample's contiguous row.
-        """
+        """(B, k) sums of l_1..l_k over each row of a (B, n) block, one degree at a time."""
         i, dy = self._cells(block)
-        out = np.empty(dy.shape[:-1] + (k,))
-        for j in range(k):
-            np.add.reduce(self._interp(i, dy, j), axis=-1, out=out[..., j])
-        return out
+        return _sum_planes((self._interp(i, dy, j) for j in range(k)), dy.shape[:-1], k)
 
 
 # ---------------------------------------------------------------------------
@@ -738,26 +713,35 @@ def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
     """(shape of one sample, block test) of ``spec`` at sample size n.
 
     Everything but the sample is fixed here, on the calling thread: d(n),
-    the per-n rank table, the spec's :func:`_artifact` and the gated
-    Cholesky factor of the d x d block of a covariance every sample
-    shares, so an artifact failure raises before any sample is drawn.
-    Only that block is gated: a cap-sized matrix that fails the gate
-    still serves every d whose leading block passes.  The test maps a
-    block of B samples, (B, n) or (B, n, 2), to their SelectionOutcome;
-    each row's numbers are those the sample gives alone.  Every kind maps
+    the penalties pi(1..d, n), the per-n rank table, the spec's
+    :func:`_artifact` and the gated Cholesky factor of the d x d block of
+    a covariance every sample shares, so a penalty or artifact failure
+    raises before any sample is drawn.  Only that block is gated: a
+    cap-sized matrix that fails the gate still serves every d whose
+    leading block passes.  The test maps a block of B samples, (B, n) or
+    (B, n, 2) with n >= 2, to their SelectionOutcome; its callers have
+    checked that shape, so it checks only that the values are finite.
+    Each row's numbers are those the sample gives alone.  Every kind maps
     the block to its (score sums, Cholesky factor), the factor being None
     for orthonormal scores, and the test forms the series from that pair.
-    A family that is not ``invariant`` forms and gates its Sigma row by
-    row, at d, in every block.
+    Each kind's sums go through :func:`_sum_planes`.  A family that is
+    not ``invariant`` forms and gates its Sigma row by row, at d, in
+    every block.
     """
     d = spec.budget.d(n)
+    pens = _penalties(spec.penalty, d, n)
     basis, family = spec.basis, spec.family
     if spec.kind == "uniformity":
         scores = lambda block: (score_sums(basis, block, d), None)
     elif spec.kind == "independence_rank":
-        # b_j at the mid-ranks (m/2 + 1/2) / n, m = 0..2n-2
+        # row j holds b_j at every mid-rank (m/2 + 1/2) / n, m = 0..2n-2,
+        # so each product score is a lookup at its entries' _midranks
         table = design_matrix(basis, (np.arange(2 * n - 1) / 2 + 0.5) / n, d).T.copy()
-        scores = lambda block: (_independence_sums(block, table), None)
+
+        def scores(block):
+            u, v = (_midranks(block[..., c]) for c in (0, 1))
+            planes = (np.take(col, u) * np.take(col, v) for col in table)
+            return _sum_planes(planes, block.shape[:1], d), None
     elif spec.kind == "deconvolution":
         table, moment = _artifact(spec)
         factor = _gated_factor(moment[:d, :d], d)
@@ -778,13 +762,13 @@ def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
                 covs.append(_composite_cov(family, beta, basis, d))
             return score_sums(basis, np.array(us), d), _gated_factor(np.array(covs), d)
 
-    ncols = 2 if spec.kind == "independence_rank" else None
-
     def test(block) -> SelectionOutcome:
-        sums, factor = scores(_check_sample(block, ncols, batched=True))
-        return select_dimension(_series(sums, n, factor), spec.penalty, n)
+        if not np.all(np.isfinite(block)):
+            raise ValueError("data contains non-finite values")
+        sums, factor = scores(block)
+        return _select(_series(sums, n, factor), pens)
 
-    return (n,) if ncols is None else (n, ncols), test
+    return (n, 2) if spec.kind == "independence_rank" else (n,), test
 
 
 def run_test(data, spec: TestSpec) -> SelectionOutcome:
@@ -821,8 +805,8 @@ def noisy_copy_pairs(noise_sd: float, name: str | None = None) -> AlternativeSpe
     correlation excites the first product-score direction, so the
     declared first component is 1.
     """
-    if not noise_sd >= 0:
-        raise ValueError("noise_sd must be >= 0")
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         x = rng.standard_normal(n)
@@ -902,5 +886,4 @@ def contamination_alternative(
         name=label,
         sampler=sampler,
         first_component=first,
-        leading_coefficient=coeffs[first],
     )

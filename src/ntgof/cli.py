@@ -151,25 +151,19 @@ def _read_csv_columns(path: str, columns: tuple[str, ...]) -> np.ndarray:
                 raise InputError(
                     f"{path}, line {lineno}: expected {len(columns)} fields, got {len(row)}"
                 )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_number(c))
-                raise InputError(
-                    f"{path}, line {lineno}: could not parse {bad.strip()!r} as a number"
-                ) from None
+            values = []
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise InputError(
+                        f"{path}, line {lineno}: could not parse {cell.strip()!r} as a number"
+                    ) from None
+            rows.append(values)
     if not rows:
         raise InputError(f"{path}: no data rows")
     data = np.array(rows, dtype=float)
     return data[:, 0] if len(columns) == 1 else data
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _read_penalty_table(path: str) -> PenaltySchedule:

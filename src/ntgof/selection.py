@@ -194,11 +194,21 @@ def select_dimension(series, penalty: PenaltySchedule, n: int) -> SelectionOutco
     series = np.asarray(series, dtype=float)
     if series.ndim < 1 or series.shape[-1] < 1:
         raise ValueError("series must be a non-empty array, dimensions on the last axis")
-    if not np.all(np.isfinite(series)):
-        raise ValueError("series contains non-finite values")
-    pens = np.array([penalty.pi(k, n) for k in range(1, series.shape[-1] + 1)], dtype=float)
+    return _select(series, _penalties(penalty, series.shape[-1], n))
+
+
+def _penalties(penalty: PenaltySchedule, d: int, n: int) -> np.ndarray:
+    """pi(1, n), ..., pi(d, n), checked finite."""
+    pens = np.array([penalty.pi(k, n) for k in range(1, d + 1)], dtype=float)
     if not np.all(np.isfinite(pens)):
         raise ValueError("penalty schedule produced non-finite values")
+    return pens
+
+
+def _select(series: np.ndarray, pens: np.ndarray) -> SelectionOutcome:
+    """:func:`select_dimension` of a float series (..., d) with its d penalties."""
+    if not np.all(np.isfinite(series)):
+        raise ValueError("series contains non-finite values")
     penalized = series - pens
     s = np.argmax(penalized, axis=-1) + 1  # first maximum = smallest index
     if series.ndim == 1:

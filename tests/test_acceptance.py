@@ -7,6 +7,8 @@ every random quantity is seeded, so the whole suite is deterministic.
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -259,6 +261,11 @@ def test_criterion_10_determinism(tmp_path):
         "n_grid": [100, 300],
         "alternative": {"type": "contamination", "coefficients": {"2": 0.3}},
     }))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     outputs = {}
     for name, args in (
         ("calibrate", ["calibrate", "--input", str(cal_cfg), "--mc-reps", "400", "--seed", "11"]),
@@ -268,6 +275,7 @@ def test_criterion_10_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-c", BLOCK_CLI.format(block=block), *args],
                 capture_output=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outputs[(name, block)] = proc.stdout

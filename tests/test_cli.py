@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +11,20 @@ import numpy as np
 import pytest
 
 from ntgof.cli import dump_report, main
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv):
+    """``python -m ntgof argv`` in a child that imports this checkout's ntgof."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "ntgof", *argv], capture_output=True, text=True, env=env
+    )
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +164,28 @@ def test_incomplete_penalty_table(tmp_path, capsys):
     )
     assert code == 2
     assert "no entry" in err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("calibrate", {"n": 500}),
+        ("power", {"n_grid": [500, 1000],
+                   "alternative": {"type": "contamination", "coefficients": {"2": 0.3}}}),
+    ],
+)
+def test_penalty_table_gap_is_not_blamed_on_a_replication(tmp_path, capsys, command, config):
+    # the schedule is evaluated before anything is drawn
+    table = tmp_path / "pi.csv"
+    table.write_text("k,n,pi\n1,500,6.2\n")  # d(500) = 4, so k = 2 is missing
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, command, "--input", str(cfg), "--penalty", f"table:{table}",
+        "--mc-reps", "100",
+    )
+    assert (code, out) == (2, "")
+    assert err == "ntgof: penalty table has no entry for (k=2, n=500)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +621,14 @@ def test_probe_requires_known_name(tmp_path, capsys):
 
 def test_module_entry_runs(tmp_path):
     path = write_uniform_csv(tmp_path / "u.csv", n=80)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ntgof", "test", "--input", path, "--mc-reps", "200"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("test", "--input", path, "--mc-reps", "200")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["command"] == "test"
 
 
 def test_help_exits_zero():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ntgof", "--help"], capture_output=True, text=True
-    )
+    proc = run_module("--help")
     assert proc.returncode == 0
     for sub in ("test", "calibrate", "power", "probe"):
         assert sub in proc.stdout

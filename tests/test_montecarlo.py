@@ -22,6 +22,7 @@ from ntgof.catalog import (
     independence_spec,
 )
 from ntgof.errors import SingularMatrixError
+from ntgof.selection import table_schedule
 from ntgof.montecarlo import (
     MonteCarloConfig,
     consistency_probe,
@@ -480,6 +481,27 @@ def test_block_rows_shrink_at_large_n(monkeypatch):
     monkeypatch.setattr(montecarlo, "_BLOCK_OBS", 2**16)
     assert np.array_equal(null_distribution(spec, 20_000, cfg).statistics, big.statistics)
     assert sizes == [3] * 33 + [1]
+
+
+@pytest.mark.parametrize("study", ["probe", "power"])
+def test_penalty_table_gap_raises_before_any_draw(monkeypatch, study):
+    # the schedule is evaluated at (1..d, n) when the test is prepared, so
+    # a table without an entry fails untagged, and nothing is drawn
+    calls = []
+
+    def sampler(rng, n):
+        calls.append(n)
+        return rng.random(n)
+
+    monkeypatch.setattr(montecarlo, "null_sampler", lambda spec: sampler)
+    spec = uniformity_spec(penalty=table_schedule({(1, 100): 4.6}))
+    alt = AlternativeSpec(name="uniform", sampler=sampler, first_component=1)
+    cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(100,))
+    run = consistency_probe if study == "probe" else power_curve
+    with pytest.raises(KeyError) as e:
+        run(spec, alt, cfg)
+    assert e.value.args == ("penalty table has no entry for (k=2, n=100)",)
+    assert calls == []
 
 
 def test_sampler_must_draw_n_observations():
