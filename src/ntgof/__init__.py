@@ -9,8 +9,7 @@ Layout:
 - :mod:`ntgof.basis` -- orthonormal score systems on [0, 1] (shifted
   Legendre by default) and their envelope constants.
 - :mod:`ntgof.statistics` -- the nested quadratic-form series every
-  test forms from its score sums, and Monte Carlo estimation of score
-  moment matrices.
+  test forms from its score sums.
 - :mod:`ntgof.selection` -- penalty schedules, dimension budgets, the
   penalized selector, and admissibility validators.
 - :mod:`ntgof.majorant` -- finite-sample tail bounds and their
@@ -93,6 +92,6 @@ from .selection import (
     table_schedule,
     validate_penalty,
 )
-from .statistics import estimate_moment_matrix, nt_series_from_sums
+from .statistics import nt_series_from_sums
 
 __version__ = "0.1.0"

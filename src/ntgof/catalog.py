@@ -45,9 +45,10 @@ deconvolution
     computed arithmetically from the spacing and corrected by one
     comparison each way against the grid, then the scores are
     interpolated linearly.
-    These are not orthonormal, so the moment matrix is
-    estimated from the null sampler, also once at the cap, and the
-    statistic series uses its nested leading blocks.
+    These are not orthonormal, so the table also holds their moment
+    matrix over draws of the null sampler, formed from each grid cell's
+    count, sum of dy and sum of dy^2 (the scores are linear in a cell),
+    and the statistic series uses its nested leading blocks.
 
 composite
     The null is a parametric family {F(.; beta)}.  With beta estimated
@@ -72,7 +73,7 @@ composite
     row, with Sigma at each row's own beta_hat and dimension.
 
 Each spec builds at most one artifact (the deconvolution score table
-and moment matrix, or an invariant family's Sigma), from its own inputs
+with its moment matrix, or an invariant family's Sigma), from its own inputs
 and at its cap; a spec made from it by ``dataclasses.replace`` builds
 its own.
 
@@ -92,16 +93,18 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._rng import KeyedStreams
 from .basis import (
     OrthonormalBasis,
     _gauss_legendre,
+    _score_planes,
     _sum_planes,
     design_matrix,
     eval_basis,
     legendre_basis,
     score_sums,
 )
-from .errors import NumericError, SingularMatrixError
+from .errors import NumericError, ScoreMeanError, SingularMatrixError
 from .selection import (
     DimensionBudget,
     PenaltySchedule,
@@ -112,7 +115,7 @@ from .selection import (
     schwarz_schedule,
     select_dimension,
 )
-from .statistics import _gated_factor, _series, estimate_moment_matrix
+from .statistics import _gated_factor, _series
 
 __all__ = [
     "NullDensity",
@@ -460,14 +463,19 @@ def rank_transform(values) -> np.ndarray:
 
 
 # Gauss-Legendre nodes per grid point of the deconvolution score table,
-# and grid rows integrated at once; a block's largest array, the basis
-# values, holds _DECONV_BLOCK * _DECONV_NODES * k floats.
+# and grid rows integrated at once; a block's largest array, one degree's
+# basis values, holds _DECONV_BLOCK * _DECONV_NODES floats.
 _DECONV_NODES = 64
 _DECONV_BLOCK = 256
 
+# Null draws per chunk of the moment matrix, and the number of standard
+# errors a score component's mean may lie from zero.
+_MOMENT_CHUNK = 4096
+_MEAN_GATE = 4.0
+
 
 class _DeconvScoreTable:
-    """Scores l_1..l_k tabulated on a y-grid, evaluated by interpolation.
+    """Scores l_1..l_k tabulated on a y-grid, and their null moment matrix.
 
     Direct quadrature per observation is exact but prohibitive inside a
     Monte Carlo loop; a fixed fine grid keeps evaluation deterministic
@@ -480,8 +488,15 @@ class _DeconvScoreTable:
     support's ends, so the rule sees f0 only where it should be smooth;
     a null density with kinks or spikes inside its support needs an
     adaptive rule instead.  Each degree keeps one contiguous row of
-    scores and one of cell slopes, and :meth:`evaluate` and :meth:`sums`
-    both interpolate through :meth:`_interp`.
+    scores and one of cell slopes, and :meth:`sums` interpolates them
+    through :meth:`_interp`.
+
+    ``moment`` is the k x k second-moment matrix N^{-1} sum l(Y_i)
+    l(Y_i)^T of the interpolated scores over the spec's ``l_draws`` null
+    draws, in chunks of _MOMENT_CHUNK, chunk c drawn from the stream
+    ``SeedSequence(entropy=l_seed, spawn_key=(c,))``.  The scores are
+    linear in each grid cell, l(y) = S_i + G_i dy, so the draws enter
+    only through each cell's count, sum of dy and sum of dy^2.
     """
 
     def __init__(self, spec: TestSpec, k: int):
@@ -510,12 +525,14 @@ class _DeconvScoreTable:
                     f"noise-smoothed null density vanishes at y={bad:.6g}; score undefined"
                 )
             u = np.clip(null_d.cdf(s), 0.0, 1.0)
-            num = np.einsum("bn,bnj->bj", weighted, design_matrix(spec.basis, u, k))
-            bad_rows = ~(np.isfinite(den) & np.all(np.isfinite(num), axis=1))
+            block = self.scores[:, start : start + _DECONV_BLOCK]
+            # one degree at a time, so no (rows, nodes, k) array is formed
+            for j, plane in enumerate(_score_planes(spec.basis, u, k)):
+                np.divide(np.einsum("bn,bn->b", weighted, plane), den, out=block[j])
+            bad_rows = ~(np.isfinite(den) & np.all(np.isfinite(block), axis=0))
             if np.any(bad_rows):
                 bad = float(y[np.argmax(bad_rows), 0])
                 raise NumericError(f"quadrature failed at y={bad:.6g}")
-            self.scores[:, start : start + _DECONV_BLOCK] = (num / den[:, None]).T
         # slope of each grid cell; the zero past the last point makes
         # points clamped to grid[-1] read scores[:, -1] exactly
         self._slopes = np.zeros_like(self.scores)
@@ -525,6 +542,44 @@ class _DeconvScoreTable:
         # cell, a single point, has none)
         self._cells_per_unit = (spec.grid_points - 1) / (self.grid[-1] - self.grid[0])
         self._upper = np.append(self.grid[1:], np.inf)
+        self.moment = self._moment_matrix(null_sampler(spec), spec.l_draws, spec.l_seed)
+
+    def _moment_matrix(self, sampler, draws: int, seed: int) -> np.ndarray:
+        """The class docstring's ``moment``, after the mean gate.
+
+        Each component mean must land within _MEAN_GATE standard errors of
+        zero; a violation means the sampler is not the null of this score
+        system and raises ScoreMeanError rather than returning a biased
+        matrix.  A draw that is not finite, or is more than 8 noise scales
+        from the support, raises NumericError.
+        """
+        cells = self.grid.size
+        count, s1, s2 = np.zeros(cells), np.zeros(cells), np.zeros(cells)
+        chunks = range(0, draws, _MOMENT_CHUNK)
+        for start, (_, rng) in zip(chunks, KeyedStreams(seed, ()).rows(0, len(chunks))):
+            m = min(_MOMENT_CHUNK, draws - start)
+            y = np.asarray(sampler(rng, m), dtype=float)
+            if y.shape != (m,):
+                raise ValueError(f"null sampler drew shape {y.shape}, expected ({m},)")
+            i, dy = self._cells(y)
+            count += np.bincount(i, minlength=cells)
+            s1 += np.bincount(i, dy, minlength=cells)
+            s2 += np.bincount(i, dy * dy, minlength=cells)
+        scores, slopes = self.scores, self._slopes
+        cross = (scores * s1) @ slopes.T
+        moment = (scores * count) @ scores.T + cross + cross.T + (slopes * s2) @ slopes.T
+        moment /= draws
+        mean = (scores @ count + slopes @ s1) / draws
+        se = np.sqrt(np.maximum(np.diag(moment) - mean * mean, 0.0) / draws)
+        off = np.abs(mean) > _MEAN_GATE * np.maximum(se, 1e-300)
+        if np.any(off):
+            j = int(np.argmax(off))
+            raise ScoreMeanError(
+                f"component {j + 1} has mean {mean[j]:.4e} "
+                f"({abs(mean[j]) / max(se[j], 1e-300):.1f} standard errors from zero); "
+                "sampler and score system disagree about the null"
+            )
+        return 0.5 * (moment + moment.T)
 
     def _cells(self, y) -> tuple[np.ndarray, np.ndarray]:
         """(i, y - grid[i]) of each point y, clamped to the grid, in y's shape.
@@ -554,28 +609,16 @@ class _DeconvScoreTable:
         i += self._upper[i] <= y
         return i, y - grid[i]
 
-    def _interp(self, i, dy, rows) -> np.ndarray:
-        """Scores of the table rows ``rows`` at cells i, with dy = y - grid[i].
+    def _interp(self, i, dy, j: int) -> np.ndarray:
+        """Scores of degree j + 1 at cells i, with dy = y - grid[i], in i's shape.
 
-        ``rows`` is one degree's row index, which gives that degree's
-        scores in i's shape, or a slice of rows, which gives one such plane
-        per degree along a new first axis.  Linear interpolation, clamped
-        outside the grid: slope[i] * dy + score[i], the same numbers as
-        ``np.interp`` degree by degree.
+        Linear interpolation, clamped outside the grid: slope[i] * dy +
+        score[i], the same numbers as ``np.interp``.
         """
-        out = np.take(self._slopes[rows], i, axis=-1)
+        out = np.take(self._slopes[j], i)
         out *= dy
-        out += np.take(self.scores[rows], i, axis=-1)
+        out += np.take(self.scores[j], i)
         return out
-
-    def evaluate(self, y) -> np.ndarray:
-        """(m, k) scores l_1..l_k at the m points y, as a C-contiguous array.
-
-        :func:`estimate_moment_matrix` forms s.T @ s from it, and a
-        transposed view could take another BLAS path and other bits.
-        """
-        i, dy = self._cells(y)
-        return np.ascontiguousarray(self._interp(i, dy, slice(None)).T)
 
     def sums(self, block, k: int) -> np.ndarray:
         """(B, k) sums of l_1..l_k over each row of a (B, n) block, one degree at a time."""
@@ -684,21 +727,17 @@ _ARTIFACT_LOCK = threading.Lock()
 def _artifact(spec: TestSpec):
     """The spec's one artifact, built from its own inputs at the budget cap.
 
-    For deconvolution it is (score table, moment matrix), for an
-    ``invariant`` composite family Sigma at beta0.  A test at dimension d
-    slices the leading d columns or d x d block, so moving between sample
-    sizes never rebuilds it.  It lives in the spec's ``_built`` slot,
+    For deconvolution it is the score table, which holds the moment
+    matrix, for an ``invariant`` composite family Sigma at beta0.  A test
+    at dimension d slices the leading d rows or d x d block, so moving
+    between sample sizes never rebuilds it.  It lives in the spec's ``_built`` slot,
     which a spec made by ``dataclasses.replace`` does not share.
     """
     with _ARTIFACT_LOCK:
         if spec._built is None:
             cap = spec.budget.cap
             if spec.kind == "deconvolution":
-                table = _DeconvScoreTable(spec, cap)
-                moment = estimate_moment_matrix(
-                    null_sampler(spec), cap, table.evaluate, spec.l_draws, spec.l_seed
-                )
-                built = (table, moment)
+                built = _DeconvScoreTable(spec, cap)
             else:
                 built = _composite_cov(spec.family, spec.beta0, spec.basis, cap)
             object.__setattr__(spec, "_built", built)
@@ -743,8 +782,8 @@ def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
             planes = (np.take(col, u) * np.take(col, v) for col in table)
             return _sum_planes(planes, block.shape[:1], d), None
     elif spec.kind == "deconvolution":
-        table, moment = _artifact(spec)
-        factor = _gated_factor(moment[:d, :d], d)
+        table = _artifact(spec)
+        factor = _gated_factor(table.moment[:d, :d], d)
         scores = lambda block: (table.sums(block, d), factor)
     elif family.invariant:
         factor = _gated_factor(_artifact(spec)[:d, :d], d)

@@ -154,11 +154,14 @@ def _read_csv_columns(path: str, columns: tuple[str, ...]) -> np.ndarray:
             values = []
             for cell in row:
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise InputError(
                         f"{path}, line {lineno}: could not parse {cell.strip()!r} as a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise InputError(f"{path}, line {lineno}: {cell.strip()!r} is not finite")
+                values.append(value)
             rows.append(values)
     if not rows:
         raise InputError(f"{path}: no data rows")
@@ -276,6 +279,11 @@ def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
     if not isinstance(alt, dict) or "type" not in alt:
         raise InputError('config needs an "alternative" object with a "type"')
     if alt["type"] == "contamination":
+        if kind == "independence":
+            raise InputError(
+                'config "alternative": a contamination alternative draws single values, '
+                "and --kind independence tests (x, y) pairs"
+            )
         coeffs = alt.get("coefficients")
         if not isinstance(coeffs, dict) or not coeffs:
             raise InputError('contamination alternative needs a "coefficients" map')

@@ -17,36 +17,21 @@ the sums and n: with the lower Cholesky factor Sigma = L L^T, T_k is
 the k-th cumulative sum of squares of L^{-1} v.  Orthonormal scores
 have Sigma = I, and the series is the plain cumulative sum of squares
 of v.
-
-Sigma is rarely available in closed form outside the orthonormal case,
-so :func:`estimate_moment_matrix` estimates the second-moment matrix
-E_0 l(Y)^T l(Y) from a null sampler by plain Monte Carlo: accumulate it
-in fixed-size chunks (chunk i on the stream
-``SeedSequence(entropy=seed, spawn_key=(i,))`` starts, reduced in chunk
-order) and sanity-check that every component mean is within a few
-standard errors of zero.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from ._rng import KeyedStreams
-from .errors import NumericError, ScoreMeanError, SingularMatrixError
+from .errors import SingularMatrixError
 
-__all__ = ["nt_series_from_sums", "estimate_moment_matrix"]
+__all__ = ["nt_series_from_sums"]
 
 # Relative eigenvalue floor below which a moment matrix is declared
 # singular (condition number gate of 1e10).
 _COND_GATE = 1e-10
-
-# Draws per chunk of a moment-matrix estimate, and the number of
-# standard errors a score component's mean may lie from zero.
-_MOMENT_CHUNK = 4096
-_MEAN_GATE = 4.0
 
 
 def _fails_gate(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,58 +100,3 @@ def _series(sums: np.ndarray, n: int, factor=None) -> np.ndarray:
     if factor is not None:
         v = np.linalg.solve(factor, v[..., None])[..., 0]
     return np.cumsum(v * v, axis=-1)
-
-
-def estimate_moment_matrix(
-    null_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    k: int,
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    draws: int,
-    seed: int,
-) -> np.ndarray:
-    """Empirical second-moment matrix n^{-1} sum l(Y_i)^T l(Y_i).
-
-    ``evaluate`` maps a batch of m observations to their (m, k) score
-    matrix.  Draws come from ``null_sampler(rng, m)`` in chunks of
-    _MOMENT_CHUNK, chunk i drawing from the stream of
-    ``SeedSequence(entropy=seed, spawn_key=(i,))``, and partial sums
-    are accumulated in chunk order.  Each component mean must land
-    within _MEAN_GATE standard errors of zero; a violation means the
-    sampler is not the null of this score system and raises
-    ScoreMeanError rather than returning a biased matrix.
-    Non-finite sums, from a sampler or score system that returned NaN
-    or infinity, raise NumericError.
-    """
-    if k < 1:
-        raise ValueError("score dimension k must be >= 1")
-    if draws < 10 * k * k:
-        raise ValueError(f"need at least 10*k^2 = {10 * k * k} draws, got {draws}")
-    outer = np.zeros((k, k))
-    total = np.zeros(k)
-    chunks = range(0, draws, _MOMENT_CHUNK)
-    for start, (_, rng) in zip(chunks, KeyedStreams(seed, ()).rows(0, len(chunks))):
-        m = min(_MOMENT_CHUNK, draws - start)
-        s = np.asarray(evaluate(null_sampler(rng, m)), dtype=float)
-        if s.shape != (m, k):
-            raise ValueError(f"score evaluator returned shape {s.shape}, expected ({m}, {k})")
-        outer += s.T @ s
-        total += s.sum(axis=0)
-    if not (np.all(np.isfinite(outer)) and np.all(np.isfinite(total))):
-        raise NumericError(
-            "score moment sums are not finite; the sampler or score system "
-            "returned NaN or infinity"
-        )
-
-    moment = outer / draws
-    mean = total / draws
-    var = np.maximum(np.diag(moment) - mean * mean, 0.0)
-    se = np.sqrt(var / draws)
-    off = np.abs(mean) > _MEAN_GATE * np.maximum(se, 1e-300)
-    if np.any(off):
-        j = int(np.argmax(off))
-        raise ScoreMeanError(
-            f"component {j + 1} has mean {mean[j]:.4e} "
-            f"({abs(mean[j]) / max(se[j], 1e-300):.1f} standard errors from zero); "
-            "sampler and score system disagree about the null"
-        )
-    return 0.5 * (moment + moment.T)

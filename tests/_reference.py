@@ -8,7 +8,7 @@ from scipy import integrate
 
 from ntgof.basis import eval_basis, legendre_basis
 from ntgof.catalog import _prepare
-from ntgof.errors import NumericError
+from ntgof.errors import NumericError, ScoreMeanError
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -52,6 +52,48 @@ def deconvolution_score(y, j, null_density, noise, basis=None) -> float:
     if not (math.isfinite(num) and math.isfinite(den)):
         raise NumericError(f"quadrature failed at y={y:.6g}")
     return num / den
+
+
+def evaluate(table, y) -> np.ndarray:
+    """(m, k) scores of every degree of a deconvolution score table at m points y.
+
+    Each degree is interpolated by ``np.interp`` on the table's grid,
+    clamped past both ends.
+    """
+    return np.column_stack([np.interp(y, table.grid, row) for row in table.scores])
+
+
+def estimate_moment_matrix(null_sampler, k, evaluate, draws, seed) -> np.ndarray:
+    """Empirical second-moment matrix draws^{-1} sum l(Y_i) l(Y_i)^T, draw by draw.
+
+    ``evaluate`` maps a batch of m observations to their (m, k) score
+    matrix.  Draws come from ``null_sampler(rng, m)`` in chunks of 4096,
+    chunk c from ``substream(seed, c)``, and the partial sums are
+    accumulated in chunk order.  Each component mean must land within 4
+    standard errors of zero, or ScoreMeanError; non-finite sums raise
+    NumericError.  The result is symmetrized.
+    """
+    if k < 1:
+        raise ValueError("score dimension k must be >= 1")
+    if draws < 10 * k * k:
+        raise ValueError(f"need at least 10*k^2 = {10 * k * k} draws, got {draws}")
+    outer = np.zeros((k, k))
+    total = np.zeros(k)
+    for c, start in enumerate(range(0, draws, 4096)):
+        m = min(4096, draws - start)
+        s = np.asarray(evaluate(null_sampler(substream(seed, c), m)), dtype=float)
+        if s.shape != (m, k):
+            raise ValueError(f"score evaluator returned shape {s.shape}, expected ({m}, {k})")
+        outer += s.T @ s
+        total += s.sum(axis=0)
+    if not (np.all(np.isfinite(outer)) and np.all(np.isfinite(total))):
+        raise NumericError("score moment sums are not finite")
+    moment = outer / draws
+    mean = total / draws
+    se = np.sqrt(np.maximum(np.diag(moment) - mean * mean, 0.0) / draws)
+    if np.any(np.abs(mean) > 4.0 * np.maximum(se, 1e-300)):
+        raise ScoreMeanError("a score component's mean is more than 4 standard errors from zero")
+    return 0.5 * (moment + moment.T)
 
 
 def rank_transform(values) -> np.ndarray:

@@ -37,7 +37,7 @@ from ntgof.catalog import (
 from ntgof.catalog import NullDensity, ParametricFamily, TestSpec as CatalogSpec
 from ntgof import catalog
 from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
-from ntgof.errors import NumericError, SingularMatrixError
+from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
 from ntgof.montecarlo import MonteCarloConfig, null_distribution
 from ntgof.selection import default_budget, fixed_budget, schwarz_schedule, select_dimension
 from ntgof.statistics import nt_series_from_sums
@@ -291,17 +291,17 @@ def test_deconvolution_test_runs_and_caches():
     assert len(out1.series) == spec.budget.d(n)
     # the artifact is built once per spec, at the budget cap: a run at
     # n = 1296 (d = 6) reuses the table the n = 144 run built
-    table, _ = spec._built
+    table = spec._built
     big = rng.random(1296) + 0.25 * rng.standard_normal(1296)
     assert len(run_test(big, spec).series) == spec.budget.d(1296) == 6
-    again, _ = spec._built
+    again = spec._built
     assert again is table
     out2 = run_test(data, spec)
     assert out2.t_s == out1.t_s
     # tabulated scores track the direct quadrature closely
     for y in (-0.3, 0.12, 0.55, 1.31):
         direct = deconvolution_score(y, 2, spec.null_density, spec.noise, spec.basis)
-        assert table.evaluate(np.array([y]))[0, 1] == pytest.approx(direct, abs=1e-4)
+        assert table.sums(np.array([y]), 2)[1] == pytest.approx(direct, abs=1e-4)
 
 
 @pytest.mark.parametrize("sigma", [0.02, 0.25, 1.0])
@@ -342,7 +342,7 @@ def test_score_table_interpolates_like_np_interp():
                 want = np.column_stack(
                     [np.interp(y, grid, table.scores[j]) for j in range(k)]
                 )
-                assert np.array_equal(table.evaluate(y)[:, :k], want), (grid_points, sigma, k)
+                assert np.array_equal(table.sums(y[:, None], k), want), (grid_points, sigma, k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -350,7 +350,7 @@ def test_score_table_rejects_non_finite_observations(bad):
     table = _DeconvScoreTable(deconvolution_spec(grid_points=64), 4)
     y = np.array([0.2, 0.5, bad, 0.7])
     with pytest.raises(NumericError, match="not finite"):
-        table.evaluate(y)
+        table.sums(y, 4)
 
 
 def test_non_finite_null_draws_fail_loudly():
@@ -368,6 +368,66 @@ def test_non_finite_null_draws_fail_loudly():
     data = np.random.default_rng(0).random(200)
     with pytest.raises(NumericError, match="not finite"):
         run_test(data, spec)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [(np.inf, "not finite"), (-np.inf, "not finite"), (5.0, "more than 8 noise scales")],
+    ids=["inf", "-inf", "far"],
+)
+def test_null_draws_off_the_score_domain_fail_loudly(bad, match):
+    # a draw the table cannot score stops the moment matrix
+    u = uniform_null()
+
+    def sampler(rng, n):
+        x = rng.random(n)
+        x[n // 2] = bad
+        return x
+
+    null_d = NullDensity(name="bad", pdf=u.pdf, cdf=u.cdf, support=u.support, sampler=sampler)
+    spec = deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=64)
+    with pytest.raises(NumericError, match=match):
+        _DeconvScoreTable(spec, 4)
+
+
+def test_null_sampler_shape_is_checked():
+    # signal and noise both drawn as (n, 1) columns
+    u = uniform_null()
+    null_d = dataclasses.replace(u, sampler=lambda rng, n: rng.random((n, 1)))
+    noise = dataclasses.replace(
+        gaussian_noise(0.25), sampler=lambda rng, n: 0.25 * rng.standard_normal((n, 1))
+    )
+    spec = deconvolution_spec(noise=noise, null_density=null_d, l_draws=20_000, grid_points=64)
+    with pytest.raises(ValueError, match=r"null sampler drew shape \(4096, 1\), expected \(4096,\)"):
+        _DeconvScoreTable(spec, 4)
+
+
+def test_sampler_that_disagrees_with_its_pdf_fails_the_mean_gate():
+    # the sampler draws from [0, 1/2] where pdf and cdf describe [0, 1],
+    # so the scores of the pdf's null are far from mean zero on its draws
+    u = uniform_null()
+    null_d = NullDensity(
+        name="half", pdf=u.pdf, cdf=u.cdf, support=u.support,
+        sampler=lambda rng, n: 0.5 * rng.random(n),
+    )
+    spec = deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=64)
+    with pytest.raises(ScoreMeanError, match="component 1 has mean"):
+        run_test(np.random.default_rng(4).random(100), spec)
+
+
+@pytest.mark.parametrize("grid_points", [64, 2001])
+@pytest.mark.parametrize("sigma", [0.02, 0.25, 1.0])
+def test_moment_matrix_matches_per_draw_oracle(sigma, grid_points):
+    # 20_000 draws: four full chunks of 4096 and one of 3616.  The per-cell
+    # weights sum the same draws' products in another order.
+    spec = deconvolution_spec(noise=gaussian_noise(sigma), grid_points=grid_points, l_draws=20_000)
+    table = _DeconvScoreTable(spec, 12)
+    want = _reference.estimate_moment_matrix(
+        null_sampler(spec), 12, lambda y: _reference.evaluate(table, y), 20_000, spec.l_seed
+    )
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.all(np.abs(table.moment - want) <= 1e-12 * scale)
+    assert np.array_equal(table.moment, table.moment.T)
 
 
 def test_deconvolution_spec_needs_moment_draws_at_cap():
@@ -405,7 +465,7 @@ def test_cold_spec_builds_artifacts_once_under_two_workers(monkeypatch):
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert builds == [spec.budget.cap]
-    assert type(spec._built[0]) is CountingTable
+    assert type(spec._built) is CountingTable
 
 
 def test_singular_moment_matrix_names_passing_dimension():
@@ -709,7 +769,7 @@ def test_uniformity_series_equals_nt_series_of_design_matrix():
 
 def test_deconvolution_sums_of_a_block_row_equal_the_row_alone():
     spec = small_deconv_spec()
-    table, _ = catalog._artifact(spec)
+    table = catalog._artifact(spec)
     rng = np.random.default_rng(15)
     block = rng.random((64, 500)) + 0.25 * rng.standard_normal((64, 500))
     block[0, :3] = [-1.9, 2.9, table.grid[7]]  # clamped ends and a grid point
@@ -718,7 +778,7 @@ def test_deconvolution_sums_of_a_block_row_equal_the_row_alone():
         assert sums.shape == (64, k)
         for i, row in enumerate(block):
             assert np.array_equal(sums[i], table.sums(row, k))
-            assert np.array_equal(sums[i], column_sums(table.evaluate(row)[:, :k]))
+            assert np.array_equal(sums[i], column_sums(_reference.evaluate(table, row)[:, :k]))
 
 
 def _rank_transform_series(block, spec, d):
@@ -824,10 +884,13 @@ def test_fixed_budget_one_calibrations_are_pinned(kind):
 # Default-budget calibrations (d(500) = 4) at n = 500, R = 200, seed 21.
 # Pinned to the last bit, so any change that moves a statistic at d >= 2
 # shows here; a drift made on purpose must re-pin and say by how much.
+# The deconvolution row was re-pinned when its moment matrix came to be
+# formed from per-cell weights: the statistics moved by at most 7.0e-13
+# relative and the critical value by 2 in its last digit.
 DEFAULT_BUDGET = {
     "uniformity": (uniformity_spec, "df67d4e80f53930e", 4.413531028358762, [197, 3, 0, 0]),
     "independence_rank": (independence_spec, "6182975925188982", 3.5793840835630064, [198, 2, 0, 0]),
-    "deconvolution": (deconvolution_spec, "f9385cee66c200e0", 5.968866766572289, [194, 5, 1, 0]),
+    "deconvolution": (deconvolution_spec, "7b8c20f7b097b3b3", 5.968866766572287, [194, 5, 1, 0]),
     "composite": (composite_spec, "45fafeb8a284b1a9", 3.593352900440842, [195, 5, 0, 0]),
 }
 

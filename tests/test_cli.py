@@ -230,6 +230,27 @@ def test_bad_number_reports_line(tmp_path, capsys):
     assert "line 3" in err and "abc" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_cell_reports_line(tmp_path, capsys, cell):
+    f = tmp_path / "bad.csv"
+    f.write_text(f"x\n0.5\n{cell}\n0.7\n")
+    code, out, err = run_cli(capsys, "test", "--input", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"ntgof: {f}, line 3: {cell!r} is not finite\n"
+
+
+def test_non_finite_penalty_table_cell_is_input_error(tmp_path, capsys):
+    # k = inf used to end in an OverflowError traceback from int(k)
+    data = write_uniform_csv(tmp_path / "u.csv", n=100)
+    table = tmp_path / "pi.csv"
+    table.write_text("k,n,pi\ninf,500,1.0\n")
+    code, out, err = run_cli(
+        capsys, "test", "--input", data, "--penalty", f"table:{table}", "--mc-reps", "100"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"ntgof: {table}, line 2: 'inf' is not finite\n"
+
+
 def test_data_outside_unit_interval(tmp_path, capsys):
     f = tmp_path / "range.csv"
     f.write_text("x\n0.5\n1.5\n0.7\n")
@@ -453,17 +474,23 @@ def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert "numeric failure" in err
 
 
-def test_failed_replication_exit_codes(tmp_path, capsys):
+def test_failed_replication_exit_codes(tmp_path, capsys, monkeypatch):
     # a failed run keeps its exit code: 2 for a bad sample (a 1-column
     # alternative for the pairs test), named by its replication, and 3
     # for a numeric failure (the 12 x 12 moment matrix of this small
     # deconvolution spec fails the eigenvalue gate), which is found
-    # before replication 0 and so names none
+    # before replication 0 and so names none.  The config reader turns
+    # away every 1-column alternative for the pairs test, so one is
+    # put in place of its noisy copy.
+    import ntgof.cli as cli_module
+    from ntgof.catalog import AlternativeSpec
+
+    monkeypatch.setattr(
+        cli_module, "noisy_copy_pairs",
+        lambda noise_sd: AlternativeSpec("flat", lambda rng, n: rng.random(n)),
+    )
     pow_cfg = tmp_path / "p.json"
-    pow_cfg.write_text(json.dumps({
-        "n_grid": [100],
-        "alternative": {"type": "contamination", "coefficients": {"1": 0.3}},
-    }))
+    pow_cfg.write_text(json.dumps({"n_grid": [100], "alternative": {"type": "noisy_copy"}}))
     code, _, err = run_cli(
         capsys, "power", "--kind", "independence", "--input", str(pow_cfg), "--mc-reps", "100"
     )
@@ -555,6 +582,24 @@ def test_power_noisy_copy_requires_independence(tmp_path, capsys):
     code, _, err = run_cli(capsys, "power", "--input", str(cfg), "--mc-reps", "200")
     assert code == 2
     assert "independence" in err
+
+
+@pytest.mark.parametrize("command", ["power", "probe"])
+def test_contamination_with_independence_is_a_config_error(tmp_path, capsys, command):
+    # the alternative draws single values and the pairs test would fail
+    # at its first draw, blamed on replication 0
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({
+        "probe": "consistency",
+        "n_grid": [100, 300],
+        "alternative": {"type": "contamination", "coefficients": {"2": 0.3}},
+    }))
+    code, out, err = run_cli(
+        capsys, command, "--kind", "independence", "--input", str(cfg), "--mc-reps", "100"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith('ntgof: config "alternative": a contamination alternative')
+    assert "--kind independence" in err and "replication" not in err
 
 
 def test_power_requires_alternative(tmp_path, capsys):

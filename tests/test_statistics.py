@@ -1,16 +1,17 @@
-"""Quadratic-form statistics and Monte Carlo moment matrices."""
+"""Quadratic-form statistics, and the per-draw moment-matrix oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from _reference import block_test, column_sums, quadratic_form, substream
+import _reference
+from _reference import block_test, column_sums, estimate_moment_matrix, quadratic_form, substream
 from ntgof.basis import design_matrix, legendre_basis
 from ntgof.catalog import _artifact, deconvolution_spec, uniformity_spec
 from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
 from ntgof.selection import fixed_budget
-from ntgof.statistics import estimate_moment_matrix, nt_series_from_sums
+from ntgof.statistics import nt_series_from_sums
 
 BASIS = legendre_basis(12)
 
@@ -147,7 +148,8 @@ def test_non_pd_weight_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo moment matrix
+# the per-draw Monte Carlo moment matrix that the deconvolution table's
+# per-cell matrix is checked against
 
 
 def legendre_scores(k):
@@ -282,10 +284,10 @@ def test_series_gates_every_row_of_a_batch():
 
 def small_deconv_scores_and_moment():
     # the real moment matrix at the cap (12) of a cheap deconvolution spec
-    table, moment = _artifact(deconvolution_spec(l_draws=20_000, grid_points=501))
+    table = _artifact(deconvolution_spec(l_draws=20_000, grid_points=501))
     rng = np.random.default_rng(33)
     y = rng.random(400) + 0.25 * rng.standard_normal(400)
-    return table.evaluate(y), moment
+    return _reference.evaluate(table, y), table.moment
 
 
 def test_series_uses_leading_blocks():
