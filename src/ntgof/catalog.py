@@ -8,11 +8,11 @@ statistic series T_1, ..., T_d from the sums with
 null covariance, which is the identity for orthonormal scores), and
 hand the series to the penalized selector.  No kind forms a (B, n, d)
 array of scores.  For a given spec and n everything but the sample is
-fixed, so :func:`_prepare` works it out once -- d(n), the kind's
-artifacts and the gated Cholesky factor of a shared covariance -- and
-returns the block test that :func:`run_test` runs on one sample and the
-Monte Carlo engine on every block.  What varies is where the scores
-come from and what their covariance is:
+fixed, so :func:`_prepare` works it out once -- the sample shape, d(n),
+the penalties, the kind's artifacts and the gated Cholesky factor of a
+shared covariance -- into the plan that :func:`run_test` runs on one
+sample and the Monte Carlo engine on every block.  What varies is where
+the scores come from and what their covariance is:
 
 uniformity
     Observations already live on [0, 1]; the scores are the shifted
@@ -113,7 +113,6 @@ from .selection import (
     _select,
     default_budget,
     schwarz_schedule,
-    select_dimension,
 )
 from .statistics import _gated_factor, _series
 
@@ -322,6 +321,8 @@ class TestSpec:
                 raise ValueError(
                     f"beta0 must have shape ({self.family.q},), got {self.beta0.shape}"
                 )
+            if not np.all(np.isfinite(self.beta0)):
+                raise ValueError(f"beta0 must be finite, got {self.beta0.tolist()}")
 
 
 def uniformity_spec(
@@ -395,19 +396,6 @@ def composite_spec(
 
 # ---------------------------------------------------------------------------
 # uniformity and rank independence
-
-
-def _check_sample(data, ncols: int | None) -> np.ndarray:
-    """One sample, (n,) or (n, ncols), of at least 2 observations."""
-    data = np.asarray(data, dtype=float)
-    want = 1 if ncols is None else 2
-    if data.ndim != want:
-        raise ValueError(f"data must be {want}-dimensional, got shape {data.shape}")
-    if ncols is not None and data.shape[-1] != ncols:
-        raise ValueError(f"data must have {ncols} columns, got {data.shape[-1]}")
-    if data.shape[0] < 2:
-        raise ValueError("need at least 2 observations")
-    return data
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -745,21 +733,29 @@ def _artifact(spec: TestSpec):
 
 
 # ---------------------------------------------------------------------------
-# the prepared test, null samplers, alternatives
+# the prepared plan, null samplers, alternatives
 
 
-def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
-    """(shape of one sample, block test) of ``spec`` at sample size n.
+@dataclass(frozen=True)
+class _Plan:
+    """What :func:`_prepare` works out for one (spec, n)."""
+
+    shape: tuple[int, ...]  # of one sample, (n,) or (n, 2)
+    penalties: np.ndarray  # pi(1..d, n), so d = d(n) is its length
+    test: Callable[[np.ndarray], SelectionOutcome]  # a (B, *shape) block's outcome
+
+
+def _prepare(spec: TestSpec, n: int) -> _Plan:
+    """The :class:`_Plan` of ``spec`` at sample size n, an integer >= 2.
 
     Everything but the sample is fixed here, on the calling thread: d(n),
     the penalties pi(1..d, n), the per-n rank table, the spec's
     :func:`_artifact` and the gated Cholesky factor of the d x d block of
-    a covariance every sample shares, so a penalty or artifact failure
+    a covariance every sample shares, so a bad n, penalty or artifact
     raises before any sample is drawn.  Only that block is gated: a
     cap-sized matrix that fails the gate still serves every d whose
-    leading block passes.  The test maps a block of B samples, (B, n) or
-    (B, n, 2) with n >= 2, to their SelectionOutcome; its callers have
-    checked that shape, so it checks only that the values are finite.
+    leading block passes.  The test's callers have checked the block's
+    shape, so it checks only that the values are finite.
     Each row's numbers are those the sample gives alone.  Every kind maps
     the block to its (score sums, Cholesky factor), the factor being None
     for orthonormal scores, and the test forms the series from that pair.
@@ -767,6 +763,8 @@ def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
     not ``invariant`` forms and gates its Sigma row by row, at d, in
     every block.
     """
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"sample size n must be an integer >= 2, got {n!r}")
     d = spec.budget.d(n)
     pens = _penalties(spec.penalty, d, n)
     basis, family = spec.basis, spec.family
@@ -807,15 +805,16 @@ def _prepare(spec: TestSpec, n: int) -> tuple[tuple[int, ...], Callable]:
         sums, factor = scores(block)
         return _select(_series(sums, n, factor), pens)
 
-    return (n, 2) if spec.kind == "independence_rank" else (n,), test
+    return _Plan((n, 2) if spec.kind == "independence_rank" else (n,), pens, test)
 
 
 def run_test(data, spec: TestSpec) -> SelectionOutcome:
-    """Run whichever catalog test ``spec`` describes."""
-    data = _check_sample(data, 2 if spec.kind == "independence_rank" else None)
-    n = data.shape[0]
-    series = _prepare(spec, n)[1](data[None]).series[0]
-    return select_dimension(series, spec.penalty, n)
+    """Run whichever catalog test ``spec`` describes on one sample, (n,) or (n, 2)."""
+    data = np.atleast_1d(np.asarray(data, dtype=float))
+    plan = _prepare(spec, data.shape[0])
+    if data.shape != plan.shape:
+        raise ValueError(f"data must have shape {plan.shape}, got {data.shape}")
+    return _select(plan.test(data[None]).series[0], plan.penalties)
 
 
 def null_sampler(spec: TestSpec) -> Callable[[np.random.Generator, int], np.ndarray]:

@@ -339,7 +339,7 @@ def _cmd_test(args) -> dict:
         "alpha": args.alpha,
         "decision": decision,
         "penalty": args.penalty,
-        "budget_dim": spec.budget.d(n),
+        "budget_dim": len(outcome.series),
         "mc_reps": args.mc_reps,
         "seed": args.seed,
         "series": series,
@@ -359,7 +359,7 @@ def _cmd_calibrate(args) -> dict:
             "command": "calibrate",
             "kind": args.kind,
             "penalty": args.penalty,
-            "budget_dim": spec.budget.d(n),
+            "budget_dim": len(result.s_counts),
             "statistics": [float(t) for t in result.statistics],
         }
     )

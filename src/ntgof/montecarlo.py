@@ -11,16 +11,16 @@ distribution of T_S.  The p-value uses the add-one estimator
 which is exact-level for any replication count, and the critical value
 at level alpha is the ceil((1 - alpha) * reps)-th order statistic.
 
-Each run first prepares the test for its (spec, n) on the calling
-thread: d(n), the artifacts and the factor of a shared covariance, so
-an artifact failure raises before replication 0 and names none.
+Each run first prepares its (spec, n) plan on the calling thread
+(sample shape, d(n), penalties, artifacts, a shared covariance's
+factor), so a failure there raises before replication 0, untagged.
 Replications then run in blocks of at most _BLOCK rows and _BLOCK_OBS
 observations, in two stages.  A helper thread, one per run, draws each
 replication's sample from its own Philox stream, the one
 ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts for
 replication i, and copies it into a buffer, while the calling
-thread runs the prepared test once on the block drawn before it.  Two
-buffers, shaped by the prepared test, take turns, so at most two blocks
+thread runs the plan's test once on the block drawn before it.  Two
+buffers, shaped by the plan, take turns, so at most two blocks
 exist at once; a sample of another shape fails its replication.  The
 calling thread derives the stream keys, up to 4096 in one call, and one
 reused Generator moved to each key in turn serves every row
@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rng import KeyedStreams
-from .catalog import AlternativeSpec, TestSpec, _prepare, null_sampler
+from .catalog import AlternativeSpec, TestSpec, _Plan, _prepare, null_sampler
 
 __all__ = [
     "MonteCarloConfig",
@@ -86,10 +86,14 @@ class MonteCarloConfig:
     def __post_init__(self):
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.replications < 100:
-            raise ValueError("need at least 100 replications for any calibration")
+        if not isinstance(self.replications, numbers.Integral) or self.replications < 100:
+            raise ValueError(
+                f"replications must be an integer >= 100, got {self.replications!r}"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        if not all(isinstance(n, numbers.Integral) for n in self.n_grid):
+            raise ValueError(f"n_grid sizes must be integers, got {list(self.n_grid)}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if any(n < 2 for n in self.n_grid):
             raise ValueError(f"n_grid sizes must be >= 2, got {list(self.n_grid)}")
@@ -160,29 +164,28 @@ def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out: np.ndarray):
 
 
 def _replicate(
-    spec: TestSpec,
+    plan: _Plan,
     sampler: Callable[[np.random.Generator, int], np.ndarray],
-    n: int,
     reps: int,
     seed: int,
     path: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(T_S values, S values) of ``reps`` replications of the test.
+    """(T_S values, S values) of ``reps`` replications of the plan's test.
 
-    Replication i tests ``sampler(rng, n)`` with rng in the state a
-    Philox on ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts
-    in; one generator serves every row, so the sampler must have drawn
-    all it needs when it returns.
-    The test is prepared for (spec, n) before anything is drawn.  A
-    helper thread draws the next block into one of two buffers, shaped
-    by the prepared test and used in turn, while this thread tests the
-    current one.  The helper is joined before this returns or raises.
+    Replication i tests ``sampler(rng, n)``, n the plan's sample size,
+    with rng in the state a Philox on
+    ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts in; one
+    generator serves every row, so the sampler must have drawn all it
+    needs when it returns.  A helper thread draws the next block into
+    one of two buffers, shaped by the plan and used in turn, while this
+    thread tests the current one.  The helper is joined before this
+    returns or raises.
     """
-    shape, test = _prepare(spec, n)
+    n, test = plan.shape[0], plan.test
     t = np.empty(reps)
     s = np.empty(reps, dtype=int)
     rows = max(1, min(_BLOCK, _BLOCK_OBS // n))
-    buffers = np.empty((2, rows) + shape)
+    buffers = np.empty((2, rows) + plan.shape)
     streams = KeyedStreams(seed, path)
     blocks = streams.blocks(0, reps, rows)
     start, keys = next(blocks)
@@ -230,9 +233,9 @@ def _replicate(
         thread.join()
 
 
-def _calibrate(spec: TestSpec, n: int, config: MonteCarloConfig, path: tuple[int, ...]):
+def _calibrate(spec: TestSpec, plan: _Plan, config: MonteCarloConfig, path: tuple[int, ...]):
     """(sorted T_S, S, critical value) of null replications on the streams (seed, *path, .)."""
-    t, s = _replicate(spec, null_sampler(spec), n, config.replications, config.seed, path)
+    t, s = _replicate(plan, null_sampler(spec), config.replications, config.seed, path)
     t.sort()
     return t, s, float(t[math.ceil((1.0 - config.alpha) * config.replications) - 1])
 
@@ -248,9 +251,8 @@ def null_distribution(
     statistics are sorted ascending and the critical value is the
     ceil((1 - alpha) * reps)-th order statistic.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    t, s, crit = _calibrate(spec, n, config, (0,))
+    plan = _prepare(spec, n)
+    t, s, crit = _calibrate(spec, plan, config, (0,))
     return CalibrationResult(
         n=n,
         alpha=config.alpha,
@@ -258,7 +260,7 @@ def null_distribution(
         seed=config.seed,
         critical_value=crit,
         statistics=t,
-        s_counts=np.bincount(s, minlength=spec.budget.d(n) + 1)[1:],
+        s_counts=np.bincount(s, minlength=plan.penalties.size + 1)[1:],
     )
 
 
@@ -312,17 +314,17 @@ def power_curve(
 
     At each grid size the critical value is calibrated on the stream
     family (seed, gi, 0, .) and the alternative replications use
-    (seed, gi, 1, .): disjoint streams by construction.  A replication
-    rejects when its T_S exceeds the calibrated critical value.
+    (seed, gi, 1, .): disjoint streams by construction, tested by the
+    one plan prepared for n.  A replication rejects when its T_S exceeds
+    the calibrated critical value.
     """
     if not config.n_grid:
         raise ValueError("config.n_grid must be non-empty for a power curve")
     points = []
     for gi, n in enumerate(config.n_grid):
-        crit = _calibrate(spec, n, config, (gi, 0))[2]
-        t_alt, _ = _replicate(
-            spec, alternative.sampler, n, config.replications, config.seed, (gi, 1)
-        )
+        plan = _prepare(spec, n)
+        crit = _calibrate(spec, plan, config, (gi, 0))[2]
+        t_alt, _ = _replicate(plan, alternative.sampler, config.replications, config.seed, (gi, 1))
         points.append(
             PowerPoint(
                 n=n,
@@ -376,8 +378,10 @@ def consistency_probe(
     passes when P(S >= K) is non-decreasing along the grid and reaches
     at least ``threshold`` at the largest size -- the observable
     footprint of the selector eventually looking far enough to see the
-    alternative.
+    alternative.  ``threshold`` lies in (0, 1].
     """
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
     if not config.n_grid:
         raise ValueError("config.n_grid must be non-empty for a probe")
     if alternative.first_component is None:
@@ -388,7 +392,7 @@ def consistency_probe(
     med_track = []
     for gi, n in enumerate(config.n_grid):
         t, s = _replicate(
-            spec, alternative.sampler, n, config.replications, config.seed, (gi, 1)
+            _prepare(spec, n), alternative.sampler, config.replications, config.seed, (gi, 1)
         )
         p_k = float(np.mean(s >= k))
         med = float(np.median(t))
@@ -426,8 +430,9 @@ def tail_rate_probe(
     ``replications`` independent streams (seed, grid index, i), each
     consumed by ``draw`` within its call, and reports it next to the
     reference rate exp(-n y^2 / (2 sigma)).  Passes when each successive
-    tail is at most the previous divided by ``factor`` (with a doubling
-    grid: tails at least halve), zeros allowed once the tail has died.
+    tail is at most the previous divided by ``factor``, finite and > 0
+    (with a doubling grid: tails at least halve), zeros allowed once the
+    tail has died.
     """
     ns = [int(n) for n in n_grid]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -438,6 +443,8 @@ def tail_rate_probe(
         raise ValueError("need at least 100 replications")
     if y < 0 or not sigma > 0:
         raise ValueError("y must be >= 0 and sigma positive")
+    if not 0 < factor < math.inf:
+        raise ValueError(f"factor must be finite and > 0, got {factor!r}")
     rows = []
     tails = []
     for gi, n in enumerate(ns):

@@ -47,6 +47,7 @@ surface as warnings rather than hard failures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -128,19 +129,25 @@ def table_schedule(table: Mapping[tuple[int, int], float], name: str = "table") 
 
 @dataclass(frozen=True)
 class DimensionBudget:
-    """Largest dimension d(n) the selector may consider at sample size n."""
+    """Largest dimension d(n) the selector may consider at sample size n.
+
+    ``cap`` is an integer >= 1 and ``rule(n)`` a finite number, floored.
+    """
 
     rule: Callable[[int], int]
     cap: int = 12
 
     def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
+        if not isinstance(self.cap, numbers.Integral) or self.cap < 1:
+            raise ValueError(f"cap must be an integer >= 1, got {self.cap!r}")
 
     def d(self, n: int) -> int:
         if n < 1:
             raise ValueError("n must be >= 1")
-        d = min(self.cap, int(self.rule(n)))
+        value = self.rule(n)
+        if not math.isfinite(value):
+            raise ValueError(f"budget rule produced {value!r} at n={n}; d(n) must be finite")
+        d = min(self.cap, int(value))
         if d < 1:
             raise ValueError(f"budget rule produced d={d} < 1 at n={n}")
         return d
@@ -157,9 +164,9 @@ def default_budget(cap: int = 12) -> DimensionBudget:
 
 
 def fixed_budget(d: int) -> DimensionBudget:
-    """Constant budget d(n) = d, for exploratory use and the CLI --dmax."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    """Constant budget d(n) = d, an integer >= 1, for exploratory use and the CLI --dmax."""
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
     return DimensionBudget(rule=lambda n: d, cap=d)
 
 

@@ -134,4 +134,4 @@ def column_sums(scores):
 
 def block_test(block, spec):
     """``spec``'s test prepared at the block's n and run on the (B, n[, 2]) block."""
-    return _prepare(spec, np.shape(block)[1])[1](block)
+    return _prepare(spec, np.shape(block)[1]).test(block)

@@ -731,6 +731,25 @@ def test_unknown_kind_rejected():
 def test_composite_beta0_shape_checked():
     with pytest.raises(ValueError, match="beta0"):
         composite_spec(beta0=np.zeros(2))
+    # a non-finite beta0 used to be blamed on replication 0 of a calibration
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^beta0 must be finite, got \["):
+            composite_spec(beta0=[bad])
+
+
+def test_run_test_checks_the_sample_against_the_plan():
+    data = np.random.default_rng(0).random(50)
+    with pytest.raises(ValueError, match=r"^data must have shape \(50, 2\), got \(50,\)$"):
+        run_test(data, independence_spec())
+    with pytest.raises(ValueError, match=r"^data must have shape \(50,\), got \(50, 1\)$"):
+        run_test(data[:, None], uniformity_spec())
+    for short in (data[:1], 0.5):
+        with pytest.raises(ValueError, match=r"^sample size n must be an integer >= 2, got 1$"):
+            run_test(short, uniformity_spec())
+    # the plan is prepared first, so its penalty fails before the shape
+    spec = independence_spec(penalty=ntgof.table_schedule({}))
+    with pytest.raises(KeyError, match="no entry for \\(k=1, n=50\\)"):
+        run_test(data, spec)
 
 
 def test_dispatch_matches_direct_call():

@@ -87,6 +87,30 @@ def test_uniform_data_accepted(tmp_path, capsys):
         assert row["penalized"] == pytest.approx(row["t"] - row["pi"], abs=1e-12)
 
 
+def test_test_calls_the_module_level_run_test_and_null_distribution_once(
+    tmp_path, capsys, monkeypatch
+):
+    # the benchmark times `ntgof test` by replacing these two module
+    # globals of ntgof.cli, so the subcommand must call each through them
+    import ntgof.cli
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("run_test", "null_distribution"):
+        monkeypatch.setattr(ntgof.cli, name, counting(name, getattr(ntgof.cli, name)))
+    path = write_uniform_csv(tmp_path / "u.csv", n=80)
+    code, _, err = run_cli(capsys, "test", "--input", path, "--mc-reps", "100")
+    assert code == 0, err
+    assert calls == ["run_test", "null_distribution"]
+
+
 def test_dependent_pairs_rejected(tmp_path, capsys):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(150)
@@ -650,6 +674,26 @@ def test_probe_consistency(tmp_path, capsys):
     assert report["probe"] == "consistency"
     assert report["passed"] is True
     assert [row["n"] for row in report["rows"]] == [100, 400]
+
+
+@pytest.mark.parametrize(
+    "config, shown",
+    [
+        ({"probe": "tail_rate", "n_grid": [16, 32], "factor": 0},
+         "factor must be finite and > 0, got 0.0"),
+        ({"probe": "tail_rate", "n_grid": [16, 32], "factor": -2},
+         "factor must be finite and > 0, got -2.0"),
+        ({"probe": "consistency", "n_grid": [100, 200], "alternative": CONTAMINATION,
+          "threshold": -1}, "threshold must lie in (0, 1], got -1.0"),
+    ],
+    ids=["factor-zero", "factor-negative", "threshold-negative"],
+)
+def test_probe_settings_out_of_range_are_config_errors(tmp_path, capsys, config, shown):
+    # a factor of 0 used to end in a ZeroDivisionError traceback, exit 1
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "probe", "--input", str(cfg), "--mc-reps", "100")
+    assert (code, out, err) == (2, "", f"ntgof: {shown}\n")
 
 
 def test_probe_requires_known_name(tmp_path, capsys):

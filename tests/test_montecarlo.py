@@ -1,5 +1,6 @@
 """Simulated reference distributions, power curves, and probes."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -22,7 +23,7 @@ from ntgof.catalog import (
     independence_spec,
 )
 from ntgof.errors import SingularMatrixError
-from ntgof.selection import table_schedule
+from ntgof.selection import PenaltySchedule, table_schedule
 from ntgof.montecarlo import (
     MonteCarloConfig,
     consistency_probe,
@@ -48,6 +49,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer"):
             MonteCarloConfig(replications=200, seed=seed)
     assert MonteCarloConfig(replications=200, seed=np.int64(2**40)).seed == 2**40
+    # 200.0 used to fail in NumPy at the first block, and 100.7 was truncated
+    with pytest.raises(ValueError, match=r"^replications must be an integer >= 100, got 200.0$"):
+        MonteCarloConfig(replications=200.0, seed=0)
+    with pytest.raises(ValueError, match=r"^n_grid sizes must be integers, got \[100.7, 200\]$"):
+        MonteCarloConfig(replications=200, seed=0, n_grid=(100.7, 200))
+    assert MonteCarloConfig(replications=200, seed=0, n_grid=(np.int64(100),)).n_grid == (100,)
 
 
 @pytest.mark.parametrize("grid", [(1, 50), (0, 50), (-3, 50)])
@@ -107,6 +114,9 @@ def test_calibration_rejects_tiny_n():
         null_distribution(
             uniformity_spec(), n=1, config=MonteCarloConfig(replications=200, seed=0)
         )
+    # a float n used to fail in NumPy with a TypeError
+    with pytest.raises(ValueError, match=r"^sample size n must be an integer >= 2, got 50.0$"):
+        null_distribution(uniformity_spec(), 50.0, MonteCarloConfig(replications=200, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +273,13 @@ def test_shared_covariance_is_gated_and_factored_once_per_run(monkeypatch, kind,
     null_distribution(spec, 100, MonteCarloConfig(replications=200, seed=1))
     d = spec.budget.d(100)
     assert calls == [("eigvalsh", (d, d)), ("cholesky", (d, d))]
+    # a power curve prepares each grid size once, for both of its legs
+    calls.clear()
+    cfg = MonteCarloConfig(replications=100, seed=1, n_grid=(100, 300))
+    power_curve(spec, AlternativeSpec("null", null_sampler(spec)), cfg)
+    dims = [spec.budget.d(n) for n in cfg.n_grid]
+    assert dims == [3, 4]
+    assert calls == [(name, (d, d)) for d in dims for name in ("eigvalsh", "cholesky")]
 
 
 def test_artifact_failure_raises_before_any_draw(monkeypatch):
@@ -413,16 +430,16 @@ def test_row_of_another_shape_is_tested_alone():
 
 
 def counting_blocks(sizes):
-    """A stand-in for catalog._prepare whose test records each block's rows."""
+    """A stand-in for catalog._prepare whose plan's test records each block's rows."""
 
     def prepare(spec, n):
-        shape, test = catalog._prepare(spec, n)
+        plan = catalog._prepare(spec, n)
 
         def counting(block):
             sizes.append(len(block))
-            return test(block)
+            return plan.test(block)
 
-        return shape, counting
+        return dataclasses.replace(plan, test=counting)
 
     return prepare
 
@@ -504,6 +521,32 @@ def test_penalty_table_gap_raises_before_any_draw(monkeypatch, study):
     assert calls == []
 
 
+@pytest.mark.parametrize("study", ["run_test", "calibrate", "power", "probe"])
+def test_penalty_is_evaluated_once_per_sample_size(study):
+    # pi(1..d, n) is worked out when the plan is prepared; the observed
+    # test, the calibration and both power legs read that one vector
+    calls = []
+
+    def pi(k, n):
+        calls.append((k, n))
+        return k * math.log(n)
+
+    spec = uniformity_spec(penalty=PenaltySchedule("counting", pi))
+    alt = contamination_alternative({1: 0.3})
+    cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(100, 500))
+    if study == "run_test":
+        run_test(np.random.default_rng(0).random(500), spec)
+    elif study == "calibrate":
+        null_distribution(spec, 500, cfg)
+    elif study == "power":
+        power_curve(spec, alt, cfg)
+    else:
+        consistency_probe(spec, alt, cfg)
+    sizes = cfg.n_grid if study in ("power", "probe") else (500,)
+    assert [spec.budget.d(n) for n in sizes][-1] == 4
+    assert calls == [(k, n) for n in sizes for k in range(1, spec.budget.d(n) + 1)]
+
+
 def test_sampler_must_draw_n_observations():
     spec = uniformity_spec()
     alt = AlternativeSpec(name="short", sampler=lambda rng, n: rng.random(n - 1))
@@ -536,6 +579,18 @@ def test_consistency_probe_requires_component():
             uniformity_spec(),
             anon,
             MonteCarloConfig(replications=100, seed=0, n_grid=(50, 100)),
+        )
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 1.5])
+def test_consistency_probe_threshold_lies_in_unit_interval(threshold):
+    # NaN could never pass, and a threshold of -1 always did
+    with pytest.raises(ValueError, match=r"^threshold must lie in \(0, 1\], got "):
+        consistency_probe(
+            uniformity_spec(),
+            contamination_alternative({1: 0.3}),
+            MonteCarloConfig(replications=100, seed=0, n_grid=(50, 100)),
+            threshold=threshold,
         )
 
 
@@ -617,6 +672,10 @@ def test_tail_rate_validation():
     # a size of 0 used to average empty samples and report a tail of 0
     with pytest.raises(ValueError, match=r"n_grid sizes must be >= 1, got \[0, 16\]"):
         tail_rate_probe(rademacher, 0.0, 1.0, 0.5, n_grid=(0, 16), replications=200, seed=0)
+    # a factor of 0 used to divide by zero, and -2 passed trivially
+    for factor in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^factor must be finite and > 0, got "):
+            tail_rate_probe(rademacher, 0.0, 1.0, 0.5, (16, 32), 200, 0, factor=factor)
 
 
 # ---------------------------------------------------------------------------

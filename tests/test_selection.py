@@ -150,12 +150,22 @@ def test_fixed_budget():
     assert fixed_budget(5).d(10) == 5
     with pytest.raises(ValueError):
         fixed_budget(0)
+    # used to test at d = 2 under a cap of 2.5
+    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got 2.5$"):
+        fixed_budget(2.5)
 
 
 def test_budget_rejects_degenerate_rule():
     budget = DimensionBudget(rule=lambda n: 0, cap=12)
     with pytest.raises(ValueError):
         budget.d(100)
+    # a cap of 2.5 used to hand d = 2.5 to range(); an infinite rule
+    # raised OverflowError
+    with pytest.raises(ValueError, match=r"^cap must be an integer >= 1, got 2.5$"):
+        DimensionBudget(rule=lambda n: 4, cap=2.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^budget rule produced .* at n=100; d\(n\) must be"):
+            DimensionBudget(rule=lambda n: bad, cap=12).d(100)
 
 
 # ---------------------------------------------------------------------------
