@@ -15,6 +15,9 @@ critical value, and the full per-dimension series.  ``calibrate``,
 ``power``, and ``probe`` read study parameters (sample sizes,
 alternatives, probe settings) from a small JSON file -- the flag set is
 the same for every subcommand; what changes is what ``--input`` holds.
+A config key that the command and kind do not read is an input error.
+Their reports are the result's fields plus the keys that describe the
+run.
 
 Flags: ``--kind {uniformity,independence,deconvolution,composite}``,
 ``--input PATH``, ``--penalty {schwarz|linear2k|table:<path>}``,
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -208,9 +212,16 @@ def _config_float(value, key: str) -> float:
     return float(value)
 
 
+def _no_unknown_keys(cfg: dict, where: str) -> None:
+    """Reject what is left of a config object once its reader has popped the keys it reads."""
+    if cfg:
+        keys = ", ".join(json.dumps(k) for k in sorted(cfg))
+        raise InputError(f"{where}: unknown key{'s' if len(cfg) > 1 else ''} {keys}")
+
+
 def _n_grid(cfg: dict, path: str, what: str, least: int = 1) -> tuple[int, ...]:
     """The config's "n_grid": a list of at least ``least`` integer sample sizes."""
-    grid = cfg.get("n_grid")
+    grid = cfg.pop("n_grid", None)
     if not isinstance(grid, list) or len(grid) < least:
         raise InputError(f'{path}: {what} needs an "n_grid" list of >= {least} sizes')
     return tuple(_config_int(n, f"n_grid[{i}]") for i, n in enumerate(grid))
@@ -245,25 +256,25 @@ def _parse_budget(text: str):
 
 
 def _study(args, cfg: dict, n_grid: tuple[int, ...] = ()) -> tuple[TestSpec, MonteCarloConfig]:
-    """The spec and the Monte Carlo config that the flags and ``cfg`` describe."""
+    """The spec and Monte Carlo config the flags and ``cfg`` describe; pops the kind's keys."""
     common = {"budget": _parse_budget(args.dmax), "penalty": _parse_penalty(args.penalty)}
     if args.kind == "uniformity":
         spec = uniformity_spec(**common)
     elif args.kind == "independence":
         spec = independence_spec(**common)
     elif args.kind == "deconvolution":
-        sigma = _config_float(cfg.get("noise_sigma", 0.25), "noise_sigma")
+        sigma = _config_float(cfg.pop("noise_sigma", 0.25), "noise_sigma")
         if sigma <= 0:
             raise InputError("noise_sigma must be positive")
         spec = deconvolution_spec(
             noise=gaussian_noise(sigma),
-            l_draws=_config_int(cfg.get("l_draws", 200_000), "l_draws"),
-            l_seed=_config_int(cfg.get("l_seed", 0), "l_seed"),
-            grid_points=_config_int(cfg.get("grid_points", 2001), "grid_points"),
+            l_draws=_config_int(cfg.pop("l_draws", 200_000), "l_draws"),
+            l_seed=_config_int(cfg.pop("l_seed", 0), "l_seed"),
+            grid_points=_config_int(cfg.pop("grid_points", 2001), "grid_points"),
             **common,
         )
     else:
-        beta0 = cfg.get("beta0", [0.0])
+        beta0 = cfg.pop("beta0", [0.0])
         if not isinstance(beta0, list):
             raise InputError(f'config "beta0" must be a list, got {json.dumps(beta0)}')
         beta0 = [_config_float(b, f"beta0[{i}]") for i, b in enumerate(beta0)]
@@ -275,16 +286,18 @@ def _study(args, cfg: dict, n_grid: tuple[int, ...] = ()) -> tuple[TestSpec, Mon
 
 
 def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
-    alt = cfg.get("alternative")
+    """The alternative that ``cfg`` pops as "alternative"."""
+    alt = cfg.pop("alternative", None)
     if not isinstance(alt, dict) or "type" not in alt:
         raise InputError('config needs an "alternative" object with a "type"')
-    if alt["type"] == "contamination":
+    which = alt.pop("type")
+    if which == "contamination":
         if kind == "independence":
             raise InputError(
                 'config "alternative": a contamination alternative draws single values, '
                 "and --kind independence tests (x, y) pairs"
             )
-        coeffs = alt.get("coefficients")
+        coeffs = alt.pop("coefficients", None)
         if not isinstance(coeffs, dict) or not coeffs:
             raise InputError('contamination alternative needs a "coefficients" map')
         parsed = {}
@@ -294,12 +307,15 @@ def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
             except ValueError:
                 raise InputError("contamination coefficients must map degree -> value") from None
             parsed[degree] = _config_float(c, f"coefficients[{j}]")
-        return contamination_alternative(parsed)
-    if alt["type"] == "noisy_copy":
+        alternative = contamination_alternative(parsed)
+    elif which == "noisy_copy":
         if kind != "independence":
             raise InputError("noisy_copy alternative only applies to --kind independence")
-        return noisy_copy_pairs(_config_float(alt.get("noise_sd", 0.5), "noise_sd"))
-    raise InputError(f"unknown alternative type {alt['type']!r}")
+        alternative = noisy_copy_pairs(_config_float(alt.pop("noise_sd", 0.5), "noise_sd"))
+    else:
+        raise InputError(f"unknown alternative type {which!r}")
+    _no_unknown_keys(alt, 'config "alternative"')
+    return alternative
 
 
 # ---------------------------------------------------------------------------
@@ -350,61 +366,61 @@ def _cmd_calibrate(args) -> dict:
     cfg = _read_config(args.input)
     if "n" not in cfg:
         raise InputError(f'{args.input}: calibrate config needs "n"')
-    n = _config_int(cfg["n"], "n")
+    n = _config_int(cfg.pop("n"), "n")
     spec, config = _study(args, cfg)
+    _no_unknown_keys(cfg, args.input)
     result = null_distribution(spec, n, config)
-    out = result.as_dict()
-    out.update(
-        {
-            "command": "calibrate",
-            "kind": args.kind,
-            "penalty": args.penalty,
-            "budget_dim": len(result.s_counts),
-            "statistics": [float(t) for t in result.statistics],
-        }
-    )
-    return out
+    return dataclasses.asdict(result) | {
+        "command": "calibrate",
+        "kind": args.kind,
+        "penalty": args.penalty,
+        "budget_dim": len(result.s_counts),
+    }
 
 
 def _cmd_power(args) -> dict:
     cfg = _read_config(args.input)
     spec, config = _study(args, cfg, _n_grid(cfg, args.input, "power config"))
     alternative = _parse_alternative(args.kind, cfg)
+    _no_unknown_keys(cfg, args.input)
     result = power_curve(spec, alternative, config)
-    out = result.as_dict()
-    out.update({"command": "power", "kind": args.kind, "penalty": args.penalty})
-    return out
+    run = {"command": "power", "kind": args.kind, "penalty": args.penalty}
+    return dataclasses.asdict(result) | run
 
 
 def _cmd_probe(args) -> dict:
     cfg = _read_config(args.input)
-    which = cfg.get("probe")
+    which = cfg.pop("probe", None)
     if which == "consistency":
         spec, config = _study(args, cfg, _n_grid(cfg, args.input, "probe config"))
         alternative = _parse_alternative(args.kind, cfg)
-        threshold = _config_float(cfg.get("threshold", 0.8), "threshold")
+        threshold = _config_float(cfg.pop("threshold", 0.8), "threshold")
+        _no_unknown_keys(cfg, args.input)
         result = consistency_probe(spec, alternative, config, threshold=threshold)
     elif which == "tail_rate":
-        sampler_cfg = cfg.get("sampler", {})
-        stype = sampler_cfg.get("type", "rademacher") if isinstance(sampler_cfg, dict) else None
+        sampler_cfg = cfg.pop("sampler", {})
+        stype = sampler_cfg.pop("type", "rademacher") if isinstance(sampler_cfg, dict) else None
         if stype != "rademacher":
             raise InputError('tail_rate probe supports sampler {"type": "rademacher"}')
-        grid = _n_grid(cfg, args.input, "tail_rate probe", least=2)
+        _no_unknown_keys(sampler_cfg, 'config "sampler"')
+        settings = dict(
+            n_grid=_n_grid(cfg, args.input, "tail_rate probe", least=2),
+            sigma=_config_float(cfg.pop("sigma", 1.0), "sigma"),
+            y=_config_float(cfg.pop("y", 0.5), "y"),
+            factor=_config_float(cfg.pop("factor", 2.0), "factor"),
+        )
+        _no_unknown_keys(cfg, args.input)
         result = tail_rate_probe(
             draw=lambda rng, m: 2.0 * rng.integers(0, 2, m) - 1.0,
             mean=0.0,
-            sigma=_config_float(cfg.get("sigma", 1.0), "sigma"),
-            y=_config_float(cfg.get("y", 0.5), "y"),
-            n_grid=grid,
             replications=args.mc_reps,
             seed=args.seed,
-            factor=_config_float(cfg.get("factor", 2.0), "factor"),
+            **settings,
         )
     else:
         raise InputError(f'{args.input}: "probe" must be "consistency" or "tail_rate"')
-    out = result.as_dict()
-    out.update({"command": "probe", "seed": args.seed, "replications": args.mc_reps})
-    return out
+    run = {"command": "probe", "seed": args.seed, "replications": args.mc_reps}
+    return dataclasses.asdict(result) | run
 
 
 # ---------------------------------------------------------------------------

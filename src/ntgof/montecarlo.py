@@ -64,7 +64,6 @@ __all__ = [
     "CalibrationResult",
     "PowerPoint",
     "PowerCurveResult",
-    "ProbeRow",
     "ProbeResult",
     "null_distribution",
     "p_value",
@@ -101,6 +100,11 @@ class MonteCarloConfig:
             raise ValueError("n_grid must be strictly increasing")
 
 
+# Each result's fields are its report's keys: the CLI writes
+# ``dataclasses.asdict(result)`` plus the keys that describe the run, so a
+# result holds only what its report prints.
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """Simulated null distribution of T_S at one sample size."""
@@ -112,16 +116,6 @@ class CalibrationResult:
     critical_value: float
     statistics: np.ndarray  # sorted ascending
     s_counts: np.ndarray  # s_counts[k-1] = #{replications with S == k}
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "replications": self.replications,
-            "seed": self.seed,
-            "critical_value": self.critical_value,
-            "s_counts": [int(c) for c in self.s_counts],
-        }
 
 
 def _tag_replication(e: Exception, i: int) -> None:
@@ -279,13 +273,6 @@ class PowerPoint:
     critical_value: float
     rejection_rate: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "critical_value": self.critical_value,
-            "rejection_rate": self.rejection_rate,
-        }
-
 
 @dataclass(frozen=True)
 class PowerCurveResult:
@@ -294,15 +281,6 @@ class PowerCurveResult:
     replications: int
     seed: int
     points: tuple[PowerPoint, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "alternative": self.alternative,
-            "alpha": self.alpha,
-            "replications": self.replications,
-            "seed": self.seed,
-            "points": [p.as_dict() for p in self.points],
-        }
 
 
 def power_curve(
@@ -342,28 +320,11 @@ def power_curve(
 
 
 @dataclass(frozen=True)
-class ProbeRow:
-    n: int
-    values: dict
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, **self.values}
-
-
-@dataclass(frozen=True)
 class ProbeResult:
-    name: str
+    probe: str
     passed: bool
-    rows: tuple[ProbeRow, ...]
+    rows: tuple[dict, ...]  # one {"n": n, ...} per grid size
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "probe": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "rows": [r.as_dict() for r in self.rows],
-        }
 
 
 def consistency_probe(
@@ -398,7 +359,7 @@ def consistency_probe(
         med = float(np.median(t))
         p_track.append(p_k)
         med_track.append(med)
-        rows.append(ProbeRow(n=n, values={"p_s_ge_k": p_k, "median_t_s": med}))
+        rows.append({"n": n, "p_s_ge_k": p_k, "median_t_s": med})
     monotone_p = all(b >= a for a, b in zip(p_track, p_track[1:]))
     monotone_med = all(b >= a for a, b in zip(med_track, med_track[1:]))
     final_ok = p_track[-1] >= threshold
@@ -407,7 +368,7 @@ def consistency_probe(
         f"median T_S: {[round(m, 3) for m in med_track]}; threshold {threshold:g}"
     )
     return ProbeResult(
-        name="consistency",
+        probe="consistency",
         passed=monotone_p and monotone_med and final_ok,
         rows=tuple(rows),
         detail=detail,
@@ -432,36 +393,37 @@ def tail_rate_probe(
     reference rate exp(-n y^2 / (2 sigma)).  Passes when each successive
     tail is at most the previous divided by ``factor``, finite and > 0
     (with a doubling grid: tails at least halve), zeros allowed once the
-    tail has died.
+    tail has died.  Each draw must be n values, shape (n,).
     """
+    if not all(isinstance(n, numbers.Integral) for n in n_grid):
+        raise ValueError(f"n_grid sizes must be integers, got {list(n_grid)}")
     ns = [int(n) for n in n_grid]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_grid must hold at least 2 strictly increasing sizes")
     if ns[0] < 1:
         raise ValueError(f"n_grid sizes must be >= 1, got {ns}")
-    if replications < 100:
-        raise ValueError("need at least 100 replications")
-    if y < 0 or not sigma > 0:
-        raise ValueError("y must be >= 0 and sigma positive")
+    if not isinstance(replications, numbers.Integral) or replications < 100:
+        raise ValueError(f"replications must be an integer >= 100, got {replications!r}")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean!r}")
+    if not 0 <= y < math.inf:
+        raise ValueError(f"y must be finite and >= 0, got {y!r}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     if not 0 < factor < math.inf:
         raise ValueError(f"factor must be finite and > 0, got {factor!r}")
     rows = []
     tails = []
     for gi, n in enumerate(ns):
-        streams = KeyedStreams(seed, (gi,)).rows(0, replications)
-        draws = (draw(rng, n) for _, rng in streams)
-        hits = [abs(float(np.asarray(x, dtype=float).mean()) - mean) >= y for x in draws]
+        hits = []
+        for _, rng in KeyedStreams(seed, (gi,)).rows(0, replications):
+            x = np.asarray(draw(rng, n), dtype=float)
+            if x.shape != (n,):
+                raise ValueError(f"draw returned shape {x.shape} for n={n}; expected ({n},)")
+            hits.append(abs(float(x.mean()) - mean) >= y)
         tail = float(np.mean(hits))
         tails.append(tail)
-        rows.append(
-            ProbeRow(
-                n=n,
-                values={
-                    "tail": tail,
-                    "reference_rate": math.exp(-n * y * y / (2.0 * sigma)),
-                },
-            )
-        )
+        rows.append({"n": n, "tail": tail, "reference_rate": math.exp(-n * y * y / (2.0 * sigma))})
     ok = all(b <= a / factor for a, b in zip(tails, tails[1:]))
     detail = f"tails along grid: {tails}; required decay factor {factor:g}"
-    return ProbeResult(name="tail_rate", passed=ok, rows=tuple(rows), detail=detail)
+    return ProbeResult(probe="tail_rate", passed=ok, rows=tuple(rows), detail=detail)

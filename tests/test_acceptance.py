@@ -238,7 +238,7 @@ def test_criterion_9_tail_rate():
         seed=9,
         factor=2.0,
     )
-    tails = [row.values["tail"] for row in probe.rows]
+    tails = [row["tail"] for row in probe.rows]
     ok = probe.passed
     elapsed = report(9, "tail-rate probe", ok, t0, f"tails {tails}")
     assert ok, probe.detail
@@ -256,21 +256,30 @@ def test_criterion_10_determinism(tmp_path):
     t0 = time.perf_counter()
     cal_cfg = tmp_path / "cal.json"
     cal_cfg.write_text('{"n": 400}')
-    pow_cfg = tmp_path / "pow.json"
-    pow_cfg.write_text(json.dumps({
+    study = {
         "n_grid": [100, 300],
         "alternative": {"type": "contamination", "coefficients": {"2": 0.3}},
-    }))
+    }
+    pow_cfg = tmp_path / "pow.json"
+    pow_cfg.write_text(json.dumps(study))
+    probe_cfg = tmp_path / "probe.json"
+    probe_cfg.write_text(json.dumps({"probe": "consistency", **study}))
+    data = tmp_path / "data.csv"
+    x = np.random.default_rng(10).random(300) ** 1.2
+    data.write_text("x\n" + "\n".join("%.17g" % v for v in x) + "\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(pathlib.Path(__file__).resolve().parents[1] / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     outputs = {}
-    for name, args in (
-        ("calibrate", ["calibrate", "--input", str(cal_cfg), "--mc-reps", "400", "--seed", "11"]),
-        ("power", ["power", "--input", str(pow_cfg), "--mc-reps", "300", "--seed", "12"]),
-    ):
+    commands = {
+        "test": ["test", "--input", str(data), "--mc-reps", "400", "--seed", "10"],
+        "calibrate": ["calibrate", "--input", str(cal_cfg), "--mc-reps", "400", "--seed", "11"],
+        "power": ["power", "--input", str(pow_cfg), "--mc-reps", "300", "--seed", "12"],
+        "probe": ["probe", "--input", str(probe_cfg), "--mc-reps", "300", "--seed", "13"],
+    }
+    for name, args in commands.items():
         for block in ("1", "7"):
             proc = subprocess.run(
                 [sys.executable, "-c", BLOCK_CLI.format(block=block), *args],
@@ -279,12 +288,10 @@ def test_criterion_10_determinism(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outputs[(name, block)] = proc.stdout
-    ok = (
-        outputs[("calibrate", "1")] == outputs[("calibrate", "7")]
-        and outputs[("power", "1")] == outputs[("power", "7")]
-    )
+    ok = all(outputs[(name, "1")] == outputs[(name, "7")] for name in commands)
     elapsed = report(
-        10, "determinism", ok, t0, "calibrate and power byte-compared at blocks of 1 and 7"
+        10, "determinism", ok, t0,
+        "test, calibrate, power and a consistency probe byte-compared at blocks of 1 and 7",
     )
     assert ok
     assert elapsed < 120.0

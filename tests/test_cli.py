@@ -1,5 +1,6 @@
 """Command-line driver: flags, report format, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from ntgof.cli import dump_report, main
+from ntgof.montecarlo import CalibrationResult, PowerCurveResult, ProbeResult
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -61,6 +63,62 @@ def test_report_floats_are_full_precision():
 def test_report_rejects_non_finite():
     with pytest.raises(ValueError):
         dump_report({"x": math.inf})
+
+
+CONTAMINATION = {"type": "contamination", "coefficients": {"1": 0.3}}
+
+# the calibrate, power and probe reports are the result's fields plus these
+RUN_KEYS = {
+    "calibrate": {"command", "kind", "penalty", "budget_dim"},
+    "power": {"command", "kind", "penalty"},
+    "probe": {"command", "seed", "replications"},
+}
+RESULT_CLASSES = {
+    "calibrate": CalibrationResult,
+    "power": PowerCurveResult,
+    "probe": ProbeResult,
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, keys, rows, row_keys",
+    [
+        ("test", None,
+         {"command", "kind", "n", "s", "t_s", "p_value", "critical_value", "alpha", "decision",
+          "penalty", "budget_dim", "mc_reps", "seed", "series"},
+         "series", {"k", "t", "pi", "penalized"}),
+        ("calibrate", {"n": 100},
+         {"n", "alpha", "replications", "seed", "critical_value", "statistics", "s_counts",
+          "command", "kind", "penalty", "budget_dim"}, None, None),
+        ("power", {"n_grid": [50, 100], "alternative": CONTAMINATION},
+         {"alternative", "alpha", "replications", "seed", "points",
+          "command", "kind", "penalty"},
+         "points", {"n", "critical_value", "rejection_rate"}),
+        ("probe", {"probe": "consistency", "n_grid": [50, 100], "alternative": CONTAMINATION},
+         {"probe", "passed", "detail", "rows", "command", "seed", "replications"},
+         "rows", {"n", "p_s_ge_k", "median_t_s"}),
+        ("probe", {"probe": "tail_rate", "n_grid": [16, 32]},
+         {"probe", "passed", "detail", "rows", "command", "seed", "replications"},
+         "rows", {"n", "tail", "reference_rate"}),
+    ],
+    ids=["test", "calibrate", "power", "consistency", "tail_rate"],
+)
+def test_report_keys(tmp_path, capsys, command, config, keys, rows, row_keys):
+    # a field added to a result class shows up here as a report change
+    if config is None:
+        path = write_uniform_csv(tmp_path / "u.csv", n=80)
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--mc-reps", "100")
+    assert code == 0, err
+    report = json.loads(out)
+    assert set(report) == keys
+    if rows is not None:
+        assert all(set(row) == row_keys for row in report[rows])
+    if command in RUN_KEYS:
+        fields = {f.name for f in dataclasses.fields(RESULT_CLASSES[command])}
+        assert keys == fields | RUN_KEYS[command]
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +373,6 @@ def test_too_few_replications_named_by_every_subcommand(tmp_path, capsys, comman
     assert err == "ntgof: --mc-reps must be >= 100\n"
 
 
-CONTAMINATION = {"type": "contamination", "coefficients": {"1": 0.3}}
-
-
 @pytest.mark.parametrize(
     "command, kind, config, key, shown",
     [
@@ -407,6 +462,49 @@ def test_power_n_grid_below_two_is_a_config_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "power", "--input", str(cfg), "--mc-reps", "100")
     assert code == 2 and out == ""
     assert err == "ntgof: n_grid sizes must be >= 2, got [1, 50]\n"
+
+
+@pytest.mark.parametrize(
+    "command, kind, config, where, keys",
+    [
+        ("calibrate", "deconvolution", {"n": 200, "noise_sigm": 0.1}, None, 'key "noise_sigm"'),
+        # a key another kind reads
+        ("calibrate", "uniformity", {"n": 200, "beta0": [0.0]}, None, 'key "beta0"'),
+        ("power", "independence",
+         {"n_grid": [100], "alternative": NOISY_COPY, "alpha": 0.1, "probe": "consistency"},
+         None, 'keys "alpha", "probe"'),
+        ("power", "uniformity", {"n_grid": [100], "alternative": dict(CONTAMINATION, noise_sd=1)},
+         'config "alternative"', 'key "noise_sd"'),
+        ("probe", "uniformity",
+         {"probe": "consistency", "n_grid": [100, 200], "alternative": CONTAMINATION,
+          "threshhold": 0.99}, None, 'key "threshhold"'),
+        ("probe", "deconvolution", {"probe": "tail_rate", "n_grid": [16, 32], "noise_sigma": 1},
+         None, 'key "noise_sigma"'),
+        ("probe", "uniformity",
+         {"probe": "tail_rate", "n_grid": [16, 32], "sampler": {"type": "rademacher", "p": 0.3}},
+         'config "sampler"', 'key "p"'),
+    ],
+    ids=["calibrate-misspelt", "calibrate-other-kind", "power", "power-alternative",
+         "consistency", "tail_rate", "tail_rate-sampler"],
+)
+def test_unknown_config_keys_are_input_errors(
+    tmp_path, capsys, monkeypatch, command, kind, config, where, keys
+):
+    # an unread key used to be ignored: a misspelt "noise_sigm" calibrated
+    # at the default sigma and a "threshhold" probe ran at 0.8, exit 0
+    import ntgof.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("null_distribution", "power_curve", "consistency_probe", "tail_rate_probe"):
+        monkeypatch.setattr(ntgof.cli, name, never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        capsys, command, "--kind", kind, "--input", str(cfg), "--mc-reps", "100"
+    )
+    assert (code, out, err) == (2, "", f"ntgof: {where or cfg}: unknown {keys}\n")
 
 
 def test_bad_dmax(tmp_path, capsys):

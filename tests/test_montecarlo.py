@@ -79,8 +79,10 @@ def test_calibration_bookkeeping():
     assert cal.critical_value == cal.statistics[474]
     assert int(np.sum(cal.s_counts)) == 500
     assert len(cal.s_counts) == spec.budget.d(100)
-    d = cal.as_dict()
-    assert set(d) == {"n", "alpha", "replications", "seed", "critical_value", "s_counts"}
+    d = dataclasses.asdict(cal)
+    assert set(d) == {
+        "n", "alpha", "replications", "seed", "critical_value", "statistics", "s_counts"
+    }
 
 
 def run_at_blocks(monkeypatch, fn, blocks=(1, 7, 64)):
@@ -186,7 +188,7 @@ def test_power_grows_along_grid():
     rates = [p.rejection_rate for p in curve.points]
     assert rates[0] < rates[-1]
     assert rates[-1] > 0.9
-    d = curve.as_dict()
+    d = dataclasses.asdict(curve)
     assert [row["n"] for row in d["points"]] == [50, 200, 800]
 
 
@@ -194,7 +196,7 @@ def test_power_deterministic_across_blocks(monkeypatch):
     spec = independence_spec()
     alt = noisy_copy_pairs(1.0)
     cfg = MonteCarloConfig(replications=200, seed=9, alpha=0.05, n_grid=(60,))
-    a, *rest = run_at_blocks(monkeypatch, lambda: power_curve(spec, alt, cfg).as_dict())
+    a, *rest = run_at_blocks(monkeypatch, lambda: dataclasses.asdict(power_curve(spec, alt, cfg)))
     assert all(b == a for b in rest)
 
 
@@ -564,11 +566,11 @@ def test_consistency_probe_passes_for_growing_sample():
     alt = contamination_alternative({2: 0.25})
     cfg = MonteCarloConfig(replications=300, seed=4, n_grid=(100, 400, 1600))
     probe = consistency_probe(spec, alt, cfg, threshold=0.8)
-    assert probe.name == "consistency"
+    assert probe.probe == "consistency"
     assert probe.passed, probe.detail
-    p_track = [row.values["p_s_ge_k"] for row in probe.rows]
+    p_track = [row["p_s_ge_k"] for row in probe.rows]
     assert p_track[-1] >= 0.8
-    med = [row.values["median_t_s"] for row in probe.rows]
+    med = [row["median_t_s"] for row in probe.rows]
     assert med[-1] > med[0]
 
 
@@ -598,7 +600,7 @@ def test_consistency_probe_as_dict():
     spec = uniformity_spec()
     alt = contamination_alternative({1: 0.3})
     cfg = MonteCarloConfig(replications=150, seed=6, n_grid=(200, 800))
-    d = consistency_probe(spec, alt, cfg).as_dict()
+    d = dataclasses.asdict(consistency_probe(spec, alt, cfg))
     assert d["probe"] == "consistency"
     assert isinstance(d["passed"], bool)
     assert [row["n"] for row in d["rows"]] == [200, 800]
@@ -623,10 +625,10 @@ def test_tail_rate_halving_for_bounded_means():
         seed=0,
     )
     assert probe.passed, probe.detail
-    tails = [row.values["tail"] for row in probe.rows]
+    tails = [row["tail"] for row in probe.rows]
     # P(|mean_16| >= 1/2) = 2 P(Bin(16, 1/2) >= 12) = 2517/32768
     assert tails[0] == pytest.approx(2517.0 / 32768.0, abs=0.006)
-    refs = [row.values["reference_rate"] for row in probe.rows]
+    refs = [row["reference_rate"] for row in probe.rows]
     assert refs[0] == pytest.approx(math.exp(-16 * 0.25 / 2.0))
 
 
@@ -641,14 +643,14 @@ def test_tail_rate_zero_threshold_never_decays():
         seed=0,
     )
     assert not probe.passed
-    assert all(row.values["tail"] == 1.0 for row in probe.rows)
+    assert all(row["tail"] == 1.0 for row in probe.rows)
 
 
 def test_tail_rate_repeatable():
     kwargs = dict(
         mean=0.0, sigma=1.0, y=0.5, n_grid=(16, 32), replications=500, seed=3
     )
-    a, b = (tail_rate_probe(rademacher, **kwargs).as_dict() for _ in range(2))
+    a, b = (dataclasses.asdict(tail_rate_probe(rademacher, **kwargs)) for _ in range(2))
     assert a == b
 
 
@@ -659,7 +661,7 @@ def test_tail_rate_tails_match_substream_loop():
         hits = [
             abs(float(rademacher(substream(seed, gi, i), n).mean())) >= 0.5 for i in range(reps)
         ]
-        assert row.values["tail"] == float(np.mean(hits))
+        assert row["tail"] == float(np.mean(hits))
 
 
 def test_tail_rate_validation():
@@ -676,6 +678,32 @@ def test_tail_rate_validation():
     for factor in (0.0, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"^factor must be finite and > 0, got "):
             tail_rate_probe(rademacher, 0.0, 1.0, 0.5, (16, 32), 200, 0, factor=factor)
+    # 200.0 stopped in a TypeError, 16.5 ran at n = 16, a NaN y or mean
+    # passed trivially (every tail read 0), an infinite sigma reported a
+    # reference rate of 1, and a short draw was averaged
+    bad = [
+        (dict(replications=200.0), r"^replications must be an integer >= 100, got 200.0$"),
+        (dict(n_grid=(16.5, 32)), r"^n_grid sizes must be integers, got \[16.5, 32\]$"),
+        (dict(mean=math.nan), r"^mean must be finite, got nan$"),
+        (dict(y=math.nan), r"^y must be finite and >= 0, got nan$"),
+        (dict(y=math.inf), r"^y must be finite and >= 0, got inf$"),
+        (dict(y=-0.5), r"^y must be finite and >= 0, got -0.5$"),
+        (dict(sigma=math.inf), r"^sigma must be finite and > 0, got inf$"),
+        (dict(sigma=0.0), r"^sigma must be finite and > 0, got 0.0$"),
+        (dict(draw=lambda rng, n: rademacher(rng, n - 3)),
+         r"^draw returned shape \(13,\) for n=16; expected \(16,\)$"),
+        (dict(draw=lambda rng, n: rademacher(rng, 2 * n).reshape(n, 2)),
+         r"^draw returned shape \(16, 2\) for n=16; expected \(16,\)$"),
+    ]
+    good = dict(
+        draw=rademacher, mean=0.0, sigma=1.0, y=0.5, n_grid=(16, 32), replications=200, seed=0
+    )
+    for change, message in bad:
+        with pytest.raises(ValueError, match=message):
+            tail_rate_probe(**{**good, **change})
+    # NumPy integers are integers
+    probe = tail_rate_probe(rademacher, 0.0, 1.0, 0.5, (np.int64(16), 32), np.int64(100), 0)
+    assert [row["n"] for row in probe.rows] == [16, 32]
 
 
 # ---------------------------------------------------------------------------
