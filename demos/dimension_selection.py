@@ -17,13 +17,12 @@ from ntgof import (
     default_budget,
     default_weight_spec,
     linear_schedule,
-    nt_series_from_sums,
+    run_test,
     schwarz_schedule,
-    select_dimension,
     uniformity_spec,
     validate_penalty,
 )
-from ntgof.basis import legendre_basis, score_sums
+from ntgof.basis import legendre_basis
 
 
 def print_report(title, report):
@@ -74,8 +73,7 @@ def main():
             data = rng.random(n)
         else:
             data = contamination_alternative({2: c}, basis).sampler(rng, n)
-        series = nt_series_from_sums(score_sums(basis, data, spec.budget.d(n)), n)
-        out = select_dimension(series, spec.penalty, n)
+        out = run_test(data, spec)
         print(f"  {c:>5.2f} {out.s:>3} {out.t_s:>9.3f}")
 
 

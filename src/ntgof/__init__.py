@@ -11,7 +11,7 @@ Layout:
 - :mod:`ntgof.statistics` -- the nested quadratic-form series every
   test forms from its score sums.
 - :mod:`ntgof.selection` -- penalty schedules, dimension budgets, the
-  penalized selector, and admissibility validators.
+  selection outcome, and admissibility validators.
 - :mod:`ntgof.majorant` -- finite-sample tail bounds and their
   validity windows.
 - :mod:`ntgof.catalog` -- ready-made test specs (uniformity, rank
@@ -88,10 +88,8 @@ from .selection import (
     linear_schedule,
     schwarz_penalty,
     schwarz_schedule,
-    select_dimension,
     table_schedule,
     validate_penalty,
 )
-from .statistics import nt_series_from_sums
 
 __version__ = "0.1.0"

@@ -3,13 +3,13 @@
 Every test here follows the same recipe: map the data into score
 components l_1, ..., l_d that are mean-zero under the null, reduce each
 sample of a block straight to its score sums sum_i l_j(Y_i), form the
-statistic series T_1, ..., T_d from the sums with
-:func:`nt_series_from_sums` (the nested quadratic forms in the scores'
-null covariance, which is the identity for orthonormal scores), and
-hand the series to the penalized selector.  No kind forms a (B, n, d)
-array of scores.  For a given spec and n everything but the sample is
-fixed, so :func:`_prepare` works it out once -- the sample shape, d(n),
-the penalties, the kind's artifacts and the gated Cholesky factor of a
+statistic series T_1, ..., T_d from the sums with :func:`_series` (the
+nested quadratic forms in the scores' null covariance, which is the
+identity for orthonormal scores), and hand the series to the penalized
+selector :func:`_select`.  No kind forms a (B, n, d) array of scores.
+For a given spec and n everything but the sample is fixed, so
+:func:`_prepare` works it out once -- the sample shape, d(n), the
+penalties, the kind's artifacts and the gated Cholesky factor of a
 shared covariance -- into the plan that :func:`run_test` runs on one
 sample and the Monte Carlo engine on every block.  What varies is where
 the scores come from and what their covariance is:
@@ -257,13 +257,18 @@ class AlternativeSpec:
     returns: the Monte Carlo engine moves one generator on to the next
     replication's stream after each call.  ``first_component`` is the
     index K of the first score direction the alternative actually
-    excites (when known); consistency probes use it to know which
-    P(S >= K) should climb to one.
+    excites (when known), an integer >= 1; consistency probes use it to
+    know which P(S >= K) should climb to one.
     """
 
     name: str
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     first_component: int | None = None
+
+    def __post_init__(self):
+        k = self.first_component
+        if k is not None and (not isinstance(k, numbers.Integral) or k < 1):
+            raise ValueError(f"first_component must be None or an integer >= 1, got {k!r}")
 
 
 @dataclass(frozen=True)

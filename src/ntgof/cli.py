@@ -15,9 +15,11 @@ critical value, and the full per-dimension series.  ``calibrate``,
 ``power``, and ``probe`` read study parameters (sample sizes,
 alternatives, probe settings) from a small JSON file -- the flag set is
 the same for every subcommand; what changes is what ``--input`` holds.
-A config key that the command and kind do not read is an input error.
-Their reports are the result's fields plus the keys that describe the
-run.
+A config key that the command and kind do not read is an input error,
+and so is a flag set on the command line that a probe does not read: a
+tail-rate probe reads none of ``--kind``, ``--penalty``, ``--dmax`` and
+``--alpha``, a consistency probe does not read ``--alpha``.  Their
+reports are the result's fields plus the keys that describe the run.
 
 Flags: ``--kind {uniformity,independence,deconvolution,composite}``,
 ``--input PATH``, ``--penalty {schwarz|linear2k|table:<path>}``,
@@ -388,15 +390,25 @@ def _cmd_power(args) -> dict:
     return dataclasses.asdict(result) | run
 
 
+def _no_unread_flags(args, probe: str, unread: set) -> None:
+    """Reject the flags of ``unread`` that the command line set: the probe ignores them."""
+    given = sorted(args.given & unread)
+    if given:
+        raise InputError(f"a {probe} probe does not read {', '.join(given)}")
+
+
 def _cmd_probe(args) -> dict:
     cfg = _read_config(args.input)
     which = cfg.pop("probe", None)
+    run = {"command": "probe", "seed": args.seed, "replications": args.mc_reps}
     if which == "consistency":
         spec, config = _study(args, cfg, _n_grid(cfg, args.input, "probe config"))
         alternative = _parse_alternative(args.kind, cfg)
         threshold = _config_float(cfg.pop("threshold", 0.8), "threshold")
         _no_unknown_keys(cfg, args.input)
+        _no_unread_flags(args, which, {"--alpha"})
         result = consistency_probe(spec, alternative, config, threshold=threshold)
+        run |= {"kind": args.kind, "penalty": args.penalty, "dmax": args.dmax}
     elif which == "tail_rate":
         sampler_cfg = cfg.pop("sampler", {})
         stype = sampler_cfg.pop("type", "rademacher") if isinstance(sampler_cfg, dict) else None
@@ -410,6 +422,7 @@ def _cmd_probe(args) -> dict:
             factor=_config_float(cfg.pop("factor", 2.0), "factor"),
         )
         _no_unknown_keys(cfg, args.input)
+        _no_unread_flags(args, which, {"--kind", "--penalty", "--dmax", "--alpha"})
         result = tail_rate_probe(
             draw=lambda rng, m: 2.0 * rng.integers(0, 2, m) - 1.0,
             mean=0.0,
@@ -419,7 +432,6 @@ def _cmd_probe(args) -> dict:
         )
     else:
         raise InputError(f'{args.input}: "probe" must be "consistency" or "tail_rate"')
-    run = {"command": "probe", "seed": args.seed, "replications": args.mc_reps}
     return dataclasses.asdict(result) | run
 
 
@@ -427,12 +439,27 @@ def _cmd_probe(args) -> dict:
 # driver
 
 
+class _Given(argparse.Action):
+    """Store the flag's value and add the flag to ``args.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.option_strings[0]}
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kind", choices=CLI_KINDS, default="uniformity")
+    # ``given`` holds the flags below that the command line set, so a
+    # probe can refuse one it does not read and still run at defaults
+    sub.set_defaults(given=frozenset())
+    sub.add_argument("--kind", choices=CLI_KINDS, default="uniformity", action=_Given)
     sub.add_argument("--input", required=True, help="CSV data (test) or JSON study config")
-    sub.add_argument("--penalty", default="schwarz", help="schwarz | linear2k | table:<path>")
-    sub.add_argument("--dmax", default="auto", help="auto | largest dimension to consider")
-    sub.add_argument("--alpha", type=float, default=0.05)
+    sub.add_argument(
+        "--penalty", default="schwarz", action=_Given, help="schwarz | linear2k | table:<path>"
+    )
+    sub.add_argument(
+        "--dmax", default="auto", action=_Given, help="auto | largest dimension to consider"
+    )
+    sub.add_argument("--alpha", type=float, default=0.05, action=_Given)
     sub.add_argument("--mc-reps", type=int, default=2000, dest="mc_reps")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="report path (default: stdout)")

@@ -65,7 +65,6 @@ __all__ = [
     "default_budget",
     "fixed_budget",
     "SelectionOutcome",
-    "select_dimension",
     "CheckResult",
     "ValidationReport",
     "validate_penalty",
@@ -190,20 +189,6 @@ class SelectionOutcome:
         return np.take_along_axis(self.series, self.s[..., None] - 1, axis=-1)[..., 0]
 
 
-def select_dimension(series, penalty: PenaltySchedule, n: int) -> SelectionOutcome:
-    """Penalized argmax over the statistic series, smallest index on ties.
-
-    ``series`` holds T_1, ..., T_d, or one such row per leading index
-    (..., d); the penalties are computed once for all rows.  Comparisons
-    are exact, so two dimensions with bitwise-equal penalized values
-    resolve to the smaller one.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim < 1 or series.shape[-1] < 1:
-        raise ValueError("series must be a non-empty array, dimensions on the last axis")
-    return _select(series, _penalties(penalty, series.shape[-1], n))
-
-
 def _penalties(penalty: PenaltySchedule, d: int, n: int) -> np.ndarray:
     """pi(1, n), ..., pi(d, n), checked finite."""
     pens = np.array([penalty.pi(k, n) for k in range(1, d + 1)], dtype=float)
@@ -213,7 +198,12 @@ def _penalties(penalty: PenaltySchedule, d: int, n: int) -> np.ndarray:
 
 
 def _select(series: np.ndarray, pens: np.ndarray) -> SelectionOutcome:
-    """:func:`select_dimension` of a float series (..., d) with its d penalties."""
+    """Penalized argmax of a float series (..., d) with its d penalties.
+
+    One row per leading index shares the penalties.  Comparisons are
+    exact, so bitwise-equal penalized values resolve to the smaller
+    dimension, the first maximum.
+    """
     if not np.all(np.isfinite(series)):
         raise ValueError("series contains non-finite values")
     penalized = series - pens

@@ -34,7 +34,7 @@ from ntgof.montecarlo import (
     power_curve,
     tail_rate_probe,
 )
-from ntgof.statistics import nt_series_from_sums
+from ntgof.statistics import _gated_factor, _series
 
 BASIS = legendre_basis(12)
 
@@ -82,7 +82,7 @@ def test_criterion_2_oracle_equivalence():
         scores = rng.integers(-8, 9, size=(n, k)) / 8.0
         a = rng.standard_normal((k, k))
         lmat = a @ a.T + k * np.eye(k)
-        got = nt_series_from_sums(scores.sum(0), n, np.linalg.inv(lmat))[-1]
+        got = _series(scores.sum(0), n, _gated_factor(np.linalg.inv(lmat), k))[-1]
         naive = 0.0
         for i in range(k):
             for j in range(k):

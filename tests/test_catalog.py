@@ -39,8 +39,8 @@ from ntgof import catalog
 from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
 from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
 from ntgof.montecarlo import MonteCarloConfig, null_distribution
-from ntgof.selection import default_budget, fixed_budget, schwarz_schedule, select_dimension
-from ntgof.statistics import nt_series_from_sums
+from ntgof.selection import _penalties, _select, default_budget, fixed_budget, schwarz_schedule
+from ntgof.statistics import _series
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +616,7 @@ def test_composite_reduces_to_cumulative_form_when_orthogonal():
     data = rng.random(100)
     for k in (1, 2, 4):
         w = run_test(data, composite_spec(flat, budget=fixed_budget(k))).series[-1]
-        t = nt_series_from_sums(design_matrix(legendre_basis(12), data, k).sum(0), 100)[-1]
+        t = _series(design_matrix(legendre_basis(12), data, k).sum(0), 100)[-1]
         assert w == pytest.approx(t, abs=1e-8)
 
 
@@ -757,8 +757,8 @@ def test_dispatch_matches_direct_call():
     data = rng.random(50)
     spec = uniformity_spec()
     a = run_test(data, spec)
-    series = nt_series_from_sums(score_sums(spec.basis, data, spec.budget.d(50)), 50)
-    b = select_dimension(series, spec.penalty, 50)
+    d = spec.budget.d(50)
+    b = _select(_series(score_sums(spec.basis, data, d), 50), _penalties(spec.penalty, d, 50))
     assert a.s == b.s and a.t_s == b.t_s
 
 
@@ -782,7 +782,7 @@ def test_uniformity_series_equals_nt_series_of_design_matrix():
     spec = uniformity_spec()
     for n in (50, 500, 1296):
         x = np.random.default_rng(n).random(n)
-        want = nt_series_from_sums(column_sums(design_matrix(spec.basis, x, spec.budget.d(n))), n)
+        want = _series(column_sums(design_matrix(spec.basis, x, spec.budget.d(n))), n)
         assert np.array_equal(run_test(x, spec).series, want)
 
 
@@ -805,7 +805,7 @@ def _rank_transform_series(block, spec, d):
     u = np.array([_reference.rank_transform(pairs[:, 0]) for pairs in block])
     v = np.array([_reference.rank_transform(pairs[:, 1]) for pairs in block])
     scores = design_matrix(spec.basis, u, d) * design_matrix(spec.basis, v, d)
-    return nt_series_from_sums(column_sums(scores), block.shape[1])
+    return _series(column_sums(scores), block.shape[1])
 
 
 @pytest.mark.parametrize("n", [50, 500, 1296])

@@ -67,16 +67,19 @@ def test_report_rejects_non_finite():
 
 CONTAMINATION = {"type": "contamination", "coefficients": {"1": 0.3}}
 
-# the calibrate, power and probe reports are the result's fields plus these
+# the calibrate, power and probe reports are the result's fields plus
+# these, a probe's by the flags it reads
 RUN_KEYS = {
     "calibrate": {"command", "kind", "penalty", "budget_dim"},
     "power": {"command", "kind", "penalty"},
-    "probe": {"command", "seed", "replications"},
+    "consistency": {"command", "seed", "replications", "kind", "penalty", "dmax"},
+    "tail_rate": {"command", "seed", "replications"},
 }
 RESULT_CLASSES = {
     "calibrate": CalibrationResult,
     "power": PowerCurveResult,
-    "probe": ProbeResult,
+    "consistency": ProbeResult,
+    "tail_rate": ProbeResult,
 }
 
 
@@ -95,7 +98,8 @@ RESULT_CLASSES = {
           "command", "kind", "penalty"},
          "points", {"n", "critical_value", "rejection_rate"}),
         ("probe", {"probe": "consistency", "n_grid": [50, 100], "alternative": CONTAMINATION},
-         {"probe", "passed", "detail", "rows", "command", "seed", "replications"},
+         {"probe", "passed", "detail", "rows", "command", "seed", "replications",
+          "kind", "penalty", "dmax"},
          "rows", {"n", "p_s_ge_k", "median_t_s"}),
         ("probe", {"probe": "tail_rate", "n_grid": [16, 32]},
          {"probe", "passed", "detail", "rows", "command", "seed", "replications"},
@@ -116,9 +120,10 @@ def test_report_keys(tmp_path, capsys, command, config, keys, rows, row_keys):
     assert set(report) == keys
     if rows is not None:
         assert all(set(row) == row_keys for row in report[rows])
-    if command in RUN_KEYS:
-        fields = {f.name for f in dataclasses.fields(RESULT_CLASSES[command])}
-        assert keys == fields | RUN_KEYS[command]
+    which = config.get("probe", command) if config else command
+    if which in RUN_KEYS:
+        fields = {f.name for f in dataclasses.fields(RESULT_CLASSES[which])}
+        assert keys == fields | RUN_KEYS[which]
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +797,55 @@ def test_probe_settings_out_of_range_are_config_errors(tmp_path, capsys, config,
     cfg.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "probe", "--input", str(cfg), "--mc-reps", "100")
     assert (code, out, err) == (2, "", f"ntgof: {shown}\n")
+
+
+PROBE_CONFIGS = {
+    "consistency": {"probe": "consistency", "n_grid": [50, 100], "alternative": CONTAMINATION},
+    "tail_rate": {"probe": "tail_rate", "n_grid": [16, 32]},
+}
+
+
+@pytest.mark.parametrize(
+    "probe, flags, shown",
+    [
+        ("tail_rate", ["--kind", "independence", "--penalty", "linear2k", "--dmax", "2",
+                       "--alpha", "0.5"], "--alpha, --dmax, --kind, --penalty"),
+        # set, even at its default value
+        ("tail_rate", ["--kind", "uniformity"], "--kind"),
+        ("consistency", ["--alpha", "0.9"], "--alpha"),
+        ("consistency", ["--alpha=0.05"], "--alpha"),
+    ],
+    ids=["tail_rate-all", "tail_rate-default-value", "consistency-alpha",
+         "consistency-default-value"],
+)
+def test_probe_flags_it_does_not_read_are_input_errors(
+    tmp_path, capsys, monkeypatch, probe, flags, shown
+):
+    # a tail-rate probe at --kind independence --alpha 0.5 used to print
+    # the plain Rademacher report, exit 0
+    import ntgof.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(ntgof.cli, f"{probe}_probe", never)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(PROBE_CONFIGS[probe]))
+    code, out, err = run_cli(capsys, "probe", "--input", str(cfg), "--mc-reps", "100", *flags)
+    assert (code, out, err) == (2, "", f"ntgof: a {probe} probe does not read {shown}\n")
+
+
+def test_consistency_report_names_the_flags_it_reads(tmp_path, capsys):
+    # --dmax 1 and auto used to give reports with the same run keys
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(PROBE_CONFIGS["consistency"]))
+    code, out, err = run_cli(
+        capsys, "probe", "--input", str(cfg), "--mc-reps", "100",
+        "--kind", "uniformity", "--penalty", "linear2k", "--dmax", "1",
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["kind"], report["penalty"], report["dmax"]) == ("uniformity", "linear2k", "1")
 
 
 def test_probe_requires_known_name(tmp_path, capsys):

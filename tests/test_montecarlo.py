@@ -584,6 +584,13 @@ def test_consistency_probe_requires_component():
         )
 
 
+@pytest.mark.parametrize("k", [0, 2.5])
+def test_first_component_is_an_integer_from_one(k):
+    # at K = 0 the null sample passed the uniformity probe, P(S >= 0) = 1
+    with pytest.raises(ValueError, match=r"^first_component must be None or an integer >= 1"):
+        AlternativeSpec(name="x", sampler=lambda rng, n: rng.random(n), first_component=k)
+
+
 @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 1.5])
 def test_consistency_probe_threshold_lies_in_unit_interval(threshold):
     # NaN could never pass, and a threshold of -1 always did

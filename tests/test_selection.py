@@ -15,10 +15,10 @@ from ntgof.selection import (
     linear_schedule,
     schwarz_penalty,
     schwarz_schedule,
-    select_dimension,
     table_schedule,
     validate_penalty,
 )
+from ntgof.selection import _penalties, _select
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +59,14 @@ def test_table_schedule_lookup_and_miss():
 
 
 def test_singleton_series():
-    out = select_dimension([5.0], schwarz_schedule(), n=100)
+    out = _select(np.array([5.0]), _penalties(schwarz_schedule(), 1, 100))
     assert out.s == 1
     assert out.t_s == 5.0
 
 
 def test_hand_computed_selection():
     # n=100: penalized = (3 - 4.605, 12 - 9.210, 12.5 - 13.816) -> k=2 wins
-    out = select_dimension([3.0, 12.0, 12.5], schwarz_schedule(), n=100)
+    out = _select(np.array([3.0, 12.0, 12.5]), _penalties(schwarz_schedule(), 3, 100))
     assert out.s == 2
     assert out.t_s == 12.0
     assert out.penalized == pytest.approx([-1.60517, 2.78966, -1.31551], abs=1e-5)
@@ -75,7 +75,7 @@ def test_hand_computed_selection():
 def test_exact_tie_takes_smallest_index():
     # with pi = k log n and n = e the penalized values tie at 4
     n = math.e
-    out = select_dimension([5.0, 5.0 + math.log(n)], schwarz_schedule(), n=n)
+    out = _select(np.array([5.0, 5.0 + math.log(n)]), _penalties(schwarz_schedule(), 2, n))
     assert out.penalized == pytest.approx([4.0, 4.0])
     assert out.s == 1
 
@@ -83,30 +83,26 @@ def test_exact_tie_takes_smallest_index():
 def test_shift_invariance():
     # adding a constant to every T_k shifts all penalized values equally
     rng = np.random.default_rng(2)
+    pens = _penalties(schwarz_schedule(), 6, 500)
     for _ in range(100):
         series = rng.standard_normal(6).cumsum() ** 2
-        base = select_dimension(series, schwarz_schedule(), n=500).s
-        shifted = select_dimension(series + 17.3, schwarz_schedule(), n=500).s
-        assert shifted == base
+        assert _select(series + 17.3, pens).s == _select(series, pens).s
 
 
 def test_constant_penalty_offset_invariance():
     # pi and pi + c(n) rank the penalized series identically
     rng = np.random.default_rng(8)
-    base_sched = schwarz_schedule()
-    off_sched = table_schedule(
-        {(k, 300): schwarz_penalty(k, 300) + 9.9 for k in range(1, 7)}
+    base = _penalties(schwarz_schedule(), 6, 300)
+    off = _penalties(
+        table_schedule({(k, 300): schwarz_penalty(k, 300) + 9.9 for k in range(1, 7)}), 6, 300
     )
     for _ in range(50):
         series = np.abs(rng.standard_normal(6)).cumsum()
-        assert (
-            select_dimension(series, base_sched, n=300).s
-            == select_dimension(series, off_sched, n=300).s
-        )
+        assert _select(series, base).s == _select(series, off).s
 
 
 def test_outcome_records_inputs():
-    out = select_dimension([1.0, 9.0], schwarz_schedule(), n=50)
+    out = _select(np.array([1.0, 9.0]), _penalties(schwarz_schedule(), 2, 50))
     assert out.series == pytest.approx([1.0, 9.0])
     assert out.penalties == pytest.approx([math.log(50.0), 2 * math.log(50.0)])
     assert out.penalized == pytest.approx(np.array([1.0, 9.0]) - out.penalties)
@@ -118,19 +114,18 @@ def test_batched_selection_matches_rows_alone():
     series = np.vstack(
         [[5.0, 6.0, 6.5], [5.0, 6.0, 7.0], rng.standard_normal((6, 3)).cumsum(axis=1) ** 2]
     )
-    out = select_dimension(series, schwarz_schedule(), n=math.e)
+    pens = _penalties(schwarz_schedule(), 3, math.e)
+    out = _select(series, pens)
     for row, t, s in zip(series, out.t_s, out.s):
-        alone = select_dimension(row, schwarz_schedule(), n=math.e)
+        alone = _select(row, pens)
         assert (s, t) == (alone.s, alone.t_s)
     assert out.s[:2].tolist() == [1, 1]
     assert out.penalties.shape == (3,)
 
 
 def test_selector_rejects_bad_series():
-    with pytest.raises(ValueError):
-        select_dimension([], schwarz_schedule(), n=100)
-    with pytest.raises(ValueError):
-        select_dimension([1.0, np.nan], schwarz_schedule(), n=100)
+    with pytest.raises(ValueError, match="series contains non-finite values"):
+        _select(np.array([1.0, np.nan]), _penalties(schwarz_schedule(), 2, 100))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from ntgof.basis import design_matrix, legendre_basis
 from ntgof.catalog import _artifact, deconvolution_spec, uniformity_spec
 from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
 from ntgof.selection import fixed_budget
-from ntgof.statistics import nt_series_from_sums
+from ntgof.statistics import _gated_factor, _series
 
 BASIS = legendre_basis(12)
 
@@ -21,36 +21,36 @@ BASIS = legendre_basis(12)
 
 
 def test_single_observation():
-    assert nt_series_from_sums(np.array([2.0]), 1) == pytest.approx([4.0])
+    assert _series(np.array([2.0]), 1) == pytest.approx([4.0])
 
 
 def test_cancelling_sum():
     scores = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-    assert nt_series_from_sums(scores.sum(0), 4) == pytest.approx([0.0], abs=1e-15)
+    assert _series(scores.sum(0), 4) == pytest.approx([0.0], abs=1e-15)
 
 
 def test_two_component_oracle():
     # n=2: column sums (2, 2) -> T_1 = (2/sqrt 2)^2 = 2, T_2 = 2 + 2 = 4
     scores = np.array([[1.0, 3.0], [1.0, -1.0]])
-    assert nt_series_from_sums(scores.sum(0), 2) == pytest.approx([2.0, 4.0])
+    assert _series(scores.sum(0), 2) == pytest.approx([2.0, 4.0])
 
 
 def test_series_is_nondecreasing():
     rng = np.random.default_rng(3)
     for _ in range(50):
         scores = rng.standard_normal((rng.integers(1, 30), rng.integers(1, 8)))
-        t = nt_series_from_sums(scores.sum(0), scores.shape[0])
+        t = _series(scores.sum(0), scores.shape[0])
         assert np.all(np.diff(t) >= 0.0)
 
 
 def test_empty_sample_rejected():
     with pytest.raises(ValueError):
-        nt_series_from_sums(np.empty((0, 2)).sum(0), 0)
+        _series(np.empty((0, 2)).sum(0), 0)
 
 
 def test_nonfinite_scores_rejected():
     with pytest.raises(ValueError):
-        nt_series_from_sums(np.array([[1.0], [np.inf]]).sum(0), 2)
+        _series(np.array([[1.0], [np.inf]]).sum(0), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_series_sums_each_column_pairwise_along_its_contiguous_copy():
     block = np.random.default_rng(35).random((3, 1000))
     for k in (1, 2, 5):
         spec = uniformity_spec(budget=fixed_budget(k))
-        want = nt_series_from_sums(column_sums(design_matrix(BASIS, block, k)), 1000)
+        want = _series(column_sums(design_matrix(BASIS, block, k)), 1000)
         assert np.array_equal(block_test(block, spec).series, want)
 
 
@@ -71,7 +71,7 @@ def test_series_from_sums_with_covariance_matches_matrix_path():
     scores = rng.standard_normal((4, 60, 3))
     a = rng.standard_normal((3, 3))
     cov = a @ a.T + 3 * np.eye(3)
-    series = nt_series_from_sums(column_sums(scores), 60, cov)
+    series = _series(column_sums(scores), 60, _gated_factor(cov, 3))
     for i in range(4):
         for k in (1, 2, 3):
             want = quadratic_form(scores[i, :, :k], cov[:k, :k])
@@ -81,16 +81,14 @@ def test_series_from_sums_with_covariance_matches_matrix_path():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_series_from_sums_rejects_non_finite_sums(bad):
     with pytest.raises(ValueError, match="score matrix contains non-finite entries"):
-        nt_series_from_sums(np.array([[1.0, 2.0], [bad, 0.0]]), 10)
+        _series(np.array([[1.0, 2.0], [bad, 0.0]]), 10)
 
 
 def test_series_from_sums_checks_n_and_shape():
     with pytest.raises(ValueError, match="no rows"):
-        nt_series_from_sums([1.0], 0)
-    with pytest.raises(ValueError, match="at least 1-d"):
-        nt_series_from_sums(1.0, 4)
+        _series(np.array([1.0]), 0)
     with pytest.raises(ValueError, match="does not match"):
-        nt_series_from_sums([1.0, 2.0], 4, np.eye(3))
+        _gated_factor(np.eye(3), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -98,20 +96,21 @@ def test_series_from_sums_checks_n_and_shape():
 
 
 def test_zero_mean_vector():
-    assert nt_series_from_sums(np.zeros(3), 10, np.eye(3))[-1] == 0.0
+    assert _series(np.zeros(3), 10, _gated_factor(np.eye(3), 3))[-1] == 0.0
 
 
 def test_identity_weight_reduces_to_cumulative_form():
     scores = np.array([[1.0, 3.0], [1.0, -1.0]])
-    t2 = nt_series_from_sums(scores.sum(0), 2, np.eye(2))[-1]
-    assert t2 == pytest.approx(nt_series_from_sums(scores.sum(0), 2)[-1])
+    t2 = _series(scores.sum(0), 2, _gated_factor(np.eye(2), 2))[-1]
+    assert t2 == pytest.approx(_series(scores.sum(0), 2)[-1])
     assert t2 == pytest.approx(4.0)
 
 
 def test_hand_expanded_quadratic_form():
     # n=1, lbar=(1,1), L=[[2,1],[1,2]] -> 2 + 1 + 1 + 2 = 6
     lmat = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert nt_series_from_sums([1.0, 1.0], 1, np.linalg.inv(lmat))[-1] == pytest.approx(6.0)
+    factor = _gated_factor(np.linalg.inv(lmat), 2)
+    assert _series(np.array([1.0, 1.0]), 1, factor)[-1] == pytest.approx(6.0)
 
 
 def test_matches_naive_triple_loop():
@@ -122,7 +121,7 @@ def test_matches_naive_triple_loop():
         scores = rng.integers(-5, 6, size=(n, k)) / 4.0  # exact dyadic rationals
         a = rng.standard_normal((k, k))
         lmat = a @ a.T + k * np.eye(k)
-        got = nt_series_from_sums(scores.sum(0), n, np.linalg.inv(lmat))[-1]
+        got = _series(scores.sum(0), n, _gated_factor(np.linalg.inv(lmat), k))[-1]
         want = 0.0
         for a_ in range(k):
             for b_ in range(k):
@@ -137,14 +136,14 @@ def test_scale_relation():
     scores = rng.standard_normal((20, 3))
     a = rng.standard_normal((3, 3))
     lmat = a @ a.T + np.eye(3)
-    base = nt_series_from_sums(scores.sum(0), 20, np.linalg.inv(lmat))[-1]
-    scaled = nt_series_from_sums(scores.sum(0), 20, np.linalg.inv(2.5 * lmat))[-1]
+    base = _series(scores.sum(0), 20, _gated_factor(np.linalg.inv(lmat), 3))[-1]
+    scaled = _series(scores.sum(0), 20, _gated_factor(np.linalg.inv(2.5 * lmat), 3))[-1]
     assert scaled == pytest.approx(2.5 * base, rel=1e-13)
 
 
 def test_non_pd_weight_rejected():
     with pytest.raises(SingularMatrixError):
-        nt_series_from_sums([1.0, 1.0], 4, np.array([[1.0, 0.0], [0.0, -1.0]]))
+        _gated_factor(np.array([[1.0, 0.0], [0.0, -1.0]]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ def test_duplicated_component_is_singular():
 
     moment = estimate_moment_matrix(lambda rng, n: rng.random(n), 2, duplicated, 5000, seed=1)
     with pytest.raises(SingularMatrixError):
-        nt_series_from_sums(duplicated(np.linspace(0.0, 1.0, 7)).sum(0), 7, moment)
+        _gated_factor(moment, 2)
 
 
 def test_nonzero_mean_scores_rejected():
@@ -249,17 +248,18 @@ def test_zero_dimension_rejected():
 def test_series_identity_moment_equals_cumulative_form():
     rng = np.random.default_rng(31)
     scores = rng.standard_normal((25, 4))
-    series = nt_series_from_sums(scores.sum(0), 25, np.eye(4))
-    assert series == pytest.approx(nt_series_from_sums(scores.sum(0), 25), rel=1e-12)
+    series = _series(scores.sum(0), 25, _gated_factor(np.eye(4), 4))
+    assert series == pytest.approx(_series(scores.sum(0), 25), rel=1e-12)
 
 
 def test_zero_estimated_scores():
-    assert nt_series_from_sums(np.zeros(2), 8, np.eye(2))[-1] == 0.0
+    assert _series(np.zeros(2), 8, _gated_factor(np.eye(2), 2))[-1] == 0.0
 
 
 def test_one_observation_diagonal_weight():
     # covariance diag(1, 1/2) is the weight diag(1, 2); lbar = (1, 0)
-    assert nt_series_from_sums([1.0, 0.0], 1, np.diag([1.0, 0.5]))[-1] == pytest.approx(1.0)
+    factor = _gated_factor(np.diag([1.0, 0.5]), 2)
+    assert _series(np.array([1.0, 0.0]), 1, factor)[-1] == pytest.approx(1.0)
 
 
 def test_series_of_a_batch_equals_rows_alone():
@@ -268,18 +268,18 @@ def test_series_of_a_batch_equals_rows_alone():
     a = rng.standard_normal((5, 4, 4))
     covs = a @ a.transpose(0, 2, 1) + 4 * np.eye(4)
     for shared in (True, False):
-        batch = nt_series_from_sums(sums, 40, covs[0] if shared else covs)
+        batch = _series(sums, 40, _gated_factor(covs[0] if shared else covs, 4))
         assert batch.shape == (5, 4)
         for i in range(5):
-            alone = nt_series_from_sums(sums[i], 40, covs[0 if shared else i])
+            alone = _series(sums[i], 40, _gated_factor(covs[0 if shared else i], 4))
             assert np.array_equal(batch[i], alone)
-    assert np.array_equal(nt_series_from_sums(sums, 40)[2], nt_series_from_sums(sums[2], 40))
+    assert np.array_equal(_series(sums, 40)[2], _series(sums[2], 40))
 
 
 def test_series_gates_every_row_of_a_batch():
     covs = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-12]), np.eye(3)])
     with pytest.raises(SingularMatrixError, match=r"dimension 3 .*block that passes is 2 x 2"):
-        nt_series_from_sums(np.full((3, 3), 10.0), 10, covs)
+        _gated_factor(covs, 3)
 
 
 def small_deconv_scores_and_moment():
@@ -300,10 +300,11 @@ def test_series_uses_leading_blocks():
     # 11 x 11 block passes
     scores, moment = small_deconv_scores_and_moment()
     with pytest.raises(SingularMatrixError):
-        nt_series_from_sums(scores.sum(0), scores.shape[0], moment)
+        _gated_factor(moment, 12)
     cases.append((scores[:, :11], moment[:11, :11]))
     for scores, moment in cases:
-        series = nt_series_from_sums(scores.sum(0), scores.shape[0], moment)
+        factor = _gated_factor(moment, scores.shape[1])
+        series = _series(scores.sum(0), scores.shape[0], factor)
         for k in range(1, scores.shape[1] + 1):
             want = quadratic_form(scores[:, :k], moment[:k, :k])
             assert series[k - 1] == pytest.approx(want, rel=1e-12)
