@@ -104,29 +104,65 @@ def _check_domain(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _legendre_planes(x: np.ndarray, k: int):
-    """Yield b_1(x), ..., b_k(x) by the three-term recurrence, one array
-    shaped like x per degree."""
-    t = 2.0 * x - 1.0
+class _Workspace:
+    """Named scratch arrays that one caller reuses from call to call.
+
+    ``get(name, shape, dtype)`` returns an uninitialized C-contiguous
+    array of that shape: a view of the leading entries of the buffer
+    kept under ``name``, which is replaced by a larger one when a call
+    asks for more.  Every array of one name shares that memory, so a
+    caller is done with the last one before it asks for the next, and a
+    workspace serves one thread.
+    """
+
+    def __init__(self):
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        key, size = (name, np.dtype(dtype)), math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _legendre_planes(x: np.ndarray, k: int, work: _Workspace | None = None):
+    """Yield b_1(x), ..., b_k(x) by the three-term recurrence, each shaped like x.
+
+    Every plane is the same array of ``work`` (a fresh workspace when
+    None), overwritten when the next one is asked for, so a caller uses
+    each plane before it asks for the next.
+    """
+    work = _Workspace() if work is None else work
+    shape = np.shape(x)
+    t = np.multiply(x, 2.0, out=work.get("t", shape))
+    t -= 1.0
+    out = work.get("b", shape)
     p_prev, p_cur = 1.0, t  # P_0, P_1
-    yield math.sqrt(3.0) * p_cur
+    yield np.multiply(p_cur, math.sqrt(3.0), out=out)
     for j in range(1, k):
-        # (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1}
-        p_next = (2 * j + 1) * t
+        # (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1}; P_{j+1} takes the
+        # place of P_{j-1} once j P_{j-1} is in the output plane
+        np.multiply(p_prev, j, out=out)
+        p_next = np.multiply(t, 2 * j + 1, out=work.get(f"p{j % 2}", shape))
         p_next *= p_cur
-        p_next -= j * p_prev
+        p_next -= out
         p_next /= j + 1
         p_prev, p_cur = p_cur, p_next
-        yield math.sqrt(2 * (j + 1) + 1) * p_cur
+        yield np.multiply(p_cur, math.sqrt(2 * (j + 1) + 1), out=out)
 
 
-def _score_planes(basis: OrthonormalBasis, x, k: int):
-    """Yield b_1(x), ..., b_k(x), each shaped like the checked x."""
+def _score_planes(basis: OrthonormalBasis, x, k: int, work: _Workspace | None = None):
+    """Yield b_1(x), ..., b_k(x), each shaped like the checked x.
+
+    A Legendre basis writes them into ``work`` (see
+    :func:`_legendre_planes`); a user basis's components allocate their own.
+    """
     if not 1 <= k <= basis.max_degree:
         raise ValueError(f"k={k} outside 1..{basis.max_degree}")
     x = _check_domain(x)
     if basis.kind == "legendre":
-        return _legendre_planes(x, k)
+        return _legendre_planes(x, k, work)
     return (np.asarray(f(x), dtype=float) for f in basis.components[:k])
 
 
@@ -163,19 +199,19 @@ def design_matrix(basis: OrthonormalBasis, x, k: int) -> np.ndarray:
     return out
 
 
-def score_sums(basis: OrthonormalBasis, x, k: int) -> np.ndarray:
+def score_sums(basis: OrthonormalBasis, x, k: int, work: _Workspace | None = None) -> np.ndarray:
     """Score sums sum_i b_j(x_i), j = 1..k, of each sample in x.
 
     ``x`` holds samples along its last axis, (..., n), and the result is
     (..., k).  The scores are formed one degree at a time and summed by
     :func:`_sum_planes`, so the sums equal ``np.add.reduce`` over the
     contiguous columns of :func:`design_matrix`.  No (..., n, k) array
-    is formed.
+    is formed, and a Legendre basis forms its planes in ``work``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 1:
         raise ValueError("score sums need samples along a last axis")
-    return _sum_planes(_score_planes(basis, x, k), x.shape[:-1], k)
+    return _sum_planes(_score_planes(basis, x, k, work), x.shape[:-1], k)
 
 
 def _sum_planes(planes, lead: tuple[int, ...], k: int) -> np.ndarray:

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -96,6 +97,7 @@ import numpy as np
 from ._rng import KeyedStreams
 from .basis import (
     OrthonormalBasis,
+    _Workspace,
     _gauss_legendre,
     _score_planes,
     _sum_planes,
@@ -232,10 +234,14 @@ def gaussian_location_family() -> ParametricFamily:
     """
     from scipy import special  # only this family needs it; keeps import ntgof numpy-only
 
+    def cdf(x, beta):
+        u = x - beta[..., :1]
+        return special.ndtr(u, out=u)
+
     _family = ParametricFamily(
         name="gaussian_location",
         q=1,
-        cdf=lambda x, beta: special.ndtr(x - beta[..., :1]),
+        cdf=cdf,
         logpdf=lambda x, beta: -0.5 * (x - beta[0]) ** 2 - 0.5 * math.log(2 * math.pi),
         fit=lambda data: np.mean(data, axis=-1, keepdims=True),
         sampler=lambda rng, n, beta: beta[0] + rng.standard_normal(n),
@@ -403,24 +409,31 @@ def composite_spec(
 # uniformity and rank independence
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
+def _warn_caller(message: str) -> None:
+    """Warn at the line that called into the package, however deep the call."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
+
+
+def _midranks(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """m = 2R - 2 for the mid-rank R of every entry along the last axis of x.
 
     A run of ties at sorted positions a..b shares the mid-rank
     (a + b)/2 + 1, so m = a + b, which is 2a for an untied entry.  The
     order among tied values does not matter, so any sort will do.  Tied
     data break the distribution-free guarantee, so a warning is emitted.
+    m is written into ``out``, an intp array shaped like x, when given.
     """
     order = np.argsort(x, axis=-1)
     ordered = np.take_along_axis(x, order, axis=-1)
     pos = np.arange(x.shape[-1])
     tied = ordered[..., 1:] == ordered[..., :-1]
     if np.any(tied):
-        warnings.warn(
+        _warn_caller(
             "tied observations: using average ranks; the null distribution "
-            "of the rank test is no longer exact",
-            UserWarning,
-            stacklevel=3,
+            "of the rank test is no longer exact"
         )
         # sorted positions where a run of ties starts and where one stops
         starts = np.insert(~tied, 0, True, axis=-1)
@@ -431,7 +444,7 @@ def _midranks(x: np.ndarray) -> np.ndarray:
         sorted_m = first + last
     else:
         sorted_m = 2 * pos
-    m = np.empty_like(order)
+    m = np.empty_like(order) if out is None else out
     np.put_along_axis(m, order, sorted_m, axis=-1)
     return m
 
@@ -503,6 +516,7 @@ class _DeconvScoreTable:
         # scores[j - 1, i] holds l_j(grid[i])
         self.scores = np.empty((k, spec.grid_points))
         t, w = _gauss_legendre(_DECONV_NODES)
+        work = _Workspace()
         for start in range(0, spec.grid_points, _DECONV_BLOCK):
             y = self.grid[start : start + _DECONV_BLOCK, None]
             # every grid point lies within 6 scales of the support, so
@@ -520,7 +534,7 @@ class _DeconvScoreTable:
             u = np.clip(null_d.cdf(s), 0.0, 1.0)
             block = self.scores[:, start : start + _DECONV_BLOCK]
             # one degree at a time, so no (rows, nodes, k) array is formed
-            for j, plane in enumerate(_score_planes(spec.basis, u, k)):
+            for j, plane in enumerate(_score_planes(spec.basis, u, k, work)):
                 np.divide(np.einsum("bn,bn->b", weighted, plane), den, out=block[j])
             bad_rows = ~(np.isfinite(den) & np.all(np.isfinite(block), axis=0))
             if np.any(bad_rows):
@@ -548,13 +562,14 @@ class _DeconvScoreTable:
         """
         cells = self.grid.size
         count, s1, s2 = np.zeros(cells), np.zeros(cells), np.zeros(cells)
+        work = _Workspace()
         chunks = range(0, draws, _MOMENT_CHUNK)
         for start, (_, rng) in zip(chunks, KeyedStreams(seed, ()).rows(0, len(chunks))):
             m = min(_MOMENT_CHUNK, draws - start)
             y = np.asarray(sampler(rng, m), dtype=float)
             if y.shape != (m,):
                 raise ValueError(f"null sampler drew shape {y.shape}, expected ({m},)")
-            i, dy = self._cells(y)
+            i, dy = self._cells(y, work)
             count += np.bincount(i, minlength=cells)
             s1 += np.bincount(i, dy, minlength=cells)
             s2 += np.bincount(i, dy * dy, minlength=cells)
@@ -574,13 +589,14 @@ class _DeconvScoreTable:
             )
         return 0.5 * (moment + moment.T)
 
-    def _cells(self, y) -> tuple[np.ndarray, np.ndarray]:
+    def _cells(self, y, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
         """(i, y - grid[i]) of each point y, clamped to the grid, in y's shape.
 
         The cell i of each point is guessed from the grid spacing,
         floor((y - grid[0]) * cells per unit), then corrected by one
         comparison each way against the grid itself, which gives exactly
-        the cell a binary search would.
+        the cell a binary search would.  Both results, and every step on
+        the way, are arrays of ``work``.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         # a NaN makes both bounds NaN and fails both comparisons
@@ -595,28 +611,43 @@ class _DeconvScoreTable:
                 f"observation y={bad:.6g} is more than 8 noise scales from the null support"
             )
         grid = self.grid
-        y = np.clip(y, grid[0], grid[-1])
-        i = ((y - grid[0]) * self._cells_per_unit).astype(np.intp)
+        y = np.clip(y, grid[0], grid[-1], out=work.get("y", y.shape))
+        # dy holds the cell guess, then each grid value gathered at i
+        dy, i = work.get("dy", y.shape), work.get("i", y.shape, np.intp)
+        flags = work.get("flags", y.shape, bool)
+        np.subtract(y, grid[0], out=dy)
+        dy *= self._cells_per_unit
+        np.copyto(i, dy, casting="unsafe")  # truncates, as astype(np.intp) does
         np.minimum(i, grid.size - 1, out=i)
-        i -= grid[i] > y
-        i += self._upper[i] <= y
-        return i, y - grid[i]
+        # Every index is in range by construction, so mode="clip" changes
+        # no value; under the default mode="raise" NumPy writes through a
+        # temporary the size of ``out``.
+        i -= np.greater(np.take(grid, i, out=dy, mode="clip"), y, out=flags)
+        i += np.less_equal(np.take(self._upper, i, out=dy, mode="clip"), y, out=flags)
+        np.subtract(y, np.take(grid, i, out=dy, mode="clip"), out=dy)
+        return i, dy
 
-    def _interp(self, i, dy, j: int) -> np.ndarray:
+    def _interp(self, i, dy, j: int, work: _Workspace) -> np.ndarray:
         """Scores of degree j + 1 at cells i, with dy = y - grid[i], in i's shape.
 
         Linear interpolation, clamped outside the grid: slope[i] * dy +
-        score[i], the same numbers as ``np.interp``.
+        score[i], the same numbers as ``np.interp``.  The result is an
+        array of ``work``, overwritten by the next call; the gathers use
+        mode="clip" for the reason :meth:`_cells` gives.
         """
-        out = np.take(self._slopes[j], i)
+        out = np.take(self._slopes[j], i, out=work.get("l", i.shape), mode="clip")
         out *= dy
-        out += np.take(self.scores[j], i)
+        out += np.take(self.scores[j], i, out=work.get("s", i.shape), mode="clip")
         return out
 
-    def sums(self, block, k: int) -> np.ndarray:
-        """(B, k) sums of l_1..l_k over each row of a (B, n) block, one degree at a time."""
-        i, dy = self._cells(block)
-        return _sum_planes((self._interp(i, dy, j) for j in range(k)), dy.shape[:-1], k)
+    def sums(self, block, k: int, work: _Workspace | None = None) -> np.ndarray:
+        """(B, k) sums of l_1..l_k over each row of a (B, n) block, one degree at a time.
+
+        The temporaries live in ``work``, a fresh workspace when None.
+        """
+        work = _Workspace() if work is None else work
+        i, dy = self._cells(block, work)
+        return _sum_planes((self._interp(i, dy, j, work) for j in range(k)), dy.shape[:-1], k)
 
 
 # ---------------------------------------------------------------------------
@@ -766,34 +797,48 @@ def _prepare(spec: TestSpec, n: int) -> _Plan:
     for orthonormal scores, and the test forms the series from that pair.
     Each kind's sums go through :func:`_sum_planes`.  A family that is
     not ``invariant`` forms and gates its Sigma row by row, at d, in
-    every block.
+    every block.  The test writes its block-sized temporaries into one
+    :class:`~ntgof.basis._Workspace` of its own, reused from block to
+    block and never part of the outcome, so a plan is tested on one
+    thread at a time.
     """
     if not isinstance(n, numbers.Integral) or n < 2:
         raise ValueError(f"sample size n must be an integer >= 2, got {n!r}")
     d = spec.budget.d(n)
     pens = _penalties(spec.penalty, d, n)
     basis, family = spec.basis, spec.family
+    work = _Workspace()
     if spec.kind == "uniformity":
-        scores = lambda block: (score_sums(basis, block, d), None)
+        scores = lambda block: (score_sums(basis, block, d, work), None)
     elif spec.kind == "independence_rank":
         # row j holds b_j at every mid-rank (m/2 + 1/2) / n, m = 0..2n-2,
         # so each product score is a lookup at its entries' _midranks
         table = design_matrix(basis, (np.arange(2 * n - 1) / 2 + 0.5) / n, d).T.copy()
 
+        def planes(u, v):
+            # every mid-rank indexes the table, so mode="clip" changes no
+            # value and keeps take from writing through a temporary
+            for col in table:
+                prod = np.take(col, u, out=work.get("bu", u.shape), mode="clip")
+                prod *= np.take(col, v, out=work.get("bv", v.shape), mode="clip")
+                yield prod
+
         def scores(block):
-            u, v = (_midranks(block[..., c]) for c in (0, 1))
-            planes = (np.take(col, u) * np.take(col, v) for col in table)
-            return _sum_planes(planes, block.shape[:1], d), None
+            shape = block.shape[:-1]
+            u = _midranks(block[..., 0], work.get("u", shape, np.intp))
+            v = _midranks(block[..., 1], work.get("v", shape, np.intp))
+            return _sum_planes(planes(u, v), shape[:1], d), None
     elif spec.kind == "deconvolution":
         table = _artifact(spec)
         factor = _gated_factor(table.moment[:d, :d], d)
-        scores = lambda block: (table.sums(block, d), factor)
+        scores = lambda block: (table.sums(block, d, work), factor)
     elif family.invariant:
         factor = _gated_factor(_artifact(spec)[:d, :d], d)
 
         def scores(block):
             u = np.asarray(family.cdf(block, family.fit(block)), dtype=float)
-            return score_sums(basis, np.clip(u, 0.0, 1.0), d), factor
+            u = np.clip(u, 0.0, 1.0, out=work.get("u", u.shape))
+            return score_sums(basis, u, d, work), factor
     else:
 
         def scores(block):
@@ -802,7 +847,7 @@ def _prepare(spec: TestSpec, n: int) -> _Plan:
                 beta = family.fit(x)
                 us.append(np.clip(np.asarray(family.cdf(x, beta), dtype=float), 0.0, 1.0))
                 covs.append(_composite_cov(family, beta, basis, d))
-            return score_sums(basis, np.array(us), d), _gated_factor(np.array(covs), d)
+            return score_sums(basis, np.array(us), d, work), _gated_factor(np.array(covs), d)
 
     def test(block) -> SelectionOutcome:
         if not np.all(np.isfinite(block)):

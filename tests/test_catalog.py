@@ -153,6 +153,16 @@ def test_rank_ties_average_and_warn():
     assert u == pytest.approx([1.0 / 3, 1.0 / 3, 2.5 / 3])
 
 
+def test_tie_warnings_point_at_the_caller():
+    # however deep in the package the ranks are taken, the warning names
+    # the line that called into it
+    pairs = np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 1.0], [3.0, 0.0]] * 3)
+    for call in (lambda: run_test(pairs, independence_spec()), lambda: rank_transform(pairs[:, 0])):
+        with pytest.warns(UserWarning, match="tie") as record:
+            call()
+        assert [r.filename for r in record] == [__file__] * len(record)
+
+
 @pytest.mark.parametrize("tied", [False, True])
 def test_rank_matches_scipy_rankdata_bitwise(tied):
     rng = np.random.default_rng(11)
