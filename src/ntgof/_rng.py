@@ -65,20 +65,21 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _philox_keys(seed: int, path: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """(stop - start, 2) uint64 Philox keys of the streams (seed, *path, i), i in [start, stop).
+def _philox_keys(seed: int, path: tuple[int, ...], indices) -> np.ndarray:
+    """(len(indices), 2) uint64 Philox keys of the streams (seed, *path, i), i in ``indices``.
 
-    Row i equals ``SeedSequence(entropy=seed, spawn_key=(*path, i))
-    .generate_state(2, np.uint64)``, the key ``Philox`` takes from that
-    sequence.  The words before i are hashed as Python ints; only
-    the index word and the output run on arrays.
+    Row j equals ``SeedSequence(entropy=seed, spawn_key=(*path, i))
+    .generate_state(2, np.uint64)`` for i = indices[j], the key
+    ``Philox`` takes from that sequence.  The words before i are hashed
+    as Python ints; only the index word and the output run on arrays.
     """
-    if stop > 2**32:
+    indices = np.asarray(indices, dtype=np.uint64)
+    if indices.size and indices.max() >= 2**32:
         raise ValueError("stream index beyond 2**32 - 1")
     run = _words(seed)
     # with a spawn key, SeedSequence pads the run entropy to the pool size
     entropy = run + [0] * (_POOL - len(run)) + [w for p in path for w in _words(p)]
-    entropy.append(np.arange(start, stop, dtype=np.uint64))
+    entropy.append(indices)
     const = _INIT_A
     pool = []
     for word in entropy[:_POOL]:
@@ -110,7 +111,7 @@ _KEYS_PER_CALL = 4096
 
 
 class KeyedStreams:
-    """The streams (seed, *path, i) of consecutive indices, from one Generator.
+    """The streams (seed, *path, i) of chosen indices, from one Generator.
 
     ``at(key)`` moves the one Generator to the start of the stream with
     that key, so it draws the same bits as a Generator on
@@ -142,20 +143,26 @@ class KeyedStreams:
         self._bitgen.state = self._state
         return self._rng
 
-    def blocks(self, start: int, stop: int, rows: int):
-        """(first index, keys) of consecutive blocks of at most ``rows`` indices.
+    def blocks(self, firsts, rows: int, stop: int):
+        """(first, keys) of the blocks [first, min(first + rows, stop)), first in ``firsts``.
 
-        The blocks cover [start, stop), and a block's keys are a list of
-        [k0, k1] pairs of Python ints.  Keys are derived _KEYS_PER_CALL
-        indices per call, and no block spans two calls.
+        Blocks come in the order of ``firsts``, and a block's keys are a
+        list of [k0, k1] pairs of Python ints.  Only those blocks' keys
+        are derived, the blocks of up to _KEYS_PER_CALL indices per call.
         """
-        for lo in range(start, stop, _KEYS_PER_CALL):
-            keys = _philox_keys(self._seed, self._path, lo, min(lo + _KEYS_PER_CALL, stop))
-            for j in range(0, len(keys), rows):
-                yield lo + j, keys[j : j + rows].tolist()
+        firsts, per = list(firsts), max(1, _KEYS_PER_CALL // rows)
+        for g in range(0, len(firsts), per):
+            group = np.array(firsts[g : g + per], dtype=np.int64)
+            indices = (group[:, None] + np.arange(rows)).ravel()
+            keys = _philox_keys(self._seed, self._path, indices[indices < stop]).tolist()
+            at = 0
+            for first in group.tolist():
+                size = min(rows, stop - first)
+                yield first, keys[at : at + size]
+                at += size
 
     def rows(self, start: int, stop: int):
         """(i, rng) for i in [start, stop), rng at the start of stream i."""
-        for lo, keys in self.blocks(start, stop, _KEYS_PER_CALL):
+        for lo, keys in self.blocks(range(start, stop, _KEYS_PER_CALL), _KEYS_PER_CALL, stop):
             for i, key in enumerate(keys, lo):
                 yield i, self.at(key)

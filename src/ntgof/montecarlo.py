@@ -9,28 +9,35 @@ distribution of T_S.  The p-value uses the add-one estimator
     p = (1 + #{simulated T_S >= observed}) / (replications + 1),
 
 which is exact-level for any replication count, and the critical value
-at level alpha is the ceil((1 - alpha) * reps)-th order statistic.
+at level alpha is the ceil((1 - alpha) * reps)-th order statistic,
+with alpha the decimal it prints as and the product taken exactly.
 
-Each run first prepares its (spec, n) plan on the calling thread
+Each run first prepares its (spec, n) plan in the calling process
 (sample shape, d(n), penalties, artifacts, a shared covariance's
 factor), so a failure there raises before replication 0, untagged.
 Replications then run in blocks of at most _BLOCK rows and _BLOCK_OBS
-observations, in two stages.  A helper thread, one per run, draws each
-replication's sample from its own Philox stream, the one
+observations.  Block by block, a process draws each replication's
+sample from its own Philox stream, the one
 ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts for
-replication i, and copies it into a buffer, while the calling
-thread runs the plan's test once on the block drawn before it.  Two
-buffers, shaped by the plan, take turns, so at most two blocks
-exist at once; a sample of another shape fails its replication.  The
-calling thread derives the stream keys, up to 4096 in one call, and one
-reused Generator moved to each key in turn serves every row
-(:class:`KeyedStreams`), so a sampler must take every draw it needs
-from its generator before it returns.  Samplers run on the helper
-thread: the caller's thread-local state, such as ``np.errstate``, does
-not reach them.  Results land in preallocated slots by index, and every
-row's numbers are those it would give alone, so any block size produces
-byte-identical output.  A failure is reported for the lowest failing
-replication, as a one-by-one run would report it.
+replication i, into one buffer shaped by the plan (a sample of another
+shape fails its replication), and runs the plan's test once on the
+block.  A worker forked after the plan is prepared runs the odd blocks
+and the calling process the even ones; each derives only its own
+blocks' stream keys, and one reused Generator moved to each key in turn
+serves every row (:class:`KeyedStreams`), so a sampler must take every
+draw it needs from its generator before it returns.  The worker writes
+each row's T_S and S by index into an anonymous shared map and marks
+each block it finishes; the calling process then runs, in index order,
+every block left unmarked, so every failure is raised there, with its
+own type, for the lowest failing replication, as a one-by-one run
+would report it.  The worker is killed if the caller's blocks raise and
+reaped on every path.  A run of one block, a platform without
+``os.fork``, a fork that fails and a process with other Python threads
+alive (a fork could deadlock on a lock one of them holds) run every
+block in the calling process instead.  Samplers of the worker's blocks
+run in a forked copy of the process, so their side effects stay there.
+Every row's numbers are those it would give alone, so any block size
+and either process produce byte-identical output.
 Power studies additionally split the seed path: calibration replications
 and alternative replications never share a stream, so evaluating power
 does not silently recycle the noise that built the critical value.
@@ -47,9 +54,12 @@ least geometrically along a doubling n-grid.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import mmap
 import numbers
+import os
+import signal
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -136,7 +146,7 @@ _BLOCK_OBS = 2**15
 
 
 def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out: np.ndarray):
-    """Draw one sample per stream key into ``out``'s rows; the helper thread runs this.
+    """Draw one sample per stream key into ``out``'s rows.
 
     Returns (block, exception): the view of ``out`` holding the rows
     drawn before the sampler raised or drew a sample shaped unlike
@@ -152,9 +162,63 @@ def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out: np.ndarray):
                 )
             out[filled] = x
             filled += 1
-    except BaseException as e:  # handed to the calling thread, which raises it
+    except Exception as e:  # the rows before it are tested first
         err = e
     return out[:filled], err
+
+
+def _run_blocks(plan: _Plan, sampler, streams: KeyedStreams, rows: int, t, s, done, firsts):
+    """Draw and test the blocks of replications starting at ``firsts``, in that order.
+
+    Block k holds replications [k * rows, min((k + 1) * rows, len(t))).
+    Each block's T_S and S go into its slots of ``t`` and ``s``, and then
+    ``done[k]`` is set.  A failure is raised for the lowest failing
+    replication of the block, tagged with its index.
+    """
+    n, test = plan.shape[0], plan.test
+    buffer = np.empty((rows,) + plan.shape)
+    for start, keys in streams.blocks(firsts, rows, len(t)):
+        block, err = _draw(sampler, n, streams, keys, buffer)
+        try:
+            if err is not None:
+                raise err
+            out = test(block)
+        except Exception as e:
+            for i in range(len(block)):  # re-raise the first row failing alone
+                try:
+                    test(block[i : i + 1])
+                except Exception as first:
+                    _tag_replication(first, start + i)
+                    raise
+            if e is err:  # drawing the next replication failed
+                _tag_replication(e, start + len(block))
+            raise
+        t[start : start + len(block)] = out.t_s
+        s[start : start + len(block)] = out.s
+        done[start // rows] = 1
+
+
+def _fork() -> int | None:
+    """os.fork(), or None where it is missing, fails or other threads are alive.
+
+    A process forked while another thread holds a lock (the import lock,
+    an allocator's) can deadlock in the child, so only a process with
+    one Python thread forks.
+    """
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
+        return None
+    try:
+        return os.fork()
+    except OSError:
+        return None
+
+
+def _reap(pid: int) -> None:
+    """Wait for the worker to exit."""
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:  # SIGCHLD is ignored, so the kernel reaped it on exit
+        pass
 
 
 def _replicate(
@@ -170,68 +234,59 @@ def _replicate(
     with rng in the state a Philox on
     ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts in; one
     generator serves every row, so the sampler must have drawn all it
-    needs when it returns.  A helper thread draws the next block into
-    one of two buffers, shaped by the plan and used in turn, while this
-    thread tests the current one.  The helper is joined before this
-    returns or raises.
+    needs when it returns.  A forked worker runs the odd blocks and
+    this process the even ones, each into an anonymous shared map; this
+    process then runs, in index order, every block not marked done, so
+    every failure is raised here.  Without a worker, that pass runs
+    every block.  The worker is killed if this process's blocks raise,
+    and reaped before this returns or raises.
     """
-    n, test = plan.shape[0], plan.test
-    t = np.empty(reps)
-    s = np.empty(reps, dtype=int)
-    rows = max(1, min(_BLOCK, _BLOCK_OBS // n))
-    buffers = np.empty((2, rows) + plan.shape)
-    streams = KeyedStreams(seed, path)
-    blocks = streams.blocks(0, reps, rows)
-    start, keys = next(blocks)
-    job = [(keys, buffers[0])]  # (keys, out) of the block the helper draws next; empty to stop
-    drawn: list = []  # what it drew: (block, exception)
-    go, done = threading.Semaphore(0), threading.Semaphore(0)
-
-    def helper():
-        while go.acquire() and job:
-            drawn.append(_draw(sampler, n, streams, *job.pop()))
-            done.release()
-
-    thread = threading.Thread(target=helper, name="ntgof-draw", daemon=True)
-    thread.start()
-    try:
-        go.release()
-        for k in itertools.count(1):
-            done.acquire()
-            block, err = drawn.pop()
-            nxt = None if err is not None else next(blocks, None)
-            if nxt is not None:  # the helper draws the next block meanwhile
-                job.append((nxt[1], buffers[k % 2]))
-                go.release()
+    rows = max(1, min(_BLOCK, _BLOCK_OBS // plan.shape[0]))
+    firsts = range(0, reps, rows)
+    # 8 bytes of T_S and 8 of S per replication, then one done byte per block
+    shared = mmap.mmap(-1, 16 * reps + len(firsts))
+    t = np.frombuffer(shared, float, reps)
+    s = np.frombuffer(shared, np.int64, reps, 8 * reps)
+    done = np.frombuffer(shared, np.uint8, len(firsts), 16 * reps)
+    run = functools.partial(_run_blocks, plan, sampler, KeyedStreams(seed, path), rows, t, s, done)
+    pid = _fork() if len(firsts) > 1 else None
+    if pid == 0:  # the worker; it leaves without running the caller's code
+        try:
+            run(firsts[1::2])
+        finally:
+            os._exit(0)
+    if pid:
+        try:
             try:
-                if err is not None:
-                    raise err
-                out = test(block)
-            except Exception as e:
-                for i in range(len(block)):  # re-raise the first row failing alone
-                    try:
-                        test(block[i : i + 1])
-                    except Exception as first:
-                        _tag_replication(first, start + i)
-                        raise
-                if e is err:  # drawing the next replication failed
-                    _tag_replication(e, start + len(block))
-                raise
-            t[start : start + len(block)] = out.t_s
-            s[start : start + len(block)] = out.s
-            if nxt is None:
-                return t, s
-            start = nxt[0]
-    finally:
-        go.release()  # with no job queued, the helper stops after its current block
-        thread.join()
+                run(firsts[::2])
+            except Exception:
+                os.kill(pid, signal.SIGKILL)  # the pass below reports the lowest failure
+            _reap(pid)
+        except BaseException:  # interrupted, as by KeyboardInterrupt
+            os.kill(pid, signal.SIGKILL)
+            _reap(pid)
+            raise
+    run([k * rows for k in np.flatnonzero(done == 0).tolist()])
+    return t.copy(), s.copy()
+
+
+def _order_index(alpha: float, reps: int) -> int:
+    """ceil((1 - alpha) * reps), exactly, for alpha the decimal its repr shows.
+
+    In floats, (1 - 0.059) * 1000 is 941.0000000000001, one order
+    statistic too high.  The fractions module would cost cold start 4 ms.
+    """
+    digits, _, exp = repr(float(alpha)).partition("e")
+    whole, _, frac = digits.partition(".")
+    scale = 10 ** (len(frac) - int(exp or 0))
+    return -((int(whole + frac) - scale) * reps // scale)  # alpha = int(whole + frac) / scale
 
 
 def _calibrate(spec: TestSpec, plan: _Plan, config: MonteCarloConfig, path: tuple[int, ...]):
     """(sorted T_S, S, critical value) of null replications on the streams (seed, *path, .)."""
     t, s = _replicate(plan, null_sampler(spec), config.replications, config.seed, path)
     t.sort()
-    return t, s, float(t[math.ceil((1.0 - config.alpha) * config.replications) - 1])
+    return t, s, float(t[_order_index(config.alpha, config.replications) - 1])
 
 
 def null_distribution(
@@ -243,7 +298,8 @@ def null_distribution(
 
     Replication i draws from the stream (seed, 0, i); the returned
     statistics are sorted ascending and the critical value is the
-    ceil((1 - alpha) * reps)-th order statistic.
+    ceil((1 - alpha) * reps)-th order statistic, the product taken
+    exactly for alpha the decimal it prints as.
     """
     plan = _prepare(spec, n)
     t, s, crit = _calibrate(spec, plan, config, (0,))

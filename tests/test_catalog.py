@@ -1089,13 +1089,14 @@ def _fresh_python(args, cwd=None):
 
 
 def test_import_loads_no_scipy():
-    # import ntgof is numpy-only, and the Monte Carlo engine's helper
-    # thread needs no concurrent.futures (6 ms of cold import); the
-    # Gaussian location family loads scipy.special when it is built, so
-    # composite_spec() does too
+    # import ntgof is numpy-only, and the Monte Carlo engine forks its
+    # worker with os alone: no concurrent.futures (6 ms of cold import)
+    # and no multiprocessing; the Gaussian location family loads
+    # scipy.special when it is built, so composite_spec() does too
     code = (
         "import sys, ntgof; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('scipy', 'concurrent', 'multiprocessing'))); "
         "ntgof.composite_spec(); "
         "print('scipy.special' in sys.modules)"
     )

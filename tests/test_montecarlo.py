@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import signal
 import sys
 import threading
 
@@ -83,6 +85,24 @@ def test_calibration_bookkeeping():
     assert set(d) == {
         "n", "alpha", "replications", "seed", "critical_value", "statistics", "s_counts"
     }
+
+
+def test_critical_value_index_is_exact():
+    # in floats, (1 - 0.059) * 1000 is 941.0000000000001, whose ceiling
+    # was the 942nd order statistic
+    cal = null_distribution(uniformity_spec(), 50, MonteCarloConfig(1000, 1, alpha=0.059))
+    assert cal.critical_value == cal.statistics[940] != cal.statistics[941]
+    # every (alpha, R) the float product rounds past an integer, alpha in
+    # 0.001..0.499 and R in 100..10000; alpha = a / 1000 exactly
+    a = np.arange(1, 500)[:, None]
+    reps = np.arange(100, 10_001)[None, :]
+    exact = -((a - 1000) * reps // 1000)
+    off = np.ceil((1.0 - a / 1000) * reps) != exact
+    assert off.sum() > 2000 and not off[a[:, 0] == 50, reps[0] == 2000].any()
+    for ai, ri in zip(*np.nonzero(off)):
+        assert montecarlo._order_index(float(a[ai, 0]) / 1000, int(reps[0, ri])) == exact[ai, ri]
+    for alpha, r, k in [(1e-05, 200_000, 199_998), (1.5e-05, 10**6, 999_985), (0.5, 101, 51)]:
+        assert montecarlo._order_index(np.float64(alpha), r) == k
 
 
 def run_at_blocks(monkeypatch, fn, blocks=(1, 7, 64)):
@@ -326,102 +346,202 @@ def test_replication_errors_carry_index():
         power_curve(spec, bad, cfg)
 
 
-def breaking_sampler(bad_draw=-1, broken=-1):
-    """Uniform alternative: call ``bad_draw`` draws in [1, 2), call ``broken`` raises.
+def key_of(seed, path, i):
+    """The Philox key of replication i on the streams (seed, *path, .)."""
+    return _rng._philox_keys(seed, path, [i])[0].tolist()
 
-    Calls count from 0; a run makes one per replication, in order.
+
+def key_at(rng):
+    """The Philox key ``rng`` draws from; reading it draws nothing."""
+    return rng.bit_generator.state["state"]["key"].tolist()
+
+
+def breaking_sampler(seed, path, bad=(), broken=()):
+    """Uniform alternative on the streams (seed, *path, .).
+
+    Replications in ``bad`` draw in [1, 2) and those in ``broken``
+    raise.  Each is known by its Philox key, so it fails in whichever
+    process draws it.
     """
-    calls = []
+    bad = [key_of(seed, path, i) for i in bad]
+    broken = [key_of(seed, path, i) for i in broken]
 
     def sampler(rng, n):
-        calls.append(n)
-        if len(calls) == broken + 1:
+        if key_at(rng) in broken:
             raise RuntimeError("sampler broke")
-        return rng.random(n) + (len(calls) == bad_draw + 1)
+        return rng.random(n) + (key_at(rng) in bad)
 
     return AlternativeSpec(name="breaks", sampler=sampler, first_component=1)
 
 
 def test_replication_error_names_exact_index_mid_block(monkeypatch):
-    # the 38th draw is replication 37 of the alternative leg: mid-block
-    # at 64 rows, its own block at 1 row
+    # replication 37 of the alternative leg: mid-block at 64 rows, its
+    # own block at 1 row
     spec = uniformity_spec()
     cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
     for block in (1, 64):
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         with pytest.raises(ValueError, match=r"^replication 37: basis argument outside"):
-            power_curve(spec, breaking_sampler(bad_draw=37), cfg)
+            power_curve(spec, breaking_sampler(0, (0, 1), bad=[37]), cfg)
 
 
-def test_sampler_failures_keep_index_order(monkeypatch):
+def test_sampler_failures_keep_index_order():
     # replication 5's sample fails its test before replication 9's
-    # sampler raises, so 5 is reported, as a one-by-one run would
-    def sampler(rng, n):
-        draw = rng.random(n)
-        calls.append(n)
-        if len(calls) == 10:
-            raise RuntimeError("sampler broke")
-        return draw + (len(calls) == 6)
-
+    # sampler raises, both in block 0, so 5 is reported, as a one-by-one
+    # run would
     spec = uniformity_spec()
     cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
-    alt = AlternativeSpec(name="breaks", sampler=sampler, first_component=1)
-    calls = []
     with pytest.raises(ValueError, match=r"^replication 5: "):
-        consistency_probe(spec, alt, cfg)
-    calls = [None] * 6  # the bad draw is already past
+        consistency_probe(spec, breaking_sampler(0, (0, 1), bad=[5], broken=[9]), cfg)
     with pytest.raises(RuntimeError, match=r"^replication 3: sampler broke"):
-        consistency_probe(spec, alt, cfg)
+        consistency_probe(spec, breaking_sampler(0, (0, 1), broken=[3, 9]), cfg)
 
 
 def test_block_failure_precedes_next_block_sampler_failure(monkeypatch):
-    # at 4 rows a block, replication 5 is in block 1 and 9 in block 2,
-    # which the helper draws while block 1 is tested: the lower index is
-    # reported, whichever thread fails first
+    # at 4 rows a block, replications 1 and 9 are in blocks 0 and 2, which
+    # the calling process runs, and 5 in block 1, which the worker runs
+    # meanwhile: the lower index is reported, whichever process fails first
     monkeypatch.setattr(montecarlo, "_BLOCK", 4)
     spec = uniformity_spec()
     cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
-    with pytest.raises(ValueError, match=r"^replication 5: basis argument outside"):
-        consistency_probe(spec, breaking_sampler(bad_draw=5, broken=9), cfg)
-    with pytest.raises(RuntimeError, match=r"^replication 5: sampler broke"):
-        consistency_probe(spec, breaking_sampler(bad_draw=9, broken=5), cfg)
+    for bad, broken, error, first in [
+        (5, 9, ValueError, 5),
+        (9, 5, RuntimeError, 5),
+        (1, 5, ValueError, 1),
+        (9, 1, RuntimeError, 1),
+    ]:
+        with pytest.raises(error, match=rf"^replication {first}: "):
+            consistency_probe(spec, breaking_sampler(0, (0, 1), [bad], [broken]), cfg)
 
 
-def test_samplers_run_on_a_helper_joined_on_every_path(monkeypatch):
-    before = set(threading.enumerate())
-    drawers = []
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
 
-    def drawing_on(alt):
-        def sampler(rng, n):
-            drawers.append(threading.current_thread())
-            return alt.sampler(rng, n)
 
-        return lambda spec: sampler
+def recording_pids(log, alt):
+    """A null_sampler stand-in that logs each draw's process id to the file ``log``."""
 
+    def sampler(rng, n):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return alt.sampler(rng, n)
+
+    return lambda spec: sampler
+
+
+def test_worker_is_reaped_on_every_path(monkeypatch, tmp_path):
+    # 300 replications are 5 blocks: this process draws blocks 0, 2 and 4,
+    # a forked worker blocks 1 and 3, and no child outlives the run
+    log = tmp_path / "pids"
     spec, cfg = uniformity_spec(), MonteCarloConfig(replications=300, seed=1)
-    monkeypatch.setattr(montecarlo, "null_sampler", drawing_on(breaking_sampler()))
-    null_distribution(spec, 50, cfg)
-    assert set(threading.enumerate()) == before
-    assert len(drawers) == 300 and len(set(drawers)) == 1
-    assert drawers[0] is not threading.current_thread()
-    # a statistic failure in block 2 while block 3 is drawn, then a
-    # sampler failure in block 2
-    for alt, error in ((breaking_sampler(bad_draw=150), ValueError),
-                       (breaking_sampler(broken=150), RuntimeError)):
-        monkeypatch.setattr(montecarlo, "null_sampler", drawing_on(alt))
-        with pytest.raises(error, match=r"^replication 150: "):
-            null_distribution(spec, 50, cfg)
-        assert set(threading.enumerate()) == before
+    monkeypatch.setattr(montecarlo, "null_sampler", recording_pids(log, breaking_sampler(1, (0,))))
+    want = null_distribution(spec, 50, cfg)
+    assert no_child_left()
+    pids = log.read_text().split()
+    assert len(pids) == 300 and pids.count(str(os.getpid())) == 64 * 3 - 20
+    assert len(set(pids)) == 2
+    monkeypatch.undo()
+    assert np.array_equal(null_distribution(spec, 50, cfg).statistics, want.statistics)
+    # a statistic failure, then a sampler failure, in this process's block 2
+    # while the worker draws block 3, then each in the worker's block 3
+    for i in (150, 200):
+        for alt, error in ((breaking_sampler(1, (0,), bad=[i]), ValueError),
+                           (breaking_sampler(1, (0,), broken=[i]), RuntimeError)):
+            monkeypatch.setattr(montecarlo, "null_sampler", lambda spec: alt.sampler)
+            with pytest.raises(error, match=rf"^replication {i}: "):
+                null_distribution(spec, 50, cfg)
+            assert no_child_left()
+
+
+def test_worker_is_reaped_with_sigchld_ignored():
+    # with SIGCHLD ignored the kernel reaps the worker when it exits, and
+    # waitpid then fails with ECHILD
+    spec, cfg = uniformity_spec(), MonteCarloConfig(replications=200, seed=4)
+    want = null_distribution(spec, 50, cfg)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        got = null_distribution(spec, 50, cfg)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert np.array_equal(got.statistics, want.statistics)
+
+
+def reference_calibration(spec, n, reps, seed):
+    t, s = reference_replications(spec, null_sampler(spec), n, reps, seed, 0)
+    return np.sort(t), s
+
+
+def same_calibration(cal, ref):
+    t, s = ref
+    return np.array_equal(cal.statistics, t) and np.array_equal(
+        cal.s_counts, np.bincount(s, minlength=len(cal.s_counts) + 1)[1:]
+    )
+
+
+def test_blocks_of_a_dead_worker_run_in_the_caller(monkeypatch):
+    # the worker kills itself at its first draw, so it finishes no block;
+    # this process runs blocks 1 and 3 after its own
+    spec, reps, seed, caller = independence_spec(), 250, 3, os.getpid()
+    draw = null_sampler(spec)
+
+    def sampler(rng, n):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return draw(rng, n)
+
+    monkeypatch.setattr(montecarlo, "null_sampler", lambda spec: sampler)
+    cal = null_distribution(spec, 40, MonteCarloConfig(replications=reps, seed=seed))
+    assert no_child_left()
+    assert same_calibration(cal, reference_calibration(spec, 40, reps, seed))
+
+
+def refuse_to_fork():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("why", ["thread alive", "no fork", "fork fails"])
+def test_run_in_one_process_gives_the_same_bits(monkeypatch, why):
+    # a process with another thread alive does not fork, nor one whose
+    # fork is missing or raises: every draw is this process's
+    spec, reps, seed = uniformity_spec(), 200, 6
+    forked = null_distribution(spec, 60, MonteCarloConfig(replications=reps, seed=seed))
+    pids = []
+    draw = null_sampler(spec)
+
+    def sampler(rng, n):
+        pids.append(os.getpid())
+        return draw(rng, n)
+
+    monkeypatch.setattr(montecarlo, "null_sampler", lambda spec: sampler)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if why == "thread alive":
+        other.start()
+    elif why == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+    try:
+        cal = null_distribution(spec, 60, MonteCarloConfig(replications=reps, seed=seed))
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join()
+    assert pids == [os.getpid()] * reps
+    assert np.array_equal(cal.statistics, forked.statistics)
+    assert np.array_equal(cal.s_counts, forked.s_counts)
 
 
 def test_row_of_another_shape_is_tested_alone():
-    # replication 70 does not fit the buffers the prepared test shaped, so
-    # drawing it fails and replications 64 to 69 are tested before it
-    calls = []
+    # replication 70, in the worker's block 1, does not fit the buffer the
+    # prepared test shaped, so drawing it fails and replications 64 to 69
+    # are tested before it
+    short = key_of(0, (0, 1), 70)
 
     def sampler(rng, n):
-        calls.append(n)
-        return rng.random(n) if len(calls) == 71 else rng.random((n, 2))
+        return rng.random(n) if key_at(rng) == short else rng.random((n, 2))
 
     alt = AlternativeSpec(name="one column short", sampler=sampler, first_component=1)
     cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
@@ -431,14 +551,19 @@ def test_row_of_another_shape_is_tested_alone():
         consistency_probe(independence_spec(), alt, cfg)
 
 
-def counting_blocks(sizes):
-    """A stand-in for catalog._prepare whose plan's test records each block's rows."""
+def counting_blocks(log):
+    """A stand-in for catalog._prepare whose plan's test logs each block's rows to ``log``.
+
+    Each process appends to the file, so the sizes of both processes'
+    blocks are there, in no set order.
+    """
 
     def prepare(spec, n):
         plan = catalog._prepare(spec, n)
 
         def counting(block):
-            sizes.append(len(block))
+            with open(log, "a") as fh:
+                fh.write(f"{len(block)}\n")
             return plan.test(block)
 
         return dataclasses.replace(plan, test=counting)
@@ -446,20 +571,23 @@ def counting_blocks(sizes):
     return prepare
 
 
-def test_runs_longer_than_a_key_call_match_substream_loop(monkeypatch):
-    # no block spans two key-derivation calls, so at 40 keys a call and
-    # 16 rows a block every third block is short and the two buffers are
-    # filled to varying lengths
+def logged_sizes(log):
+    sizes = sorted(int(size) for size in log.read_text().split())
+    log.unlink()
+    return sizes
+
+
+def test_runs_longer_than_a_key_call_match_substream_loop(monkeypatch, tmp_path):
+    # at 40 keys a call and 16 rows a block, each process derives its
+    # blocks' keys two blocks a call: three calls here, two in the worker
     monkeypatch.setattr(_rng, "_KEYS_PER_CALL", 40)
     monkeypatch.setattr(montecarlo, "_BLOCK", 16)
-    sizes = []
-    monkeypatch.setattr(montecarlo, "_prepare", counting_blocks(sizes))
+    log = tmp_path / "sizes"
+    monkeypatch.setattr(montecarlo, "_prepare", counting_blocks(log))
     spec, reps, seed = uniformity_spec(), 130, 21
     cal = null_distribution(spec, 60, MonteCarloConfig(replications=reps, seed=seed))
-    assert sizes == [16, 16, 8] * 3 + [10]
-    t, s = reference_replications(spec, null_sampler(spec), 60, reps, seed, 0)
-    assert np.array_equal(cal.statistics, np.sort(t))
-    assert np.array_equal(cal.s_counts, np.bincount(s, minlength=len(cal.s_counts) + 1)[1:])
+    assert logged_sizes(log) == [2] + [16] * 8
+    assert same_calibration(cal, reference_calibration(spec, 60, reps, seed))
 
 
 def test_concurrent_calibrations_match_serial(monkeypatch):
@@ -488,18 +616,17 @@ def test_concurrent_calibrations_match_serial(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(got, serial))
 
 
-def test_block_rows_shrink_at_large_n(monkeypatch):
+def test_block_rows_shrink_at_large_n(monkeypatch, tmp_path):
     # a block holds at most _BLOCK_OBS observations, so its memory does
     # not grow with n; the numbers are those of one-row blocks
-    sizes = []
+    log = tmp_path / "sizes"
     spec, cfg = uniformity_spec(), MonteCarloConfig(replications=100, seed=2)
-    monkeypatch.setattr(montecarlo, "_prepare", counting_blocks(sizes))
+    monkeypatch.setattr(montecarlo, "_prepare", counting_blocks(log))
     big = null_distribution(spec, 20_000, cfg)
-    assert sizes == [1] * 100
-    sizes.clear()
+    assert logged_sizes(log) == [1] * 100
     monkeypatch.setattr(montecarlo, "_BLOCK_OBS", 2**16)
     assert np.array_equal(null_distribution(spec, 20_000, cfg).statistics, big.statistics)
-    assert sizes == [3] * 33 + [1]
+    assert logged_sizes(log) == [1] + [3] * 33
 
 
 @pytest.mark.parametrize("study", ["probe", "power"])

@@ -20,7 +20,7 @@ from ntgof.catalog import (
 )
 from ntgof.errors import NumericError
 from ntgof.montecarlo import MonteCarloConfig, consistency_probe
-from ntgof._rng import KeyedStreams
+from ntgof._rng import KeyedStreams, _philox_keys
 
 SPECS = {
     "uniformity": uniformity_spec,
@@ -146,14 +146,14 @@ def nan_above(threshold):
     ],
 )
 def test_failing_block_retest_tags_lowest_replication(spec, error, match):
-    # block 0 warms the workspace; in block 1 replications 70 and 66 fail,
-    # and each row of it is retested alone in the same workspace
-    calls = []
+    # replications 70 and 66 fail, in block 1; the calling process runs it
+    # again after its blocks 0 and 2 warmed its workspace, and retests each
+    # row alone in that workspace
+    bad = [_philox_keys(0, (0, 1), [i])[0].tolist() for i in (66, 70)]
 
     def sampler(rng, n):
-        calls.append(n)
         x = null_sampler(spec)(rng, n)
-        if len(calls) in (67, 71):
+        if rng.bit_generator.state["state"]["key"].tolist() in bad:
             x[n // 2] = 100.0
         return x
 
