@@ -225,18 +225,71 @@ class ParametricFamily:
             raise ValueError("family must have q >= 1 parameters")
 
 
+def _scipy_ndtr():
+    """scipy's compiled ``ndtr`` ufunc, without running scipy.special's __init__.
+
+    ``from scipy import special`` costs a fresh process 0.2-0.3 s, most
+    of it in scipy's array-API support (which imports numpy.f2py,
+    numpy.testing and numpy.ma), none of it needed for ``ndtr``.  Recent
+    scipy releases keep the ufunc in the extension module
+    ``scipy.special._special_ufuncs``, which is loaded here from the
+    package's directory on its own and registered in ``sys.modules``,
+    so later calls and a later ``import scipy.special`` reuse it.  On
+    releases without that module or attribute, the package import is
+    the one path.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    if module is None:
+        where = importlib.util.find_spec("scipy.special").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    ndtr = getattr(module, "ndtr", None)
+    if ndtr is None:
+        from scipy.special import ndtr
+    return ndtr
+
+
 def gaussian_location_family() -> ParametricFamily:
     """N(mu, 1) with unknown location.
 
     The MLE is the sample mean and every information block is free of
     mu (location invariance), so the family is ``invariant`` and its
     blocks are evaluated at mu = 0 whatever beta is asked for.
+
+    ``cdf`` is scipy's compiled ``ndtr`` (see :func:`_scipy_ndtr`).
+    ``ndtri`` is only reachable through the whole scipy.special import,
+    so ``ppf`` starts from the standard library's normal quantile in
+    the lower tail and takes one Newton step on the same ``ndtr``.  That
+    equals ``scipy.special.ndtri`` bit for bit at the information-block
+    quadrature limits, where the stdlib quantile alone is an ulp off at
+    the upper one (enough to move composite statistics by about 1e-8
+    relative), and stays within a few ulp elsewhere.
     """
-    from scipy import special  # only this family needs it; keeps import ntgof numpy-only
+    import statistics  # only this family needs it; keeps import ntgof lean
+
+    ndtr = _scipy_ndtr()
+    normal = statistics.NormalDist()
 
     def cdf(x, beta):
         u = x - beta[..., :1]
-        return special.ndtr(u, out=u)
+        return ndtr(u, out=u)
+
+    def ppf(p, beta):
+        p = np.asarray(p, dtype=float)
+        y = np.minimum(p, 1.0 - p)  # lower tail; 1 - p is exact for p >= 1/2
+        z = np.where(y == 0.0, -np.inf, np.nan)
+        inner = y > 0.0
+        z0 = np.array([normal.inv_cdf(v) for v in y[inner].tolist()])
+        pdf = np.exp(-0.5 * z0 * z0) / math.sqrt(2 * math.pi)
+        z[inner] = z0 - (ndtr(z0) - y[inner]) / pdf
+        return beta[0] + np.where(p <= 0.5, z, -z)
 
     _family = ParametricFamily(
         name="gaussian_location",
@@ -245,7 +298,7 @@ def gaussian_location_family() -> ParametricFamily:
         logpdf=lambda x, beta: -0.5 * (x - beta[0]) ** 2 - 0.5 * math.log(2 * math.pi),
         fit=lambda data: np.mean(data, axis=-1, keepdims=True),
         sampler=lambda rng, n, beta: beta[0] + rng.standard_normal(n),
-        ppf=lambda p, beta: beta[0] + special.ndtri(p),
+        ppf=ppf,
         information=lambda beta, basis, k: _numeric_information_blocks(
             _family, np.zeros(1), basis, k
         ),

@@ -550,6 +550,30 @@ def test_gaussian_location_information_blocks():
     assert abs(i_b[0, 5]) < 1e-8
 
 
+def test_gaussian_location_cdf_and_ppf_pin_scipy_bits():
+    from scipy import special
+
+    fam = gaussian_location_family()
+    zero = np.zeros(1)
+    assert catalog._scipy_ndtr() is special.ndtr
+    x = 3.0 * np.random.default_rng(5).standard_normal((4, 300))
+    assert fam.cdf(x.copy(), np.zeros((4, 1))).tobytes() == special.ndtr(x).tobytes()
+    # the information-block quadrature limits: an ulp here moves the
+    # composite statistics by about 1e-8 relative
+    for p in (catalog._INFO_TAIL, 1.0 - catalog._INFO_TAIL):
+        assert fam.ppf(p, zero).tobytes() == special.ndtri(p).tobytes(), p
+    p = np.concatenate([
+        np.logspace(-300, -1, 600),
+        np.linspace(0.001, 0.999, 2001),
+        1.0 - np.logspace(-16, -1, 600),
+    ])
+    want = special.ndtri(p)
+    assert np.all(np.abs(fam.ppf(p, zero) - want) <= 5 * np.spacing(np.abs(want)))
+    edges = np.array([0.0, 1.0, 0.5, -0.5, 1.5, np.nan])
+    np.testing.assert_array_equal(fam.ppf(edges, zero), special.ndtri(edges))
+    assert fam.ppf(np.full((2, 3), 0.25), zero).shape == (2, 3)
+
+
 def test_gaussian_location_block_cache_keyed_by_basis():
     # Each loop iteration drops its basis, so a cache keyed by id(basis)
     # would see freed ids reused and hand one basis the other's blocks.
@@ -1091,17 +1115,83 @@ def _fresh_python(args, cwd=None):
 def test_import_loads_no_scipy():
     # import ntgof is numpy-only, and the Monte Carlo engine forks its
     # worker with os alone: no concurrent.futures (6 ms of cold import)
-    # and no multiprocessing; the Gaussian location family loads
-    # scipy.special when it is built, so composite_spec() does too
+    # and no multiprocessing; the Gaussian location family loads scipy's
+    # compiled ndtr alone, so neither composite_spec() nor a composite
+    # run_test imports scipy.special or what its array-API support pulls in
     code = (
-        "import sys, ntgof; "
+        "import sys, numpy as np, ntgof; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('scipy', 'concurrent', 'multiprocessing'))); "
-        "ntgof.composite_spec(); "
-        "print('scipy.special' in sys.modules)"
+        "ntgof.run_test(np.random.default_rng(0).standard_normal(100), ntgof.composite_spec()); "
+        "print(sorted(m for m in ('scipy.special', 'numpy.f2py', 'numpy.testing', 'numpy.ma') "
+        "if m in sys.modules))"
     )
     proc = _fresh_python(["-c", code])
-    assert proc.stdout.split() == ["[]", "True"]
+    assert proc.stdout.split() == ["[]", "[]"]
+
+
+# One composite run end to end: run_test on three samples and a small
+# calibration, hashed bit for bit.
+_COMPOSITE_DIGEST = """
+import hashlib, numpy as np, ntgof
+def composite_digest():
+    spec = ntgof.composite_spec()
+    h = hashlib.sha256()
+    for seed in range(3):
+        x = np.random.default_rng(seed).standard_normal(200) + 0.2 * seed
+        h.update(ntgof.run_test(x, spec).series.tobytes())
+    cal = ntgof.null_distribution(spec, 100, ntgof.MonteCarloConfig(replications=200, seed=1))
+    h.update(cal.statistics.tobytes())
+    h.update(cal.s_counts.tobytes())
+    return h.hexdigest()
+"""
+
+# Make the family's lookup of scipy.special._special_ufuncs find nothing
+# once, as on a scipy release without that module; scipy.special's own
+# import of it afterwards goes through unchanged.
+_NO_SPECIAL_UFUNCS = """
+import importlib.machinery
+_real = importlib.machinery.PathFinder.find_spec
+def _find_spec(name, path=None, target=None):
+    if name == "scipy.special._special_ufuncs":
+        importlib.machinery.PathFinder.find_spec = _real
+        return None
+    return _real(name, path, target)
+importlib.machinery.PathFinder.find_spec = _find_spec
+"""
+
+
+@pytest.mark.parametrize(
+    "code, special_loaded",
+    [
+        # the compiled ndtr first, then the package: same ufunc, same bits
+        (
+            "a = composite_digest(); import scipy.special; "
+            "assert catalog._scipy_ndtr() is scipy.special.ndtr; "
+            "assert composite_digest() == a; print(a)",
+            True,
+        ),
+        # the package first: the family reuses its module
+        (
+            "import scipy.special; a = composite_digest(); "
+            "assert catalog._scipy_ndtr() is scipy.special.ndtr; print(a)",
+            True,
+        ),
+        # the compiled ndtr alone
+        ("print(composite_digest())", False),
+        # no _special_ufuncs: the package import is the one path
+        (_NO_SPECIAL_UFUNCS + "print(composite_digest())", True),
+    ],
+    ids=["family-then-scipy", "scipy-then-family", "family-alone", "no-special-ufuncs"],
+)
+def test_gaussian_location_ndtr_interop(code, special_loaded):
+    code = _COMPOSITE_DIGEST + "import sys\nfrom ntgof import catalog\n" + code + (
+        "\nprint('scipy.special' in sys.modules)"
+    )
+    namespace = {}
+    exec(_COMPOSITE_DIGEST, namespace)
+    expected = namespace["composite_digest"]()
+    assert _fresh_python(["-c", code]).stdout.split() == [expected, str(special_loaded)]
 
 
 def test_deconvolution_cli_loads_no_scipy(tmp_path):
