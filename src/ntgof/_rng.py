@@ -116,10 +116,9 @@ class KeyedStreams:
     ``at(key)`` moves the one Generator to the start of the stream with
     that key, so it draws the same bits as a Generator on
     ``Philox(SeedSequence(entropy=seed, spawn_key=(*path, i)))`` for the
-    index i the key was derived for.  ``blocks`` derives the
-    keys, ``rows`` does both.  The Generator is one object for every
-    row: a caller must take every draw it needs from it before moving
-    it to the next key.
+    index i the key was derived for; ``blocks`` derives the keys.  The
+    Generator is one object for every row: a caller must take every
+    draw it needs from it before moving it to the next key.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...]):
@@ -160,9 +159,3 @@ class KeyedStreams:
                 size = min(rows, stop - first)
                 yield first, keys[at : at + size]
                 at += size
-
-    def rows(self, start: int, stop: int):
-        """(i, rng) for i in [start, stop), rng at the start of stream i."""
-        for lo, keys in self.blocks(range(start, stop, _KEYS_PER_CALL), _KEYS_PER_CALL, stop):
-            for i, key in enumerate(keys, lo):
-                yield i, self.at(key)

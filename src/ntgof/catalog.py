@@ -616,10 +616,11 @@ class _DeconvScoreTable:
         cells = self.grid.size
         count, s1, s2 = np.zeros(cells), np.zeros(cells), np.zeros(cells)
         work = _Workspace()
-        chunks = range(0, draws, _MOMENT_CHUNK)
-        for start, (_, rng) in zip(chunks, KeyedStreams(seed, ()).rows(0, len(chunks))):
-            m = min(_MOMENT_CHUNK, draws - start)
-            y = np.asarray(sampler(rng, m), dtype=float)
+        chunks = -(-draws // _MOMENT_CHUNK)
+        streams = KeyedStreams(seed, ())
+        for chunk, [key] in streams.blocks(range(chunks), 1, chunks):
+            m = min(_MOMENT_CHUNK, draws - chunk * _MOMENT_CHUNK)
+            y = np.asarray(sampler(streams.at(key), m), dtype=float)
             if y.shape != (m,):
                 raise ValueError(f"null sampler drew shape {y.shape}, expected ({m},)")
             i, dy = self._cells(y, work)

@@ -182,6 +182,8 @@ def _read_penalty_table(path: str) -> PenaltySchedule:
         k, n, pi = row
         if k != int(k) or n != int(n):
             raise InputError(f"{path}: k and n must be integers, got k={k}, n={n}")
+        if (int(k), int(n)) in table:
+            raise InputError(f"{path}: penalty table has two entries for (k={int(k)}, n={int(n)})")
         table[(int(k), int(n))] = float(pi)
     return table_schedule(table, name=f"table:{path}")
 

@@ -25,12 +25,16 @@ block.  A worker forked after the plan is prepared runs the odd blocks
 and the calling process the even ones; each derives only its own
 blocks' stream keys, and one reused Generator moved to each key in turn
 serves every row (:class:`KeyedStreams`), so a sampler must take every
-draw it needs from its generator before it returns.  The worker writes
-each row's T_S and S by index into an anonymous shared map and marks
-each block it finishes; the calling process then runs, in index order,
-every block left unmarked, so every failure is raised there, with its
-own type, for the lowest failing replication, as a one-by-one run
-would report it.  The worker is killed if the caller's blocks raise and
+draw it needs from its generator before it returns.  When drawing or
+testing a block fails, its replications are drawn and tested again one
+at a time, and the first that fails alone is raised with its own type,
+tagged with its index; a sampler depends only on its generator and n,
+so that is the lowest failing replication.  The worker writes each
+row's T_S and S by index into an anonymous shared map and marks each
+block it finishes; the calling process then runs, in index order,
+every block left unmarked, so every failure is raised there, for the
+lowest failing replication, as a one-by-one run would report it.  The
+worker is killed if the caller's blocks raise and
 reaped on every path.  A run of one block, a platform without
 ``os.fork``, a fork that fails and a process with other Python threads
 alive (a fork could deadlock on a lock one of them holds) run every
@@ -49,7 +53,8 @@ is K: a working selector pushes the selected dimension up to K and the
 statistic through any fixed critical value.  The tail-rate probe checks
 the large-deviation behaviour of bounded i.i.d. means against the
 reference rate exp(-n y^2 / (2 sigma)): empirical tails must fall at
-least geometrically along a doubling n-grid.
+least geometrically along a doubling n-grid.  Both run their
+replications on the block engine, as calibration and power do.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ import numpy as np
 
 from ._rng import KeyedStreams
 from .catalog import AlternativeSpec, TestSpec, _Plan, _prepare, null_sampler
+from .selection import _select
 
 __all__ = [
     "MonteCarloConfig",
@@ -145,26 +151,19 @@ _BLOCK = 64
 _BLOCK_OBS = 2**15
 
 
-def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out: np.ndarray):
-    """Draw one sample per stream key into ``out``'s rows.
+def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out: np.ndarray) -> np.ndarray:
+    """Draw one sample per stream key into ``out``'s rows; the view of the rows drawn.
 
-    Returns (block, exception): the view of ``out`` holding the rows
-    drawn before the sampler raised or drew a sample shaped unlike
-    ``out``'s rows, and what was raised.
+    A sample shaped unlike ``out``'s rows raises a ValueError.
     """
-    filled, err = 0, None
-    try:
-        for key in keys:
-            x = sampler(streams.at(key), n)
-            if np.shape(x) != out.shape[1:]:
-                raise ValueError(
-                    f"sampler drew shape {np.shape(x)} for n={n}; the test takes {out.shape[1:]}"
-                )
-            out[filled] = x
-            filled += 1
-    except Exception as e:  # the rows before it are tested first
-        err = e
-    return out[:filled], err
+    for j, key in enumerate(keys):
+        x = sampler(streams.at(key), n)
+        if np.shape(x) != out.shape[1:]:
+            raise ValueError(
+                f"sampler drew shape {np.shape(x)} for n={n}; the test takes {out.shape[1:]}"
+            )
+        out[j] = x
+    return out[: len(keys)]
 
 
 def _run_blocks(plan: _Plan, sampler, streams: KeyedStreams, rows: int, t, s, done, firsts):
@@ -172,29 +171,26 @@ def _run_blocks(plan: _Plan, sampler, streams: KeyedStreams, rows: int, t, s, do
 
     Block k holds replications [k * rows, min((k + 1) * rows, len(t))).
     Each block's T_S and S go into its slots of ``t`` and ``s``, and then
-    ``done[k]`` is set.  A failure is raised for the lowest failing
-    replication of the block, tagged with its index.
+    ``done[k]`` is set.  When drawing or testing a block fails, its
+    replications are drawn and tested again one at a time, and the first
+    that fails alone is raised, tagged with its index; if none does, the
+    block's own failure is raised untagged.
     """
     n, test = plan.shape[0], plan.test
     buffer = np.empty((rows,) + plan.shape)
     for start, keys in streams.blocks(firsts, rows, len(t)):
-        block, err = _draw(sampler, n, streams, keys, buffer)
         try:
-            if err is not None:
-                raise err
-            out = test(block)
-        except Exception as e:
-            for i in range(len(block)):  # re-raise the first row failing alone
+            out = test(_draw(sampler, n, streams, keys, buffer))
+        except Exception:
+            for i, key in enumerate(keys):
                 try:
-                    test(block[i : i + 1])
+                    test(_draw(sampler, n, streams, [key], buffer))
                 except Exception as first:
                     _tag_replication(first, start + i)
                     raise
-            if e is err:  # drawing the next replication failed
-                _tag_replication(e, start + len(block))
             raise
-        t[start : start + len(block)] = out.t_s
-        s[start : start + len(block)] = out.s
+        t[start : start + len(keys)] = out.t_s
+        s[start : start + len(keys)] = out.s
         done[start // rows] = 1
 
 
@@ -449,7 +445,11 @@ def tail_rate_probe(
     reference rate exp(-n y^2 / (2 sigma)).  Passes when each successive
     tail is at most the previous divided by ``factor``, finite and > 0
     (with a doubling grid: tails at least halve), zeros allowed once the
-    tail has died.  Each draw must be n values, shape (n,).
+    tail has died.  Each draw must be n values, shape (n,).  The draws
+    run on the block engine as a one-dimensional, unpenalized series
+    T_1 = |mean_n - mean|, so a failing or non-finite draw raises tagged
+    with its replication, and ``draw`` runs in a forked worker for the
+    odd blocks, whose side effects stay there.
     """
     if not all(isinstance(n, numbers.Integral) for n in n_grid):
         raise ValueError(f"n_grid sizes must be integers, got {list(n_grid)}")
@@ -458,8 +458,7 @@ def tail_rate_probe(
         raise ValueError("n_grid must hold at least 2 strictly increasing sizes")
     if ns[0] < 1:
         raise ValueError(f"n_grid sizes must be >= 1, got {ns}")
-    if not isinstance(replications, numbers.Integral) or replications < 100:
-        raise ValueError(f"replications must be an integer >= 100, got {replications!r}")
+    config = MonteCarloConfig(replications, seed)
     if not math.isfinite(mean):
         raise ValueError(f"mean must be finite, got {mean!r}")
     if not 0 <= y < math.inf:
@@ -468,16 +467,17 @@ def tail_rate_probe(
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     if not 0 < factor < math.inf:
         raise ValueError(f"factor must be finite and > 0, got {factor!r}")
+    no_penalty = np.zeros(1)
+
+    def test(block):
+        return _select(np.abs(block.mean(axis=-1, keepdims=True) - mean), no_penalty)
+
     rows = []
     tails = []
     for gi, n in enumerate(ns):
-        hits = []
-        for _, rng in KeyedStreams(seed, (gi,)).rows(0, replications):
-            x = np.asarray(draw(rng, n), dtype=float)
-            if x.shape != (n,):
-                raise ValueError(f"draw returned shape {x.shape} for n={n}; expected ({n},)")
-            hits.append(abs(float(x.mean()) - mean) >= y)
-        tail = float(np.mean(hits))
+        plan = _Plan((n,), no_penalty, test)
+        t, _ = _replicate(plan, draw, config.replications, config.seed, (gi,))
+        tail = float(np.mean(t >= y))
         tails.append(tail)
         rows.append({"n": n, "tail": tail, "reference_rate": math.exp(-n * y * y / (2.0 * sigma))})
     ok = all(b <= a / factor for a, b in zip(tails, tails[1:]))

@@ -264,6 +264,8 @@ def test_criterion_10_determinism(tmp_path):
     pow_cfg.write_text(json.dumps(study))
     probe_cfg = tmp_path / "probe.json"
     probe_cfg.write_text(json.dumps({"probe": "consistency", **study}))
+    tail_cfg = tmp_path / "tail.json"
+    tail_cfg.write_text('{"probe": "tail_rate", "n_grid": [16, 32, 64]}')
     data = tmp_path / "data.csv"
     x = np.random.default_rng(10).random(300) ** 1.2
     data.write_text("x\n" + "\n".join("%.17g" % v for v in x) + "\n")
@@ -278,6 +280,7 @@ def test_criterion_10_determinism(tmp_path):
         "calibrate": ["calibrate", "--input", str(cal_cfg), "--mc-reps", "400", "--seed", "11"],
         "power": ["power", "--input", str(pow_cfg), "--mc-reps", "300", "--seed", "12"],
         "probe": ["probe", "--input", str(probe_cfg), "--mc-reps", "300", "--seed", "13"],
+        "tail_rate": ["probe", "--input", str(tail_cfg), "--mc-reps", "400", "--seed", "14"],
     }
     for name, args in commands.items():
         for block in ("1", "7"):
@@ -291,7 +294,8 @@ def test_criterion_10_determinism(tmp_path):
     ok = all(outputs[(name, "1")] == outputs[(name, "7")] for name in commands)
     elapsed = report(
         10, "determinism", ok, t0,
-        "test, calibrate, power and a consistency probe byte-compared at blocks of 1 and 7",
+        "test, calibrate, power, a consistency and a tail_rate probe byte-compared at blocks"
+        " of 1 and 7",
     )
     assert ok
     assert elapsed < 120.0

@@ -326,6 +326,19 @@ def test_non_finite_cell_reports_line(tmp_path, capsys, cell):
     assert err == f"ntgof: {f}, line 3: {cell!r} is not finite\n"
 
 
+def test_duplicate_penalty_table_entry_is_input_error(tmp_path, capsys):
+    # the last row used to win, so this ran with pi(2, 100) = 0.5
+    data = write_uniform_csv(tmp_path / "u.csv", n=100)
+    table = tmp_path / "pi.csv"
+    table.write_text("k,n,pi\n1,100,4.6\n2,100,5.0\n2,100,0.5\n")
+    code, out, err = run_cli(
+        capsys, "test", "--input", data, "--penalty", f"table:{table}", "--dmax", "2",
+        "--mc-reps", "100",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"ntgof: {table}: penalty table has two entries for (k=2, n=100)\n"
+
+
 def test_non_finite_penalty_table_cell_is_input_error(tmp_path, capsys):
     # k = inf used to end in an OverflowError traceback from int(k)
     data = write_uniform_csv(tmp_path / "u.csv", n=100)

@@ -814,9 +814,12 @@ def test_tail_rate_validation():
             tail_rate_probe(rademacher, 0.0, 1.0, 0.5, (16, 32), 200, 0, factor=factor)
     # 200.0 stopped in a TypeError, 16.5 ran at n = 16, a NaN y or mean
     # passed trivially (every tail read 0), an infinite sigma reported a
-    # reference rate of 1, and a short draw was averaged
+    # reference rate of 1, and a short draw was averaged; a seed of 1.5
+    # stopped in a TypeError and -1 did not name the seed
     bad = [
         (dict(replications=200.0), r"^replications must be an integer >= 100, got 200.0$"),
+        (dict(seed=1.5), r"^seed must be a non-negative integer, got 1.5$"),
+        (dict(seed=-1), r"^seed must be a non-negative integer, got -1$"),
         (dict(n_grid=(16.5, 32)), r"^n_grid sizes must be integers, got \[16.5, 32\]$"),
         (dict(mean=math.nan), r"^mean must be finite, got nan$"),
         (dict(y=math.nan), r"^y must be finite and >= 0, got nan$"),
@@ -825,9 +828,9 @@ def test_tail_rate_validation():
         (dict(sigma=math.inf), r"^sigma must be finite and > 0, got inf$"),
         (dict(sigma=0.0), r"^sigma must be finite and > 0, got 0.0$"),
         (dict(draw=lambda rng, n: rademacher(rng, n - 3)),
-         r"^draw returned shape \(13,\) for n=16; expected \(16,\)$"),
+         r"^replication 0: sampler drew shape \(13,\) for n=16; the test takes \(16,\)$"),
         (dict(draw=lambda rng, n: rademacher(rng, 2 * n).reshape(n, 2)),
-         r"^draw returned shape \(16, 2\) for n=16; expected \(16,\)$"),
+         r"^replication 0: sampler drew shape \(16, 2\) for n=16; the test takes \(16,\)$"),
     ]
     good = dict(
         draw=rademacher, mean=0.0, sigma=1.0, y=0.5, n_grid=(16, 32), replications=200, seed=0
@@ -838,6 +841,68 @@ def test_tail_rate_validation():
     # NumPy integers are integers
     probe = tail_rate_probe(rademacher, 0.0, 1.0, 0.5, (np.int64(16), 32), np.int64(100), 0)
     assert [row["n"] for row in probe.rows] == [16, 32]
+
+
+def test_tail_rate_failing_draws_name_their_replication():
+    # a NaN mean used to count as outside the tail, so every tail read 0
+    # and the probe passed
+    with pytest.raises(ValueError, match=r"^replication 0: series contains non-finite values$"):
+        tail_rate_probe(lambda rng, m: np.full(m, np.nan), 0.0, 1.0, 0.5, (16, 32), 200, 0)
+    # replications 70 and 130 of the second size, in blocks the worker
+    # and the caller run
+    nan, short = key_of(0, (1,), 70), key_of(0, (1,), 130)
+
+    def breaking(rng, n):
+        x = rademacher(rng, n)
+        if key_at(rng) == nan:
+            x[3] = np.nan
+        return x[:-1] if key_at(rng) == short else x
+
+    with pytest.raises(ValueError, match=r"^replication 70: series contains non-finite values$"):
+        tail_rate_probe(breaking, 0.0, 1.0, 0.5, (16, 32), 200, 0)
+    nan = None  # the short draw alone
+    shape = r"^replication 130: sampler drew shape \(31,\) for n=32; the test takes \(32,\)$"
+    with pytest.raises(ValueError, match=shape):
+        tail_rate_probe(breaking, 0.0, 1.0, 0.5, (16, 32), 200, 0)
+
+
+def test_tail_rate_in_one_process_gives_the_same_tails(monkeypatch):
+    args = (rademacher, 0.0, 1.0, 0.5, (16, 32, 64), 300, 5)
+    forked = tail_rate_probe(*args)
+    pids = []
+
+    def draw(rng, n):
+        pids.append(os.getpid())
+        return rademacher(rng, n)
+
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    alone = tail_rate_probe(draw, *args[1:])
+    assert pids == [os.getpid()] * 900
+    assert dataclasses.asdict(alone) == dataclasses.asdict(forked)
+
+
+def test_every_entry_point_replicates_on_the_block_engine(monkeypatch):
+    # one way to run replications: each entry point's draws go through
+    # _replicate, once per leg and grid size
+    calls = []
+    replicate = montecarlo._replicate
+
+    def counting(plan, sampler, reps, seed, path):
+        calls.append(path)
+        return replicate(plan, sampler, reps, seed, path)
+
+    monkeypatch.setattr(montecarlo, "_replicate", counting)
+    spec = uniformity_spec()
+    cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(40, 80))
+    alt = contamination_alternative({1: 0.3})
+    null_distribution(spec, 40, cfg)
+    assert calls == [(0,)]
+    power_curve(spec, alt, cfg)
+    assert calls[1:] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    consistency_probe(spec, alt, cfg)
+    assert calls[5:] == [(0, 1), (1, 1)]
+    tail_rate_probe(rademacher, 0.0, 1.0, 0.5, (16, 32), 100, 0)
+    assert calls[7:] == [(0,), (1,)]
 
 
 # ---------------------------------------------------------------------------

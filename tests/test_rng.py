@@ -38,7 +38,7 @@ def test_negative_seed_raises_like_seed_sequence():
     with pytest.raises(ValueError, match=message):
         _philox_keys(3, (-2,), range(4))
     with pytest.raises(ValueError, match=message):
-        next(KeyedStreams(-1, (0,)).rows(0, 1))
+        next(KeyedStreams(-1, (0,)).blocks([0], 1, 1))
 
 
 def test_keyed_streams_draw_like_substreams(monkeypatch):
@@ -52,9 +52,12 @@ def test_keyed_streams_draw_like_substreams(monkeypatch):
 
     monkeypatch.setattr(_rng, "_philox_keys", counting)
     rows = list(range(60, 80 + _KEYS_PER_CALL))
+    streams = KeyedStreams(11, (2, 5))
     got = []
-    for i, rng in KeyedStreams(11, (2, 5)).rows(rows[0], rows[-1] + 1):
-        got.append((i, rng.integers(0, 1000, 3, dtype=np.int32), rng.standard_normal(2)))
+    for first, keys in streams.blocks(range(rows[0], rows[-1] + 1, 64), 64, rows[-1] + 1):
+        for i, key in enumerate(keys, first):
+            rng = streams.at(key)
+            got.append((i, rng.integers(0, 1000, 3, dtype=np.int32), rng.standard_normal(2)))
     assert [i for i, *_ in got] == rows
     assert calls == [(60, 60 + _KEYS_PER_CALL, _KEYS_PER_CALL), (60 + _KEYS_PER_CALL, 80 + _KEYS_PER_CALL, 20)]
     for i, ints, normals in got:

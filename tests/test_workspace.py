@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _reference import substream
 from ntgof import montecarlo
 from ntgof.basis import _Workspace, design_matrix, eval_basis, legendre_basis
 from ntgof.catalog import (
@@ -20,7 +21,7 @@ from ntgof.catalog import (
 )
 from ntgof.errors import NumericError
 from ntgof.montecarlo import MonteCarloConfig, consistency_probe
-from ntgof._rng import KeyedStreams, _philox_keys
+from ntgof._rng import _philox_keys
 
 SPECS = {
     "uniformity": uniformity_spec,
@@ -31,12 +32,9 @@ SPECS = {
 
 
 def null_blocks(spec, n, rows, seeds):
-    """One (rows, *shape) null block per seed, drawn as the engine draws them."""
+    """One (rows, *shape) null block per seed, row i from the stream (seed, i)."""
     sampler = null_sampler(spec)
-    return [
-        np.array([sampler(rng, n) for _, rng in KeyedStreams(seed, ()).rows(0, rows)])
-        for seed in seeds
-    ]
+    return [np.array([sampler(substream(seed, i), n) for i in range(rows)]) for seed in seeds]
 
 
 def outcome_arrays(out):
