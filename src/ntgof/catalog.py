@@ -9,9 +9,9 @@ identity for orthonormal scores), and hand the series to the penalized
 selector :func:`_select`.  No kind forms a (B, n, d) array of scores.
 For a given spec and n everything but the sample is fixed, so
 :func:`_prepare` works it out once -- the sample shape, d(n), the
-penalties, the kind's artifacts and the gated Cholesky factor of a
-shared covariance -- into the plan that :func:`run_test` runs on one
-sample and the Monte Carlo engine on every block.  What varies is where
+penalties, the slice of the spec's artifact and the gated Cholesky
+factor of a shared covariance -- into the plan that :func:`run_test`
+runs on one sample and the Monte Carlo engine on every block.  What varies is where
 the scores come from and what their covariance is:
 
 uniformity
@@ -73,9 +73,10 @@ composite
     row, with Sigma at each row's own beta_hat and dimension.
 
 Each spec builds at most one artifact (the deconvolution score table
-with its moment matrix, or an invariant family's Sigma), from its own inputs
-and at its cap; a spec made from it by ``dataclasses.replace`` builds
-its own.
+with its moment matrix, or an invariant family's Sigma) when it is made,
+from its own inputs and at its cap, and never changes afterwards; a
+failed build raises from the constructor, and a spec made by
+``dataclasses.replace`` builds its own.
 
 Monte Carlo calibration needs the matching null samplers; use
 :func:`null_sampler`.  Smooth contamination alternatives g = 1 + sum
@@ -87,7 +88,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -148,13 +148,20 @@ KINDS = ("uniformity", "independence_rank", "deconvolution", "composite")
 
 @dataclass(frozen=True)
 class NullDensity:
-    """A fully specified continuous null on an interval."""
+    """A fully specified continuous null on a finite interval (a, b), a < b."""
 
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     sampler: Callable[[np.random.Generator, int], np.ndarray]
+
+    def __post_init__(self):
+        a, b = self.support
+        if not -math.inf < a < b < math.inf:
+            raise ValueError(
+                f"null support must be a finite interval (a, b) with a < b, got {self.support!r}"
+            )
 
 
 def uniform_null() -> NullDensity:
@@ -335,7 +342,8 @@ class TestSpec:
     """Everything needed to run one of the catalog tests.
 
     The budget cap may not exceed the basis degree -- the selector can
-    only consider dimensions whose scores exist.
+    only consider dimensions whose scores exist.  The constructor builds
+    the spec's artifact (see the module docstring) and raises its errors.
     """
 
     kind: str
@@ -349,8 +357,8 @@ class TestSpec:
     l_draws: int = 200_000
     l_seed: int = 0
     grid_points: int = 2001
-    # the artifact _artifact builds from this spec's own inputs; not an
-    # __init__ argument, so dataclasses.replace starts the copy empty
+    # the artifact __post_init__ builds from this spec's own inputs; not
+    # an __init__ argument, so dataclasses.replace builds the copy its own
     _built: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -377,6 +385,9 @@ class TestSpec:
                 raise ValueError("grid_points too small for score tabulation")
             if not isinstance(self.l_seed, numbers.Integral) or self.l_seed < 0:
                 raise ValueError(f"l_seed must be a non-negative integer, got {self.l_seed!r}")
+            # the spec's artifact, built at the cap; a test at dimension d
+            # slices its leading d rows, or d x d block of Sigma below
+            object.__setattr__(self, "_built", _DeconvScoreTable(self, cap))
         if self.kind == "composite":
             if self.family is None or self.beta0 is None:
                 raise ValueError("composite spec needs family and beta0")
@@ -387,6 +398,9 @@ class TestSpec:
                 )
             if not np.all(np.isfinite(self.beta0)):
                 raise ValueError(f"beta0 must be finite, got {self.beta0.tolist()}")
+            if self.family.invariant:
+                cov = _composite_cov(self.family, self.beta0, self.basis, self.budget.cap)
+                object.__setattr__(self, "_built", cov)
 
 
 def uniformity_spec(
@@ -797,31 +811,6 @@ def _composite_cov(family: ParametricFamily, beta, basis, d: int) -> np.ndarray:
         ) from None
 
 
-# Serializes the check-and-build in _artifact, so that callers' threads
-# starting on a cold spec build it once between them.
-_ARTIFACT_LOCK = threading.Lock()
-
-
-def _artifact(spec: TestSpec):
-    """The spec's one artifact, built from its own inputs at the budget cap.
-
-    For deconvolution it is the score table, which holds the moment
-    matrix, for an ``invariant`` composite family Sigma at beta0.  A test
-    at dimension d slices the leading d rows or d x d block, so moving
-    between sample sizes never rebuilds it.  It lives in the spec's ``_built`` slot,
-    which a spec made by ``dataclasses.replace`` does not share.
-    """
-    with _ARTIFACT_LOCK:
-        if spec._built is None:
-            cap = spec.budget.cap
-            if spec.kind == "deconvolution":
-                built = _DeconvScoreTable(spec, cap)
-            else:
-                built = _composite_cov(spec.family, spec.beta0, spec.basis, cap)
-            object.__setattr__(spec, "_built", built)
-        return spec._built
-
-
 # ---------------------------------------------------------------------------
 # the prepared plan, null samplers, alternatives
 
@@ -839,13 +828,14 @@ def _prepare(spec: TestSpec, n: int) -> _Plan:
     """The :class:`_Plan` of ``spec`` at sample size n, an integer >= 2.
 
     Everything but the sample is fixed here, on the calling thread: d(n),
-    the penalties pi(1..d, n), the per-n rank table, the spec's
-    :func:`_artifact` and the gated Cholesky factor of the d x d block of
-    a covariance every sample shares, so a bad n, penalty or artifact
-    raises before any sample is drawn.  Only that block is gated: a
-    cap-sized matrix that fails the gate still serves every d whose
-    leading block passes.  The test's callers have checked the block's
-    shape, so it checks only that the values are finite.
+    the penalties pi(1..d, n), the per-n rank table, the slice of the
+    artifact the spec built when it was made and the gated Cholesky
+    factor of the d x d block of a covariance every sample shares, so a
+    bad n, penalty or block raises before any sample is drawn.  Only
+    that block is gated: a cap-sized matrix that fails the gate still
+    serves every d whose leading block passes.  The test's callers have
+    checked the block's shape, so it checks only that the values are
+    finite.
     Each row's numbers are those the sample gives alone.  Every kind maps
     the block to its (score sums, Cholesky factor), the factor being None
     for orthonormal scores, and the test forms the series from that pair.
@@ -883,11 +873,11 @@ def _prepare(spec: TestSpec, n: int) -> _Plan:
             v = _midranks(block[..., 1], work.get("v", shape, np.intp))
             return _sum_planes(planes(u, v), shape[:1], d), None
     elif spec.kind == "deconvolution":
-        table = _artifact(spec)
+        table = spec._built
         factor = _gated_factor(table.moment[:d, :d], d)
         scores = lambda block: (table.sums(block, d, work), factor)
     elif family.invariant:
-        factor = _gated_factor(_artifact(spec)[:d, :d], d)
+        factor = _gated_factor(spec._built[:d, :d], d)
 
         def scores(block):
             u = np.asarray(family.cdf(block, family.fit(block)), dtype=float)
@@ -973,15 +963,19 @@ def contamination_alternative(
 ) -> AlternativeSpec:
     """Smooth contaminated-uniform alternative g = 1 + sum c_j b_j.
 
-    ``coefficients`` is either {degree: coefficient} or a plain
-    sequence for degrees 1, 2, ....  The resulting function must be a
-    genuine density: if it dips to zero or below anywhere on [0, 1]
-    construction fails.  Sampling is by rejection with the exact
-    envelope 1 + sum |c_j| sqrt(2j + 1), so draws cost a constant
-    factor more than the envelope and stay deterministic per stream.
+    ``coefficients`` is either {degree: coefficient}, each degree an
+    integer >= 1 (not a bool), or a plain sequence for degrees 1, 2,
+    ....  The resulting function must be a genuine density: if it dips
+    to zero or below anywhere on [0, 1] construction fails.  Sampling is
+    by rejection with the exact envelope 1 + sum |c_j| sqrt(2j + 1), so
+    draws cost a constant factor more than the envelope and stay
+    deterministic per stream.
     """
     basis = basis or legendre_basis(12)
     if isinstance(coefficients, Mapping):
+        for j in coefficients:
+            if isinstance(j, bool) or not isinstance(j, numbers.Integral) or j < 1:
+                raise ValueError(f"contamination degree must be an integer >= 1, got {j!r}")
         coeffs = {int(j): float(c) for j, c in coefficients.items() if c != 0.0}
     else:
         coeffs = {j + 1: float(c) for j, c in enumerate(coefficients) if c != 0.0}

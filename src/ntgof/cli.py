@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -50,7 +51,6 @@ import numpy as np
 from .basis import legendre_basis
 from .catalog import (
     AlternativeSpec,
-    TestSpec,
     composite_spec,
     contamination_alternative,
     deconvolution_spec,
@@ -259,18 +259,19 @@ def _parse_budget(text: str):
     return fixed_budget(d)
 
 
-def _study(args, cfg: dict, n_grid: tuple[int, ...] = ()) -> tuple[TestSpec, MonteCarloConfig]:
-    """The spec and Monte Carlo config the flags and ``cfg`` describe; pops the kind's keys."""
+def _study(args, cfg: dict, n_grid: tuple[int, ...] = ()):
+    """The spec maker (call it once ``cfg`` is checked) and Monte Carlo config; pops kind keys."""
     common = {"budget": _parse_budget(args.dmax), "penalty": _parse_penalty(args.penalty)}
     if args.kind == "uniformity":
-        spec = uniformity_spec(**common)
+        make_spec = functools.partial(uniformity_spec, **common)
     elif args.kind == "independence":
-        spec = independence_spec(**common)
+        make_spec = functools.partial(independence_spec, **common)
     elif args.kind == "deconvolution":
         sigma = _config_float(cfg.pop("noise_sigma", 0.25), "noise_sigma")
         if sigma <= 0:
             raise InputError("noise_sigma must be positive")
-        spec = deconvolution_spec(
+        make_spec = functools.partial(
+            deconvolution_spec,
             noise=gaussian_noise(sigma),
             l_draws=_config_int(cfg.pop("l_draws", 200_000), "l_draws"),
             l_seed=_config_int(cfg.pop("l_seed", 0), "l_seed"),
@@ -282,11 +283,11 @@ def _study(args, cfg: dict, n_grid: tuple[int, ...] = ()) -> tuple[TestSpec, Mon
         if not isinstance(beta0, list):
             raise InputError(f'config "beta0" must be a list, got {json.dumps(beta0)}')
         beta0 = [_config_float(b, f"beta0[{i}]") for i, b in enumerate(beta0)]
-        spec = composite_spec(beta0=np.array(beta0), **common)
+        make_spec = functools.partial(composite_spec, beta0=np.array(beta0), **common)
     config = MonteCarloConfig(
         replications=args.mc_reps, seed=args.seed, alpha=args.alpha, n_grid=n_grid
     )
-    return spec, config
+    return make_spec, config
 
 
 def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
@@ -331,7 +332,8 @@ def _cmd_test(args) -> dict:
     columns = ("x", "y") if kind == "independence" else ("x",)
     data = _read_csv_columns(args.input, columns)
     n = int(data.shape[0])
-    spec, config = _study(args, {})
+    make_spec, config = _study(args, {})
+    spec = make_spec()
     try:
         outcome = run_test(data, spec)
     except ValueError as e:
@@ -371,9 +373,9 @@ def _cmd_calibrate(args) -> dict:
     if "n" not in cfg:
         raise InputError(f'{args.input}: calibrate config needs "n"')
     n = _config_int(cfg.pop("n"), "n")
-    spec, config = _study(args, cfg)
+    make_spec, config = _study(args, cfg)
     _no_unknown_keys(cfg, args.input)
-    result = null_distribution(spec, n, config)
+    result = null_distribution(make_spec(), n, config)
     return dataclasses.asdict(result) | {
         "command": "calibrate",
         "kind": args.kind,
@@ -384,10 +386,10 @@ def _cmd_calibrate(args) -> dict:
 
 def _cmd_power(args) -> dict:
     cfg = _read_config(args.input)
-    spec, config = _study(args, cfg, _n_grid(cfg, args.input, "power config"))
+    make_spec, config = _study(args, cfg, _n_grid(cfg, args.input, "power config"))
     alternative = _parse_alternative(args.kind, cfg)
     _no_unknown_keys(cfg, args.input)
-    result = power_curve(spec, alternative, config)
+    result = power_curve(make_spec(), alternative, config)
     run = {"command": "power", "kind": args.kind, "penalty": args.penalty}
     return dataclasses.asdict(result) | run
 
@@ -404,12 +406,12 @@ def _cmd_probe(args) -> dict:
     which = cfg.pop("probe", None)
     run = {"command": "probe", "seed": args.seed, "replications": args.mc_reps}
     if which == "consistency":
-        spec, config = _study(args, cfg, _n_grid(cfg, args.input, "probe config"))
+        make_spec, config = _study(args, cfg, _n_grid(cfg, args.input, "probe config"))
         alternative = _parse_alternative(args.kind, cfg)
         threshold = _config_float(cfg.pop("threshold", 0.8), "threshold")
         _no_unknown_keys(cfg, args.input)
         _no_unread_flags(args, which, {"--alpha"})
-        result = consistency_probe(spec, alternative, config, threshold=threshold)
+        result = consistency_probe(make_spec(), alternative, config, threshold=threshold)
         run |= {"kind": args.kind, "penalty": args.penalty, "dmax": args.dmax}
     elif which == "tail_rate":
         sampler_cfg = cfg.pop("sampler", {})

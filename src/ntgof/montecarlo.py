@@ -13,7 +13,7 @@ at level alpha is the ceil((1 - alpha) * reps)-th order statistic,
 with alpha the decimal it prints as and the product taken exactly.
 
 Each run first prepares its (spec, n) plan in the calling process
-(sample shape, d(n), penalties, artifacts, a shared covariance's
+(sample shape, d(n), penalties, artifact slices, a shared covariance's
 factor), so a failure there raises before replication 0, untagged.
 Replications then run in blocks of at most _BLOCK rows and _BLOCK_OBS
 observations.  Block by block, a process draws each replication's

@@ -96,6 +96,26 @@ def estimate_moment_matrix(null_sampler, k, evaluate, draws, seed) -> np.ndarray
     return 0.5 * (moment + moment.T)
 
 
+def gaussian_location_cov(k, nodes=2000, tail=1e-14) -> np.ndarray:
+    """Sigma = I - I_b^T I_bb^{-1} I_b of N(mu, 1) at dimension k, in score form.
+
+    The family's score is x - mu, so I_b = E[(X - mu) b(Phi(X - mu))] and
+    I_bb = E[(X - mu)^2]: one ``nodes``-point Gauss-Legendre rule between
+    the ``tail`` and 1 - ``tail`` quantiles, with no differences.  Both
+    blocks are free of mu, so mu = 0.
+    """
+    from scipy import special
+
+    lo, hi = special.ndtri(tail), special.ndtri(1.0 - tail)
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+    wt = 0.5 * (hi - lo) * w * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+    basis = legendre_basis(12)
+    b = np.column_stack([eval_basis(basis, j, special.ndtr(x)) for j in range(1, k + 1)])
+    i_b = (wt * x) @ b
+    return np.eye(k) - np.outer(i_b, i_b) / (wt @ (x * x))
+
+
 def rank_transform(values) -> np.ndarray:
     """Normalized mid-ranks (R - 1/2) / n of a 1-d sample, by one stable sort.
 

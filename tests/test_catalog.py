@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -34,11 +33,11 @@ from ntgof.catalog import (
     uniform_null,
     uniformity_spec,
 )
-from ntgof.catalog import NullDensity, ParametricFamily, TestSpec as CatalogSpec
+from ntgof.catalog import AlternativeSpec, NullDensity, ParametricFamily, TestSpec as CatalogSpec
 from ntgof import catalog
 from ntgof.catalog import _DeconvScoreTable, _numeric_information_blocks
 from ntgof.errors import NumericError, ScoreMeanError, SingularMatrixError
-from ntgof.montecarlo import MonteCarloConfig, null_distribution
+from ntgof.montecarlo import MonteCarloConfig, null_distribution, power_curve
 from ntgof.selection import _penalties, _select, default_budget, fixed_budget, schwarz_schedule
 from ntgof.statistics import _series
 
@@ -299,8 +298,8 @@ def test_deconvolution_test_runs_and_caches():
     assert out1.s >= 1
     assert math.isfinite(out1.t_s)
     assert len(out1.series) == spec.budget.d(n)
-    # the artifact is built once per spec, at the budget cap: a run at
-    # n = 1296 (d = 6) reuses the table the n = 144 run built
+    # the artifact is built once per spec, at the budget cap, when the
+    # spec is made: runs at n = 144 and n = 1296 (d = 6) share its table
     table = spec._built
     big = rng.random(1296) + 0.25 * rng.standard_normal(1296)
     assert len(run_test(big, spec).series) == spec.budget.d(1296) == 6
@@ -317,7 +316,7 @@ def test_deconvolution_test_runs_and_caches():
 @pytest.mark.parametrize("sigma", [0.02, 0.25, 1.0])
 def test_score_table_matches_quadrature_oracle(sigma):
     spec = deconvolution_spec(noise=gaussian_noise(sigma), grid_points=64)
-    table = _DeconvScoreTable(spec, 12)
+    table = spec._built
     for i in range(0, 64, 3):
         y = table.grid[i]
         for j in range(1, 13):
@@ -334,7 +333,7 @@ def test_score_table_interpolates_like_np_interp():
         for sigma in (0.02, 0.25, 1.0):
             spec = deconvolution_spec(noise=gaussian_noise(sigma), grid_points=grid_points)
             cap = spec.budget.cap
-            table = _DeconvScoreTable(spec, cap)
+            table = spec._built
             grid = table.grid
             lo, hi = table._domain
             y = np.concatenate(
@@ -357,7 +356,7 @@ def test_score_table_interpolates_like_np_interp():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_score_table_rejects_non_finite_observations(bad):
-    table = _DeconvScoreTable(deconvolution_spec(grid_points=64), 4)
+    table = deconvolution_spec(grid_points=64)._built
     y = np.array([0.2, 0.5, bad, 0.7])
     with pytest.raises(NumericError, match="not finite"):
         table.sums(y, 4)
@@ -374,10 +373,8 @@ def test_non_finite_null_draws_fail_loudly():
         return x
 
     null_d = NullDensity(name="nan", pdf=u.pdf, cdf=u.cdf, support=u.support, sampler=sampler)
-    spec = deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=501)
-    data = np.random.default_rng(0).random(200)
     with pytest.raises(NumericError, match="not finite"):
-        run_test(data, spec)
+        deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=501)
 
 
 @pytest.mark.parametrize(
@@ -386,7 +383,8 @@ def test_non_finite_null_draws_fail_loudly():
     ids=["inf", "-inf", "far"],
 )
 def test_null_draws_off_the_score_domain_fail_loudly(bad, match):
-    # a draw the table cannot score stops the moment matrix
+    # a draw the table cannot score stops the moment matrix, and with it
+    # the spec's constructor
     u = uniform_null()
 
     def sampler(rng, n):
@@ -395,9 +393,8 @@ def test_null_draws_off_the_score_domain_fail_loudly(bad, match):
         return x
 
     null_d = NullDensity(name="bad", pdf=u.pdf, cdf=u.cdf, support=u.support, sampler=sampler)
-    spec = deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=64)
     with pytest.raises(NumericError, match=match):
-        _DeconvScoreTable(spec, 4)
+        deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=64)
 
 
 def test_null_sampler_shape_is_checked():
@@ -407,9 +404,8 @@ def test_null_sampler_shape_is_checked():
     noise = dataclasses.replace(
         gaussian_noise(0.25), sampler=lambda rng, n: 0.25 * rng.standard_normal((n, 1))
     )
-    spec = deconvolution_spec(noise=noise, null_density=null_d, l_draws=20_000, grid_points=64)
     with pytest.raises(ValueError, match=r"null sampler drew shape \(4096, 1\), expected \(4096,\)"):
-        _DeconvScoreTable(spec, 4)
+        deconvolution_spec(noise=noise, null_density=null_d, l_draws=20_000, grid_points=64)
 
 
 def test_sampler_that_disagrees_with_its_pdf_fails_the_mean_gate():
@@ -420,9 +416,8 @@ def test_sampler_that_disagrees_with_its_pdf_fails_the_mean_gate():
         name="half", pdf=u.pdf, cdf=u.cdf, support=u.support,
         sampler=lambda rng, n: 0.5 * rng.random(n),
     )
-    spec = deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=64)
     with pytest.raises(ScoreMeanError, match="component 1 has mean"):
-        run_test(np.random.default_rng(4).random(100), spec)
+        deconvolution_spec(null_density=null_d, l_draws=20_000, grid_points=64)
 
 
 @pytest.mark.parametrize("grid_points", [64, 2001])
@@ -431,7 +426,7 @@ def test_moment_matrix_matches_per_draw_oracle(sigma, grid_points):
     # 20_000 draws: four full chunks of 4096 and one of 3616.  The per-cell
     # weights sum the same draws' products in another order.
     spec = deconvolution_spec(noise=gaussian_noise(sigma), grid_points=grid_points, l_draws=20_000)
-    table = _DeconvScoreTable(spec, 12)
+    table = spec._built
     want = _reference.estimate_moment_matrix(
         null_sampler(spec), 12, lambda y: _reference.evaluate(table, y), 20_000, spec.l_seed
     )
@@ -454,28 +449,45 @@ def test_deconvolution_spec_needs_a_non_negative_integer_l_seed():
     assert deconvolution_spec(l_seed=np.int64(3)).l_seed == 3
 
 
-def test_cold_spec_builds_artifacts_once_under_two_workers(monkeypatch):
-    # two of the caller's threads start on a cold spec; the build sleeps
-    # so that an unguarded cache lets the second thread start its own
+def test_spec_builds_its_artifact_once_at_construction(monkeypatch):
+    # one build when the spec is made and none after: not from a run, a
+    # calibration, a power curve or two threads running the spec at once
     builds = []
 
     class CountingTable(_DeconvScoreTable):
         def __init__(self, spec, k):
             builds.append(k)
-            time.sleep(0.2)
             super().__init__(spec, k)
 
     monkeypatch.setattr(catalog, "_DeconvScoreTable", CountingTable)
     spec = small_deconv_spec()
+    cap = spec.budget.cap
+    assert builds == [cap]
+    assert type(spec._built) is CountingTable
     data = null_sampler(spec)(np.random.default_rng(3), 200)
-    threads = [threading.Thread(target=run_test, args=(data, spec)) for _ in range(2)]
+    alone = run_test(data, spec)
+    cfg = MonteCarloConfig(replications=100, seed=1, n_grid=(100, 200))
+    null_distribution(spec, 200, cfg)
+    power_curve(spec, AlternativeSpec("null", null_sampler(spec)), cfg)
+    results = []
+
+    def run():
+        results.append(run_test(data, spec))
+        results.append(null_distribution(spec, 100, cfg).critical_value)
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
-    assert builds == [spec.budget.cap]
-    assert type(spec._built) is CountingTable
+    assert len(results) == 4
+    assert builds == [cap]
+    # a copy with new noise builds its own table from its own inputs
+    replaced = dataclasses.replace(spec, noise=gaussian_noise(0.6))
+    assert builds == [cap, cap]
+    assert replaced._built is not spec._built
+    assert run_test(data, spec).t_s == alone.t_s
 
 
 def test_singular_moment_matrix_names_passing_dimension():
@@ -515,9 +527,7 @@ def test_replaced_spec_builds_its_own_artifact(kind, changes):
         data = rng.random(200) + 0.25 * rng.standard_normal(200)
     else:
         make, data = composite_spec, 0.3 + rng.standard_normal(200)
-    spec = make()
-    run_test(data, spec)  # builds the old spec's artifact
-    replaced = dataclasses.replace(spec, **changes)
+    replaced = dataclasses.replace(make(), **changes)
     assert np.array_equal(run_test(data, replaced).series, run_test(data, make(**changes)).series)
 
 
@@ -695,10 +705,14 @@ def test_composite_singular_middle_factor():
     for family in (bad, no_info):
         with pytest.raises(SingularMatrixError):
             run_test(rng.random(50), composite_spec(family, budget=fixed_budget(2)))
-        # declared invariant, the shared Sigma fails the same way
-        spec = composite_spec(family=dataclasses.replace(family, invariant=True))
-        with pytest.raises(SingularMatrixError):
-            run_test(rng.random(50), spec)
+    # declared invariant, the shared Sigma is built when the spec is made:
+    # a singular middle factor fails the gate of the run ...
+    spec = composite_spec(family=dataclasses.replace(bad, invariant=True))
+    with pytest.raises(SingularMatrixError):
+        run_test(rng.random(50), spec)
+    # ... and a singular I_bb fails the spec's constructor
+    with pytest.raises(SingularMatrixError, match="^Fisher information I_bb is singular"):
+        composite_spec(family=dataclasses.replace(no_info, invariant=True))
     # singular only in the cap's last direction: the invariant Sigma is
     # built at the cap, and only the d x d block a test uses is gated
     last_only = dataclasses.replace(
@@ -709,6 +723,16 @@ def test_composite_singular_middle_factor():
     data = rng.random(50)
     out = run_test(data, composite_spec(family=last_only))
     assert np.array_equal(out.series, run_test(data, uniformity_spec()).series)
+
+
+def test_composite_sigma_matches_score_form_oracle():
+    # the package's Sigma (central differences, 400 nodes, tail 1e-10)
+    # against the score form on a 2000-node rule with tail 1e-14, which
+    # itself moves by under 1e-12 at 4000 nodes and tail 1e-15
+    spec = composite_spec()
+    assert spec.budget.cap == 12
+    err = np.max(np.abs(spec._built - _reference.gaussian_location_cov(12)))
+    assert err <= 1e-10, err
 
 
 def test_invariant_block_path_matches_row_path():
@@ -822,7 +846,7 @@ def test_uniformity_series_equals_nt_series_of_design_matrix():
 
 def test_deconvolution_sums_of_a_block_row_equal_the_row_alone():
     spec = small_deconv_spec()
-    table = catalog._artifact(spec)
+    table = spec._built
     rng = np.random.default_rng(15)
     block = rng.random((64, 500)) + 0.25 * rng.standard_normal((64, 500))
     block[0, :3] = [-1.9, 2.9, table.grid[7]]  # clamped ends and a grid point
@@ -1079,6 +1103,27 @@ def test_noisy_copy_pairs_rejects_non_finite_or_negative_noise(sd):
     # "data contains non-finite values"
     with pytest.raises(ValueError, match=r"^noise_sd must be finite and >= 0"):
         noisy_copy_pairs(sd)
+
+
+@pytest.mark.parametrize(
+    "support", [(-math.inf, math.inf), (1.0, 0.0), (0.0, 0.0), (math.nan, 1.0)]
+)
+def test_null_support_must_be_a_finite_interval(support):
+    # an infinite support used to fail in the score table with two numpy
+    # warnings and "basis argument contains non-finite values", and an
+    # empty one with "noise-smoothed null density vanishes"
+    u = uniform_null()
+    with pytest.raises(ValueError, match=r"^null support must be a finite interval"):
+        dataclasses.replace(u, support=support)
+
+
+def test_contamination_degree_must_be_an_integer():
+    # 2.5 used to be truncated to 2, dropping the coefficient of degree 2
+    for bad in (2.5, 0, -1, True, "3", np.float64(3.0)):
+        with pytest.raises(ValueError, match=r"^contamination degree must be an integer >= 1"):
+            contamination_alternative({2: 0.1, bad: 0.2})
+    alt = contamination_alternative({np.int64(3): 0.3})
+    assert (alt.name, alt.first_component) == ("contamination(c3=0.3)", 3)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.25, math.inf, math.nan])

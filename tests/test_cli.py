@@ -486,6 +486,10 @@ def test_power_n_grid_below_two_is_a_config_error(tmp_path, capsys):
     "command, kind, config, where, keys",
     [
         ("calibrate", "deconvolution", {"n": 200, "noise_sigm": 0.1}, None, 'key "noise_sigm"'),
+        # a spec whose score table cannot be built is not made before the
+        # keys are checked, so the bad key exits 2, not the build's 3
+        ("calibrate", "deconvolution", {"n": 200, "noise_sigma": 1e-300, "bogus": 1}, None,
+         'key "bogus"'),
         # a key another kind reads
         ("calibrate", "uniformity", {"n": 200, "beta0": [0.0]}, None, 'key "beta0"'),
         ("power", "independence",
@@ -502,7 +506,8 @@ def test_power_n_grid_below_two_is_a_config_error(tmp_path, capsys):
          {"probe": "tail_rate", "n_grid": [16, 32], "sampler": {"type": "rademacher", "p": 0.3}},
          'config "sampler"', 'key "p"'),
     ],
-    ids=["calibrate-misspelt", "calibrate-other-kind", "power", "power-alternative",
+    ids=["calibrate-misspelt", "calibrate-unbuildable", "calibrate-other-kind", "power",
+         "power-alternative",
          "consistency", "tail_rate", "tail_rate-sampler"],
 )
 def test_unknown_config_keys_are_input_errors(

@@ -257,7 +257,8 @@ def test_samplers_of_varying_draws_match_substream_loop(monkeypatch, block, deco
 
 def test_information_blocks_built_once_per_spec(monkeypatch):
     # the Gaussian location family is invariant: Sigma is formed once per
-    # spec, at the cap, not once per replication or per dimension
+    # spec, at the cap, when the spec is made, not once per replication
+    # or per dimension
     dims = []
 
     def counting(family, beta, basis, k):
@@ -267,6 +268,7 @@ def test_information_blocks_built_once_per_spec(monkeypatch):
     information_blocks = catalog.information_blocks
     monkeypatch.setattr(catalog, "information_blocks", counting)
     spec = composite_spec()
+    assert dims == [spec.budget.cap]
     null_distribution(spec, 500, MonteCarloConfig(replications=2000, seed=7))
     assert dims == [spec.budget.cap]
     null_distribution(spec, 500, MonteCarloConfig(replications=100, seed=8))
@@ -305,7 +307,7 @@ def test_shared_covariance_is_gated_and_factored_once_per_run(monkeypatch, kind,
 
 
 def test_artifact_failure_raises_before_any_draw(monkeypatch):
-    # a singular shared Sigma fails while the test is prepared: untagged,
+    # a singular shared Sigma fails while the spec is made: untagged,
     # with its own type, and no sample is drawn
     family = ParametricFamily(
         name="uninformative",
