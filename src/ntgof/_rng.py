@@ -8,12 +8,13 @@ work around it is grouped.  The Monte Carlo engine draws replication i
 from its own address, so results are bit-identical for any block size.
 
 A fresh SeedSequence per address costs its hash and two new objects.
-:class:`KeyedStreams` serves the consecutive addresses (seed, *path, i)
-of a run from one Philox and one Generator: it hashes up to
-_KEYS_PER_CALL indices at once, with NumPy's SeedSequence hash written
-out in vectorized integer arithmetic, and moves the Philox to each key
-in turn with counter 0 and an empty buffer -- the state a fresh Philox
-starts in, so the draws are the same bits.
+:class:`KeyedStreams` serves the addresses (seed, *path, i), i < count,
+of a run from one Philox and one Generator: it hashes their keys once,
+_KEYS_PER_CALL indices at a time, with NumPy's SeedSequence hash written
+out in vectorized integer arithmetic, into one (count, 2) table in index
+order, and moves the Philox to a key with counter 0 and an empty
+buffer -- the state a fresh Philox starts in, so the draws are the same
+bits.
 """
 
 from __future__ import annotations
@@ -103,26 +104,30 @@ def _philox_keys(seed: int, path: tuple[int, ...], indices) -> np.ndarray:
     return np.stack([out[0] | (out[1] << 32), out[2] | (out[3] << 32)], axis=-1)
 
 
-# Indices hashed per _philox_keys call; keeps key memory fixed for any run
-# length.  A run of up to this many replications derives its keys in one
-# call (0.2 ms for 2,000 keys, against 4 ms for 32 calls of 64, on a
-# 2-vCPU VM).
+# Indices hashed per _philox_keys call: the hash's temporaries for one
+# call, about 0.4 MB, are all the memory a key table needs beyond itself,
+# for any run length.  A run of up to this many replications derives its
+# keys in one call (0.2 ms for 2,000 keys on a 2-vCPU VM).
 _KEYS_PER_CALL = 4096
 
 
 class KeyedStreams:
-    """The streams (seed, *path, i) of chosen indices, from one Generator.
+    """The streams (seed, *path, i), i < count, from one Generator.
 
-    ``at(key)`` moves the one Generator to the start of the stream with
-    that key, so it draws the same bits as a Generator on
-    ``Philox(SeedSequence(entropy=seed, spawn_key=(*path, i)))`` for the
-    index i the key was derived for; ``blocks`` derives the keys.  The
-    Generator is one object for every row: a caller must take every
-    draw it needs from it before moving it to the next key.
+    ``keys[i]`` is the (2,) uint64 Philox key of stream i, derived when
+    the object is made.  ``at(key)`` moves the one Generator to the
+    start of the stream with that key, so it draws the same bits as a
+    Generator on ``Philox(SeedSequence(entropy=seed, spawn_key=(*path, i)))``.
+    The Generator is one object for every stream: a caller must take
+    every draw it needs from it before moving it to the next key.
     """
 
-    def __init__(self, seed: int, path: tuple[int, ...]):
-        self._seed, self._path = seed, tuple(path)
+    def __init__(self, seed: int, path: tuple[int, ...], count: int):
+        self.keys = np.empty((count, 2), np.uint64)
+        for first in range(0, count, _KEYS_PER_CALL):
+            stop = min(first + _KEYS_PER_CALL, count)
+            indices = np.arange(first, stop, dtype=np.uint64)
+            self.keys[first:stop] = _philox_keys(seed, path, indices)
         self._bitgen = np.random.Philox(0)
         self._rng = np.random.Generator(self._bitgen)
         # Python ints, not uint64 arrays: the Philox state setter reads
@@ -137,25 +142,7 @@ class KeyedStreams:
         }
 
     def at(self, key) -> np.random.Generator:
-        """The Generator, at counter 0 of ``key`` with an empty buffer."""
+        """The Generator at counter 0 of ``key`` ([k0, k1], Python ints), its buffer empty."""
         self._state["state"]["key"] = key
         self._bitgen.state = self._state
         return self._rng
-
-    def blocks(self, firsts, rows: int, stop: int):
-        """(first, keys) of the blocks [first, min(first + rows, stop)), first in ``firsts``.
-
-        Blocks come in the order of ``firsts``, and a block's keys are a
-        list of [k0, k1] pairs of Python ints.  Only those blocks' keys
-        are derived, the blocks of up to _KEYS_PER_CALL indices per call.
-        """
-        firsts, per = list(firsts), max(1, _KEYS_PER_CALL // rows)
-        for g in range(0, len(firsts), per):
-            group = np.array(firsts[g : g + per], dtype=np.int64)
-            indices = (group[:, None] + np.arange(rows)).ravel()
-            keys = _philox_keys(self._seed, self._path, indices[indices < stop]).tolist()
-            at = 0
-            for first in group.tolist():
-                size = min(rows, stop - first)
-                yield first, keys[at : at + size]
-                at += size

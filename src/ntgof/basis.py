@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -78,12 +79,23 @@ class OrthonormalBasis:
     def __post_init__(self):
         if self.kind not in ("legendre", "user_supplied"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
+        _integer("max_degree", self.max_degree, 1)
         if self.kind == "user_supplied" and len(self.components) != self.max_degree:
             raise ValueError(
                 "user_supplied basis needs exactly max_degree component functions"
             )
+
+
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an int, once it is checked to be an integer >= ``low``.
+
+    NumPy integers pass; a bool, a float (2.0 too) or a string raises a
+    ValueError that names the argument.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        bound = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def legendre_basis(max_degree: int = 12) -> OrthonormalBasis:

@@ -86,7 +86,6 @@ c_j b_j for power studies come from :func:`contamination_alternative`.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -99,6 +98,7 @@ from .basis import (
     OrthonormalBasis,
     _Workspace,
     _gauss_legendre,
+    _integer,
     _score_planes,
     _sum_planes,
     design_matrix,
@@ -332,9 +332,8 @@ class AlternativeSpec:
     first_component: int | None = None
 
     def __post_init__(self):
-        k = self.first_component
-        if k is not None and (not isinstance(k, numbers.Integral) or k < 1):
-            raise ValueError(f"first_component must be None or an integer >= 1, got {k!r}")
+        if self.first_component is not None:
+            _integer("first_component", self.first_component, 1)
 
 
 @dataclass(frozen=True)
@@ -372,8 +371,7 @@ class TestSpec:
         if self.kind == "deconvolution":
             if self.null_density is None or self.noise is None:
                 raise ValueError("deconvolution spec needs null_density and noise")
-            if self.l_draws < 1000:
-                raise ValueError("l_draws too small to estimate a normalizing matrix")
+            _integer("l_draws", self.l_draws, 1000)
             # the moment matrix is estimated once, at the cap
             cap = self.budget.cap
             if self.l_draws < 10 * cap * cap:
@@ -381,10 +379,8 @@ class TestSpec:
                     f"l_draws={self.l_draws} is below 10 * cap**2 = {10 * cap * cap} "
                     f"for budget cap {cap}"
                 )
-            if self.grid_points < 64:
-                raise ValueError("grid_points too small for score tabulation")
-            if not isinstance(self.l_seed, numbers.Integral) or self.l_seed < 0:
-                raise ValueError(f"l_seed must be a non-negative integer, got {self.l_seed!r}")
+            _integer("grid_points", self.grid_points, 64)
+            _integer("l_seed", self.l_seed, 0)
             # the spec's artifact, built at the cap; a test at dimension d
             # slices its leading d rows, or d x d block of Sigma below
             object.__setattr__(self, "_built", _DeconvScoreTable(self, cap))
@@ -631,8 +627,8 @@ class _DeconvScoreTable:
         count, s1, s2 = np.zeros(cells), np.zeros(cells), np.zeros(cells)
         work = _Workspace()
         chunks = -(-draws // _MOMENT_CHUNK)
-        streams = KeyedStreams(seed, ())
-        for chunk, [key] in streams.blocks(range(chunks), 1, chunks):
+        streams = KeyedStreams(seed, (), chunks)
+        for chunk, key in enumerate(streams.keys.tolist()):
             m = min(_MOMENT_CHUNK, draws - chunk * _MOMENT_CHUNK)
             y = np.asarray(sampler(streams.at(key), m), dtype=float)
             if y.shape != (m,):
@@ -846,8 +842,7 @@ def _prepare(spec: TestSpec, n: int) -> _Plan:
     block and never part of the outcome, so a plan is tested on one
     thread at a time.
     """
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"sample size n must be an integer >= 2, got {n!r}")
+    _integer("sample size n", n, 2)
     d = spec.budget.d(n)
     pens = _penalties(spec.penalty, d, n)
     basis, family = spec.basis, spec.family
@@ -974,8 +969,7 @@ def contamination_alternative(
     basis = basis or legendre_basis(12)
     if isinstance(coefficients, Mapping):
         for j in coefficients:
-            if isinstance(j, bool) or not isinstance(j, numbers.Integral) or j < 1:
-                raise ValueError(f"contamination degree must be an integer >= 1, got {j!r}")
+            _integer("contamination degree", j, 1)
         coeffs = {int(j): float(c) for j, c in coefficients.items() if c != 0.0}
     else:
         coeffs = {j + 1: float(c) for j, c in enumerate(coefficients) if c != 0.0}

@@ -134,7 +134,8 @@ def dump_report(obj: dict) -> str:
 
 def _read_csv_columns(path: str, columns: tuple[str, ...]) -> np.ndarray:
     try:
-        fh = open(path, newline="")
+        # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" starts with
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from None
     with fh:
@@ -189,9 +190,18 @@ def _read_penalty_table(path: str) -> PenaltySchedule:
 
 
 def _read_config(path: str) -> dict:
+    def once(pairs: list) -> dict:
+        # json.load would keep a repeated key's last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"{path}: config sets {json.dumps(key)} twice in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=once)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
@@ -290,8 +300,8 @@ def _study(args, cfg: dict, n_grid: tuple[int, ...] = ()):
     return make_spec, config
 
 
-def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
-    """The alternative that ``cfg`` pops as "alternative"."""
+def _parse_alternative(kind: str, cfg: dict, path: str) -> AlternativeSpec:
+    """The alternative that ``cfg``, read from ``path``, pops as "alternative"."""
     alt = cfg.pop("alternative", None)
     if not isinstance(alt, dict) or "type" not in alt:
         raise InputError('config needs an "alternative" object with a "type"')
@@ -307,11 +317,13 @@ def _parse_alternative(kind: str, cfg: dict) -> AlternativeSpec:
             raise InputError('contamination alternative needs a "coefficients" map')
         parsed = {}
         for j, c in coeffs.items():
-            try:
-                degree = int(j)
-            except ValueError:
-                raise InputError("contamination coefficients must map degree -> value") from None
-            parsed[degree] = _config_float(c, f"coefficients[{j}]")
+            # int() would also read "01", "+1", " 1" and "1_0"
+            if not (j.isascii() and j.isdigit() and j[0] != "0"):
+                raise InputError(
+                    f"{path}: contamination degree must be a decimal integer >= 1, "
+                    f"got {json.dumps(j)}"
+                )
+            parsed[int(j)] = _config_float(c, f"coefficients[{j}]")
         alternative = contamination_alternative(parsed)
     elif which == "noisy_copy":
         if kind != "independence":
@@ -387,7 +399,7 @@ def _cmd_calibrate(args) -> dict:
 def _cmd_power(args) -> dict:
     cfg = _read_config(args.input)
     make_spec, config = _study(args, cfg, _n_grid(cfg, args.input, "power config"))
-    alternative = _parse_alternative(args.kind, cfg)
+    alternative = _parse_alternative(args.kind, cfg, args.input)
     _no_unknown_keys(cfg, args.input)
     result = power_curve(make_spec(), alternative, config)
     run = {"command": "power", "kind": args.kind, "penalty": args.penalty}
@@ -407,7 +419,7 @@ def _cmd_probe(args) -> dict:
     run = {"command": "probe", "seed": args.seed, "replications": args.mc_reps}
     if which == "consistency":
         make_spec, config = _study(args, cfg, _n_grid(cfg, args.input, "probe config"))
-        alternative = _parse_alternative(args.kind, cfg)
+        alternative = _parse_alternative(args.kind, cfg, args.input)
         threshold = _config_float(cfg.pop("threshold", 0.8), "threshold")
         _no_unknown_keys(cfg, args.input)
         _no_unread_flags(args, which, {"--alpha"})

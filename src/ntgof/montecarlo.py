@@ -21,11 +21,12 @@ sample from its own Philox stream, the one
 ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts for
 replication i, into one buffer shaped by the plan (a sample of another
 shape fails its replication), and runs the plan's test once on the
-block.  A worker forked after the plan is prepared runs the odd blocks
-and the calling process the even ones; each derives only its own
-blocks' stream keys, and one reused Generator moved to each key in turn
-serves every row (:class:`KeyedStreams`), so a sampler must take every
-draw it needs from its generator before it returns.  When drawing or
+block.  The calling process derives the run's stream keys, in index
+order, before it forks a worker; the worker runs the odd blocks and
+the calling process the even ones, each slicing its blocks' keys from
+that table, and one reused Generator moved to each key in turn serves
+every row (:class:`KeyedStreams`), so a sampler must take every draw it
+needs from its generator before it returns.  When drawing or
 testing a block fails, its replications are drawn and tested again one
 at a time, and the first that fails alone is raised with its own type,
 tagged with its index; a sampler depends only on its generator and n,
@@ -62,7 +63,6 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-import numbers
 import os
 import signal
 import threading
@@ -72,6 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rng import KeyedStreams
+from .basis import _integer
 from .catalog import AlternativeSpec, TestSpec, _Plan, _prepare, null_sampler
 from .selection import _select
 
@@ -99,19 +100,12 @@ class MonteCarloConfig:
     n_grid: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.replications, numbers.Integral) or self.replications < 100:
-            raise ValueError(
-                f"replications must be an integer >= 100, got {self.replications!r}"
-            )
+        _integer("seed", self.seed, 0)
+        _integer("replications", self.replications, 100)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not all(isinstance(n, numbers.Integral) for n in self.n_grid):
-            raise ValueError(f"n_grid sizes must be integers, got {list(self.n_grid)}")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if any(n < 2 for n in self.n_grid):
-            raise ValueError(f"n_grid sizes must be >= 2, got {list(self.n_grid)}")
+        grid = tuple(_integer("n_grid size", n, 2) for n in self.n_grid)
+        object.__setattr__(self, "n_grid", grid)
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
 
@@ -178,7 +172,8 @@ def _run_blocks(plan: _Plan, sampler, streams: KeyedStreams, rows: int, t, s, do
     """
     n, test = plan.shape[0], plan.test
     buffer = np.empty((rows,) + plan.shape)
-    for start, keys in streams.blocks(firsts, rows, len(t)):
+    for start in firsts:
+        keys = streams.keys[start : start + rows].tolist()
         try:
             out = test(_draw(sampler, n, streams, keys, buffer))
         except Exception:
@@ -244,7 +239,8 @@ def _replicate(
     t = np.frombuffer(shared, float, reps)
     s = np.frombuffer(shared, np.int64, reps, 8 * reps)
     done = np.frombuffer(shared, np.uint8, len(firsts), 16 * reps)
-    run = functools.partial(_run_blocks, plan, sampler, KeyedStreams(seed, path), rows, t, s, done)
+    streams = KeyedStreams(seed, path, reps)  # every key, hashed once, before the fork
+    run = functools.partial(_run_blocks, plan, sampler, streams, rows, t, s, done)
     pid = _fork() if len(firsts) > 1 else None
     if pid == 0:  # the worker; it leaves without running the caller's code
         try:
@@ -451,13 +447,9 @@ def tail_rate_probe(
     with its replication, and ``draw`` runs in a forked worker for the
     odd blocks, whose side effects stay there.
     """
-    if not all(isinstance(n, numbers.Integral) for n in n_grid):
-        raise ValueError(f"n_grid sizes must be integers, got {list(n_grid)}")
-    ns = [int(n) for n in n_grid]
+    ns = [_integer("n_grid size", n, 1) for n in n_grid]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_grid must hold at least 2 strictly increasing sizes")
-    if ns[0] < 1:
-        raise ValueError(f"n_grid sizes must be >= 1, got {ns}")
     config = MonteCarloConfig(replications, seed)
     if not math.isfinite(mean):
         raise ValueError(f"mean must be finite, got {mean!r}")

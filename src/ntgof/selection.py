@@ -47,13 +47,12 @@ surface as warnings rather than hard failures.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .basis import sup_norm_bound
+from .basis import _integer, sup_norm_bound
 
 __all__ = [
     "PenaltySchedule",
@@ -137,8 +136,7 @@ class DimensionBudget:
     cap: int = 12
 
     def __post_init__(self):
-        if not isinstance(self.cap, numbers.Integral) or self.cap < 1:
-            raise ValueError(f"cap must be an integer >= 1, got {self.cap!r}")
+        _integer("cap", self.cap, 1)
 
     def d(self, n: int) -> int:
         if n < 1:
@@ -164,8 +162,7 @@ def default_budget(cap: int = 12) -> DimensionBudget:
 
 def fixed_budget(d: int) -> DimensionBudget:
     """Constant budget d(n) = d, an integer >= 1, for exploratory use and the CLI --dmax."""
-    if not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    _integer("d", d, 1)
     return DimensionBudget(rule=lambda n: d, cap=d)
 
 

@@ -339,6 +339,25 @@ def test_duplicate_penalty_table_entry_is_input_error(tmp_path, capsys):
     assert err == f"ntgof: {table}: penalty table has two entries for (k=2, n=100)\n"
 
 
+def test_csv_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF; it used to fail
+    # with "expected header 'x', got '\ufeffx'"
+    plain = write_uniform_csv(tmp_path / "u.csv", n=100)
+    marked = tmp_path / "bom.csv"
+    marked.write_text("\ufeff" + (tmp_path / "u.csv").read_text(), encoding="utf-8")
+    lines = ["k,n,pi"] + [f"{k},100,{k * math.log(100)}" for k in (1, 2, 3)]
+    (tmp_path / "pi.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "bom-pi.csv").write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+    reports = []
+    for data, table in ((plain, "pi.csv"), (str(marked), "bom-pi.csv")):
+        table = f"table:{tmp_path / table}"
+        args = ["test", "--input", data, "--penalty", table, "--mc-reps", "200"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, err
+        reports.append(out.replace(table, "TABLE"))
+    assert reports[0] == reports[1]
+
+
 def test_non_finite_penalty_table_cell_is_input_error(tmp_path, capsys):
     # k = inf used to end in an OverflowError traceback from int(k)
     data = write_uniform_csv(tmp_path / "u.csv", n=100)
@@ -479,7 +498,7 @@ def test_power_n_grid_below_two_is_a_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_grid": [1, 50], "alternative": CONTAMINATION}))
     code, out, err = run_cli(capsys, "power", "--input", str(cfg), "--mc-reps", "100")
     assert code == 2 and out == ""
-    assert err == "ntgof: n_grid sizes must be >= 2, got [1, 50]\n"
+    assert err == "ntgof: n_grid size must be an integer >= 2, got 1\n"
 
 
 @pytest.mark.parametrize(
@@ -688,6 +707,52 @@ def test_deconvolution_l_draws_below_cap_need_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "calibrate", "--kind", "deconvolution", "--input", str(cfg))
     assert code == 2
     assert "1200" in err and "1440" in err
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        # json.load keeps the last value, so this calibrated at n = 300
+        ("calibrate", '{"n": 100, "n": 300}', '"n"'),
+        (
+            "power",
+            '{"n_grid": [50], "alternative": {"type": "contamination", '
+            '"coefficients": {"1": 0.1, "1": -0.3}}}',
+            '"1"',
+        ),
+    ],
+    ids=["top", "nested"],
+)
+def test_repeated_config_key_is_input_error(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, command, "--input", str(cfg), "--mc-reps", "100")
+    assert (code, out) == (2, "")
+    assert err == f"ntgof: {cfg}: config sets {key} twice in one object\n"
+
+
+@pytest.mark.parametrize(
+    "coefficients, shown",
+    [
+        ({"01": 0.3}, '"01"'),
+        ({"+1": 0.3}, '"+1"'),
+        ({" 1": 0.3}, '" 1"'),
+        ({"1_0": 0.3}, '"1_0"'),  # int() read this as degree 10
+        ({"0": 0.3}, '"0"'),
+        ({"-1": 0.3}, '"-1"'),
+        ({"\uff11": 0.3}, '"\\uff11"'),  # a full-width digit one
+        ({"x": 0.3}, '"x"'),
+        ({"1": 0.1, "01": -0.3}, '"01"'),  # this ran contamination(c1=-0.3)
+    ],
+    ids=["zero-led", "plus", "space", "underscore", "zero", "minus", "full-width", "x", "both"],
+)
+def test_contamination_degree_keys_are_plain_decimals(tmp_path, capsys, coefficients, shown):
+    cfg = tmp_path / "p.json"
+    alternative = {"type": "contamination", "coefficients": coefficients}
+    cfg.write_text(json.dumps({"n_grid": [50], "alternative": alternative}))
+    code, out, err = run_cli(capsys, "power", "--input", str(cfg), "--mc-reps", "100")
+    assert (code, out) == (2, "")
+    assert err == f"ntgof: {cfg}: contamination degree must be a decimal integer >= 1, got {shown}\n"
 
 
 def test_config_must_be_object(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_config_validation():
     # 200.0 used to fail in NumPy at the first block, and 100.7 was truncated
     with pytest.raises(ValueError, match=r"^replications must be an integer >= 100, got 200.0$"):
         MonteCarloConfig(replications=200.0, seed=0)
-    with pytest.raises(ValueError, match=r"^n_grid sizes must be integers, got \[100.7, 200\]$"):
+    with pytest.raises(ValueError, match=r"^n_grid size must be an integer >= 2, got 100.7$"):
         MonteCarloConfig(replications=200, seed=0, n_grid=(100.7, 200))
     assert MonteCarloConfig(replications=200, seed=0, n_grid=(np.int64(100),)).n_grid == (100,)
 
@@ -62,7 +62,7 @@ def test_config_validation():
 @pytest.mark.parametrize("grid", [(1, 50), (0, 50), (-3, 50)])
 def test_config_rejects_n_grid_sizes_below_two(grid):
     # checked with the config, not blamed on replication 0 of the first size
-    with pytest.raises(ValueError, match=r"^n_grid sizes must be >= 2, got \["):
+    with pytest.raises(ValueError, match=r"^n_grid size must be an integer >= 2, got -?\d$"):
         MonteCarloConfig(replications=200, seed=0, n_grid=grid)
     assert MonteCarloConfig(replications=200, seed=0, n_grid=(2, 50)).n_grid == (2, 50)
 
@@ -536,6 +536,28 @@ def test_run_in_one_process_gives_the_same_bits(monkeypatch, why):
     assert np.array_equal(cal.s_counts, forked.s_counts)
 
 
+# the critical value and S counts of null_distribution(<kind>_spec(), 500,
+# MonteCarloConfig(2000, 1)) that ROADMAP records; a change that moves
+# their bits changes reports, and must say so
+REFERENCE_RUNS = {
+    "uniformity": (uniformity_spec, 4.559842998601232, [1974, 23, 3, 0]),
+    "composite": (composite_spec, 4.2343402963738965, [1975, 24, 1, 0]),
+    "deconvolution": (deconvolution_spec, 4.0282444597800975, [1975, 23, 2, 0]),
+    "independence": (independence_spec, 4.6525189144826875, [1970, 26, 4, 0]),
+}
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "one process"])
+@pytest.mark.parametrize("kind", REFERENCE_RUNS)
+def test_reference_critical_values_keep_their_bits(monkeypatch, kind, fork):
+    make_spec, critical_value, s_counts = REFERENCE_RUNS[kind]
+    if not fork:
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+    cal = null_distribution(make_spec(), 500, MonteCarloConfig(2000, 1))
+    assert cal.critical_value == critical_value
+    assert cal.s_counts.tolist() == s_counts
+
+
 def test_row_of_another_shape_is_tested_alone():
     # replication 70, in the worker's block 1, does not fit the buffer the
     # prepared test shaped, so drawing it fails and replications 64 to 69
@@ -580,8 +602,8 @@ def logged_sizes(log):
 
 
 def test_runs_longer_than_a_key_call_match_substream_loop(monkeypatch, tmp_path):
-    # at 40 keys a call and 16 rows a block, each process derives its
-    # blocks' keys two blocks a call: three calls here, two in the worker
+    # at 40 keys a call, the calling process hashes the 130 keys in four
+    # calls before the fork; both processes' blocks of 16 slice that table
     monkeypatch.setattr(_rng, "_KEYS_PER_CALL", 40)
     monkeypatch.setattr(montecarlo, "_BLOCK", 16)
     log = tmp_path / "sizes"
@@ -593,8 +615,8 @@ def test_runs_longer_than_a_key_call_match_substream_loop(monkeypatch, tmp_path)
 
 
 def test_concurrent_calibrations_match_serial(monkeypatch):
-    # three calling threads, each with its helper, on two cores, with the
-    # interpreter switching threads every microsecond
+    # three calling threads on two cores, with the interpreter switching
+    # threads every microsecond; with other threads alive no run forks
     monkeypatch.setattr(montecarlo, "_BLOCK", 7)
     spec = independence_spec()
     cfgs = [MonteCarloConfig(replications=150, seed=seed) for seed in range(3)]
@@ -716,7 +738,7 @@ def test_consistency_probe_requires_component():
 @pytest.mark.parametrize("k", [0, 2.5])
 def test_first_component_is_an_integer_from_one(k):
     # at K = 0 the null sample passed the uniformity probe, P(S >= 0) = 1
-    with pytest.raises(ValueError, match=r"^first_component must be None or an integer >= 1"):
+    with pytest.raises(ValueError, match=r"^first_component must be an integer >= 1"):
         AlternativeSpec(name="x", sampler=lambda rng, n: rng.random(n), first_component=k)
 
 
@@ -808,7 +830,7 @@ def test_tail_rate_validation():
     with pytest.raises(ValueError):
         tail_rate_probe(rademacher, 0.0, -1.0, 0.5, n_grid=(16, 32), replications=200, seed=0)
     # a size of 0 used to average empty samples and report a tail of 0
-    with pytest.raises(ValueError, match=r"n_grid sizes must be >= 1, got \[0, 16\]"):
+    with pytest.raises(ValueError, match=r"^n_grid size must be an integer >= 1, got 0$"):
         tail_rate_probe(rademacher, 0.0, 1.0, 0.5, n_grid=(0, 16), replications=200, seed=0)
     # a factor of 0 used to divide by zero, and -2 passed trivially
     for factor in (0.0, -2.0, math.nan, math.inf):
@@ -822,7 +844,7 @@ def test_tail_rate_validation():
         (dict(replications=200.0), r"^replications must be an integer >= 100, got 200.0$"),
         (dict(seed=1.5), r"^seed must be a non-negative integer, got 1.5$"),
         (dict(seed=-1), r"^seed must be a non-negative integer, got -1$"),
-        (dict(n_grid=(16.5, 32)), r"^n_grid sizes must be integers, got \[16.5, 32\]$"),
+        (dict(n_grid=(16.5, 32)), r"^n_grid size must be an integer >= 1, got 16.5$"),
         (dict(mean=math.nan), r"^mean must be finite, got nan$"),
         (dict(y=math.nan), r"^y must be finite and >= 0, got nan$"),
         (dict(y=math.inf), r"^y must be finite and >= 0, got inf$"),

@@ -1,9 +1,28 @@
-"""Package layout: what each module exports."""
+"""Package layout: what each module exports, and the integer check they share."""
 
 import importlib
 import pkgutil
 
+import numpy as np
+import pytest
+
 import ntgof
+from ntgof import (
+    AlternativeSpec,
+    DimensionBudget,
+    MonteCarloConfig,
+    contamination_alternative,
+    deconvolution_spec,
+    fixed_budget,
+    legendre_basis,
+    null_distribution,
+    tail_rate_probe,
+    uniformity_spec,
+)
+
+
+def uniform(rng, n):
+    return rng.random(n)
 
 
 def test_every_name_in_all_exists():
@@ -20,3 +39,64 @@ def test_every_name_in_all_exists():
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
             checked += 1
     assert checked > 50
+
+
+# each of these used to run (a bool taken as 0 or 1, a float as itself)
+# or stop in a bare NumPy TypeError
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MonteCarloConfig(100, seed=True), "seed must be a non-negative integer, got True"),
+        (
+            lambda: MonteCarloConfig(100.0, seed=0),
+            "replications must be an integer >= 100, got 100.0",
+        ),
+        (lambda: DimensionBudget(lambda n: 2, cap=True), "cap must be an integer >= 1, got True"),
+        (lambda: fixed_budget(True), "d must be an integer >= 1, got True"),
+        (
+            lambda: AlternativeSpec("x", uniform, first_component=True),
+            "first_component must be an integer >= 1, got True",
+        ),
+        (
+            lambda: deconvolution_spec(l_seed=True),
+            "l_seed must be a non-negative integer, got True",
+        ),
+        (
+            lambda: deconvolution_spec(grid_points=64.5),
+            "grid_points must be an integer >= 64, got 64.5",
+        ),
+        (
+            lambda: deconvolution_spec(l_draws=20000.5),
+            "l_draws must be an integer >= 1000, got 20000.5",
+        ),
+        (lambda: legendre_basis(2.5), "max_degree must be an integer >= 1, got 2.5"),
+        (
+            lambda: tail_rate_probe(uniform, 0.5, 1.0, 0.1, [True, 2], 100, 0),
+            "n_grid size must be an integer >= 1, got True",
+        ),
+        (
+            lambda: contamination_alternative({True: 0.1}),
+            "contamination degree must be an integer >= 1, got True",
+        ),
+        (
+            lambda: null_distribution(uniformity_spec(), True, MonteCarloConfig(100, 0)),
+            "sample size n must be an integer >= 2, got True",
+        ),
+    ],
+    ids=[
+        "seed", "replications", "cap", "d", "first_component", "l_seed", "grid_points",
+        "l_draws", "max_degree", "n_grid", "degree", "n",
+    ],
+)
+def test_integer_arguments_reject_bools_and_floats(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_integer_arguments_take_numpy_integers():
+    assert legendre_basis(np.int64(4)).max_degree == 4
+    assert fixed_budget(np.int32(3)).d(100) == 3
+    assert MonteCarloConfig(np.int64(100), np.uint8(1), n_grid=(np.int16(8),)).n_grid == (8,)
+    assert AlternativeSpec("x", uniform, first_component=np.int64(2)).first_component == 2
+    assert contamination_alternative({np.int64(3): 0.1}).first_component == 3

@@ -1,13 +1,17 @@
-"""Keyed streams: NumPy's SeedSequence keys, derived for chosen blocks."""
+"""Keyed streams: NumPy's SeedSequence keys, derived once per run."""
 
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _reference import substream
-from ntgof import _rng
+from ntgof import _rng, montecarlo
 from ntgof._rng import _KEYS_PER_CALL, KeyedStreams, _philox_keys
+from ntgof.catalog import uniformity_spec
+from ntgof.montecarlo import MonteCarloConfig, null_distribution
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 7)
 PATHS = ((), (0,), (3, 1), (2**33, 0))
@@ -38,7 +42,7 @@ def test_negative_seed_raises_like_seed_sequence():
     with pytest.raises(ValueError, match=message):
         _philox_keys(3, (-2,), range(4))
     with pytest.raises(ValueError, match=message):
-        next(KeyedStreams(-1, (0,)).blocks([0], 1, 1))
+        KeyedStreams(-1, (0,), 1)
 
 
 def test_keyed_streams_draw_like_substreams(monkeypatch):
@@ -51,39 +55,57 @@ def test_keyed_streams_draw_like_substreams(monkeypatch):
         return _philox_keys(seed, path, indices)
 
     monkeypatch.setattr(_rng, "_philox_keys", counting)
-    rows = list(range(60, 80 + _KEYS_PER_CALL))
-    streams = KeyedStreams(11, (2, 5))
-    got = []
-    for first, keys in streams.blocks(range(rows[0], rows[-1] + 1, 64), 64, rows[-1] + 1):
-        for i, key in enumerate(keys, first):
-            rng = streams.at(key)
-            got.append((i, rng.integers(0, 1000, 3, dtype=np.int32), rng.standard_normal(2)))
-    assert [i for i, *_ in got] == rows
-    assert calls == [(60, 60 + _KEYS_PER_CALL, _KEYS_PER_CALL), (60 + _KEYS_PER_CALL, 80 + _KEYS_PER_CALL, 20)]
-    for i, ints, normals in got:
+    count = 80 + _KEYS_PER_CALL
+    streams = KeyedStreams(11, (2, 5), count)
+    assert streams.keys.shape == (count, 2) and streams.keys.dtype == np.uint64
+    assert calls == [(0, _KEYS_PER_CALL, _KEYS_PER_CALL), (_KEYS_PER_CALL, count, 80)]
+    for i in range(60, count):
+        rng = streams.at(streams.keys[i].tolist())
         ref = substream(11, 2, 5, i)
-        assert np.array_equal(ints, ref.integers(0, 1000, 3, dtype=np.int32))
-        assert np.array_equal(normals, ref.standard_normal(2))
+        assert np.array_equal(
+            rng.integers(0, 1000, 3, dtype=np.int32), ref.integers(0, 1000, 3, dtype=np.int32)
+        )
+        assert np.array_equal(rng.standard_normal(2), ref.standard_normal(2))
 
 
-def test_blocks_derive_only_their_own_keys(monkeypatch):
-    # every other block of 16, as a forked worker takes them, with 40 keys
-    # a call: two blocks per call, and no other index is hashed
-    calls = []
+def test_a_run_hashes_its_keys_once_before_the_fork(monkeypatch, tmp_path):
+    # at 40 keys a call, 130 replications hash in four calls, every one in
+    # this process and before the fork; the chunks equal one hash of all
+    log = tmp_path / "calls"
+    fork = os.fork
 
-    def counting(seed, path, indices):
-        calls.append(indices.tolist())
+    def logging_keys(seed, path, indices):
+        with open(log, "a") as fh:
+            fh.write(f"keys {os.getpid()} {len(indices)}\n")
         return _philox_keys(seed, path, indices)
 
+    def logging_fork():
+        with open(log, "a") as fh:
+            fh.write("fork\n")
+        return fork()
+
     monkeypatch.setattr(_rng, "_KEYS_PER_CALL", 40)
-    monkeypatch.setattr(_rng, "_philox_keys", counting)
-    got = list(KeyedStreams(4, (0,)).blocks(range(16, 130, 32), 16, 130))
-    assert [first for first, _ in got] == [16, 48, 80, 112]
-    assert [len(keys) for _, keys in got] == [16, 16, 16, 16]
-    owned = [i for first in (16, 48, 80, 112) for i in range(first, min(first + 16, 130))]
-    assert sum(calls, []) == owned and [len(c) for c in calls] == [32, 32]
-    want = _philox_keys(4, (0,), owned).tolist()
-    assert sum((keys for _, keys in got), []) == want
-    # a short last block
-    (first, keys), = KeyedStreams(4, (0,)).blocks([128], 16, 130)
-    assert first == 128 and keys == _philox_keys(4, (0,), [128, 129]).tolist()
+    monkeypatch.setattr(montecarlo, "_BLOCK", 16)
+    spec = uniformity_spec()
+    monkeypatch.setattr(_rng, "_philox_keys", logging_keys)
+    monkeypatch.setattr(os, "fork", logging_fork)
+    null_distribution(spec, 60, MonteCarloConfig(replications=130, seed=21))
+    me = os.getpid()  # the worker is reaped before the run returns, so its lines are in
+    assert log.read_text().splitlines() == [f"keys {me} {m}" for m in (40, 40, 40, 10)] + ["fork"]
+    whole = _philox_keys(21, (0,), np.arange(130, dtype=np.uint64))  # the unwrapped hash
+    assert np.array_equal(KeyedStreams(21, (0,), 130).keys, whole)
+
+
+def test_key_table_memory_is_the_table_and_one_call():
+    # beyond the 15.3 MiB table, one call's temporaries (0.41 MiB, warm);
+    # 10**6 keys hashed in one call would peak near 99 MiB
+    count = 10**6
+    KeyedStreams(3, (0,), _KEYS_PER_CALL)  # NumPy's first-use allocations
+    tracemalloc.start()
+    try:
+        keys = KeyedStreams(3, (0,), count).keys
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.nbytes == 16 * count
+    assert peak - keys.nbytes < 2**19
