@@ -88,7 +88,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -336,13 +336,27 @@ class AlternativeSpec:
             _integer("first_component", self.first_component, 1)
 
 
+# fields only one kind reads; a spec of any other kind leaves them at their defaults
+_READ_BY = {
+    "null_density": "deconvolution",
+    "noise": "deconvolution",
+    "l_draws": "deconvolution",
+    "l_seed": "deconvolution",
+    "grid_points": "deconvolution",
+    "family": "composite",
+    "beta0": "composite",
+}
+
+
 @dataclass(frozen=True)
 class TestSpec:
     """Everything needed to run one of the catalog tests.
 
     The budget cap may not exceed the basis degree -- the selector can
-    only consider dimensions whose scores exist.  The constructor builds
-    the spec's artifact (see the module docstring) and raises its errors.
+    only consider dimensions whose scores exist.  A field that only
+    another kind reads (``_READ_BY``) must keep its default, so a spec
+    never carries a setting it ignores.  The constructor builds the
+    spec's artifact (see the module docstring) and raises its errors.
     """
 
     kind: str
@@ -363,6 +377,15 @@ class TestSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown test kind {self.kind!r}; expected one of {KINDS}")
+        for f in fields(self):
+            reader = _READ_BY.get(f.name, self.kind)
+            value = getattr(self, f.name)
+            if reader != self.kind and value is not f.default and (
+                f.default is None or value != f.default
+            ):
+                raise ValueError(
+                    f"{f.name} is read by {reader} specs only; this spec's kind is {self.kind!r}"
+                )
         if self.budget.cap > self.basis.max_degree:
             raise ValueError(
                 f"budget cap {self.budget.cap} exceeds basis max_degree "

@@ -41,6 +41,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -132,44 +133,55 @@ def dump_report(obj: dict) -> str:
 # input readers
 
 
-def _read_csv_columns(path: str, columns: tuple[str, ...]) -> np.ndarray:
+def _read_text(path: str) -> str:
+    """An input file's text: UTF-8, without the byte-order mark it may start with.
+
+    Spreadsheet "CSV UTF-8" exports and some editors write the mark.
+    """
     try:
-        # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" starts with
-        fh = open(path, newline="", encoding="utf-8-sig")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty CSV (missing header)") from None
-        got = tuple(h.strip() for h in header)
-        if got != columns:
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as e:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 ({e.reason} at byte offset {e.start})"
+        ) from None
+
+
+def _read_csv_columns(path: str, columns: tuple[str, ...]) -> np.ndarray:
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty CSV (missing header)") from None
+    got = tuple(h.strip() for h in header)
+    if got != columns:
+        raise InputError(
+            f"{path}, line 1: expected header {','.join(columns)!r}, got {','.join(got)!r}"
+        )
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(columns):
             raise InputError(
-                f"{path}, line 1: expected header {','.join(columns)!r}, "
-                f"got {','.join(got)!r}"
+                f"{path}, line {lineno}: expected {len(columns)} fields, got {len(row)}"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(columns):
+        values = []
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
                 raise InputError(
-                    f"{path}, line {lineno}: expected {len(columns)} fields, got {len(row)}"
-                )
-            values = []
-            for cell in row:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise InputError(
-                        f"{path}, line {lineno}: could not parse {cell.strip()!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise InputError(f"{path}, line {lineno}: {cell.strip()!r} is not finite")
-                values.append(value)
-            rows.append(values)
+                    f"{path}, line {lineno}: could not parse {cell.strip()!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(f"{path}, line {lineno}: {cell.strip()!r} is not finite")
+            values.append(value)
+        rows.append(values)
     if not rows:
         raise InputError(f"{path}: no data rows")
     data = np.array(rows, dtype=float)
@@ -199,11 +211,9 @@ def _read_config(path: str) -> dict:
             obj[key] = value
         return obj
 
+    text = _read_text(path)
     try:
-        with open(path) as fh:
-            cfg = json.load(fh, object_pairs_hook=once)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e.strerror or e}") from None
+        cfg = json.loads(text, object_pairs_hook=once)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(cfg, dict):

@@ -63,6 +63,15 @@ __all__ = [
 PROHOROV_CONSTANT = 150210.0
 
 
+def _window(k: int, n: float, envelope: float | None = None) -> tuple[float, float]:
+    """The validity window (sqrt(2k), sqrt(n) / M(k)) for y, unbounded above at n = inf.
+
+    ``envelope`` is M(k), by default :func:`ntgof.basis.sup_norm_bound`.
+    """
+    m = sup_norm_bound(k) if envelope is None else envelope
+    return math.sqrt(2.0 * k), math.sqrt(n) / m if math.isfinite(n) else math.inf
+
+
 def prohorov_bound(k: int, y: float, n: float, envelope: float | None = None) -> float:
     """Gaussian-approximation tail bound for P_0(sqrt(T_k) >= y).
 
@@ -90,8 +99,7 @@ def prohorov_bound(k: int, y: float, n: float, envelope: float | None = None) ->
     y2 = y * y
     # compare on the y scale: the stock window floor is exactly
     # sqrt(2k), and squaring it can land one ulp below 2k
-    lo = math.sqrt(2.0 * k)
-    hi = math.sqrt(n) / m if math.isfinite(n) else math.inf
+    lo, hi = _window(k, n, m)
     if y < lo or y > hi:
         raise WindowViolationError(
             f"y={y:.6g} outside validity window for (k={k}, n={n:.6g}): "
@@ -183,15 +191,11 @@ def prohorov_ptype_params(n: float, eta: float) -> MajorantParams:
     def phi1(k: int) -> float:
         return math.exp(-math.lgamma(k / 2.0) - 0.5 * (k - 1) * math.log(2.0))
 
-    def window(k: int) -> tuple[float, float]:
-        hi = math.sqrt(n) / sup_norm_bound(k) if math.isfinite(n) else math.inf
-        return (math.sqrt(2.0 * k), hi)
-
     return MajorantParams(
         c1=PROHOROV_CONSTANT,
         c2=2.0 / (1.0 - eta),
         phi1=phi1,
-        window=window,
+        window=lambda k: _window(k, n),
     )
 
 

@@ -39,9 +39,11 @@ together with the two normalized trend conditions
     max_{k <= m_n} pi(k, n) / (n lambda_k)  strictly decreasing.
 
 The stock window is s(k, n) = sqrt(2k), t(k, n) = sqrt(n) / M(k) with
-M(k) the basis envelope constant; it passes on the default budget for
-n >= 1000 and tightens to infeasibility for small n, which the reports
-surface as warnings rather than hard failures.
+M(k) the basis envelope constant: the validity window of the tail
+bounds, defined once, in ``majorant._window``, which the bounds and
+:func:`default_weight_spec` both read.  It passes on the default budget
+for n >= 1000 and tightens to infeasibility for small n, which the
+reports surface as warnings rather than hard failures.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .basis import _integer, sup_norm_bound
+from .basis import _integer
+from .majorant import _window
 
 __all__ = [
     "PenaltySchedule",
@@ -325,8 +328,8 @@ def default_weight_spec(budget: DimensionBudget | None = None) -> ProperWeightSp
     """Stock window s = sqrt(2k), t = sqrt(n)/M(k), ranges from the budget."""
     budget = budget or default_budget()
     return ProperWeightSpec(
-        s=lambda k, n: math.sqrt(2.0 * k),
-        t=lambda k, n: math.sqrt(n) / sup_norm_bound(k),
+        s=lambda k, n: _window(k, n)[0],
+        t=lambda k, n: _window(k, n)[1],
         u_n=budget.d,
         m_n=budget.d,
     )
@@ -382,38 +385,22 @@ def check_proper_weight(
             break
     checks.append(CheckResult("deviation_sandwich", sand_ok, sand_detail))
 
-    # normalized window floor must shrink: max_{k<=u_n} s(k,n)/(n lambda_k)
+    # the normalized window floor and penalty must shrink along the grid:
+    # max_{k<=u_n} s(k,n)/(n lambda_k) and max_{k<=m_n} pi(k,n)/(n lambda_k)
     by_n = {n: [k for k, nn in pairs if nn == n] for n in ns}
-    a_vals = []
-    for n in ns:
-        ks = [k for k in by_n[n] if k <= weight.u_n(n)]
-        if not ks:
-            raise ValueError(f"no grid dimensions k <= u_n({n})={weight.u_n(n)}")
-        a_vals.append(max(weight.s(k, n) / (n * lam(k)) for k in ks))
-    a_ok = all(b < a for a, b in zip(a_vals, a_vals[1:]))
-    checks.append(
-        CheckResult(
-            "normalized_deviation_trend",
-            a_ok,
-            f"max s/(n lambda): {[f'{v:.3e}' for v in a_vals]}",
-        )
-    )
-
-    # normalized penalty must shrink: max_{k<=m_n} pi(k,n)/(n lambda_k)
-    b_vals = []
-    for n in ns:
-        ks = [k for k in by_n[n] if k <= weight.m_n(n)]
-        if not ks:
-            raise ValueError(f"no grid dimensions k <= m_n({n})={weight.m_n(n)}")
-        b_vals.append(max(penalty.pi(k, n) / (n * lam(k)) for k in ks))
-    b_ok = all(b < a for a, b in zip(b_vals, b_vals[1:]))
-    checks.append(
-        CheckResult(
-            "normalized_penalty_trend",
-            b_ok,
-            f"max pi/(n lambda): {[f'{v:.3e}' for v in b_vals]}",
-        )
-    )
+    for name, f, sym, bound, bound_name in (
+        ("normalized_deviation_trend", weight.s, "s", weight.u_n, "u_n"),
+        ("normalized_penalty_trend", penalty.pi, "pi", weight.m_n, "m_n"),
+    ):
+        vals = []
+        for n in ns:
+            top = bound(n)
+            ks = [k for k in by_n[n] if k <= top]
+            if not ks:
+                raise ValueError(f"no grid dimensions k <= {bound_name}({n})={top}")
+            vals.append(max(f(k, n) / (n * lam(k)) for k in ks))
+        ok = all(b < a for a, b in zip(vals, vals[1:]))
+        checks.append(CheckResult(name, ok, f"max {sym}/(n lambda): {[f'{v:.3e}' for v in vals]}"))
 
     for k, n in pairs:
         if k >= 2 and weight.t(k, n) <= weight.s(k, n) * 1.25:

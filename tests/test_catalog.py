@@ -560,6 +560,18 @@ def test_gaussian_location_information_blocks():
     assert abs(i_b[0, 5]) < 1e-8
 
 
+def test_family_without_information_hook_takes_the_quadrature():
+    # the quadrature is what a family gets without an information hook;
+    # the Gaussian hook runs the same quadrature at mu = 0, so the bits agree
+    hooked = gaussian_location_family()
+    bare = dataclasses.replace(hooked, information=None)
+    basis, beta = legendre_basis(12), np.zeros(1)
+    for got, want in zip(
+        information_blocks(bare, beta, basis, 6), information_blocks(hooked, beta, basis, 6)
+    ):
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
 def test_gaussian_location_cdf_and_ppf_pin_scipy_bits():
     from scipy import special
 
@@ -783,6 +795,57 @@ def test_unknown_kind_rejected():
             basis=legendre_basis(12),
             penalty=schwarz_schedule(),
             budget=default_budget(),
+        )
+
+
+# a field only one kind reads, with a value other than its default
+OTHER_KINDS_FIELDS = {
+    "null_density": ("deconvolution", uniform_null()),
+    "noise": ("deconvolution", gaussian_noise(0.3)),
+    "l_draws": ("deconvolution", 20_000),
+    "l_seed": ("deconvolution", 1),
+    "grid_points": ("deconvolution", 501),
+    "family": ("composite", gaussian_location_family()),
+    "beta0": ("composite", [0.0]),
+}
+SPEC_OF_KIND = {
+    "uniformity": uniformity_spec,
+    "independence_rank": independence_spec,
+    "deconvolution": small_deconv_spec,
+    "composite": composite_spec,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(kind, name) for kind in SPEC_OF_KIND for name, (reader, _) in OTHER_KINDS_FIELDS.items()
+     if reader != kind],
+)
+def test_spec_refuses_a_field_its_kind_does_not_read(kind, name):
+    # such a field used to be ignored without a word: the spec ran as the
+    # plain test of its kind
+    spec = SPEC_OF_KIND[kind]()
+    reader, value = OTHER_KINDS_FIELDS[name]
+    message = rf"^{name} is read by {reader} specs only; this spec's kind is '{kind}'$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(spec, **{name: value})
+    # the default itself is not a setting
+    default = {f.name: f.default for f in dataclasses.fields(CatalogSpec)}[name]
+    assert dataclasses.replace(spec, **{name: default}) == spec
+
+
+def test_spec_names_the_first_field_its_kind_does_not_read():
+    with pytest.raises(ValueError, match=r"^noise is read by deconvolution specs only; "):
+        CatalogSpec(
+            kind="uniformity",
+            basis=legendre_basis(12),
+            penalty=schwarz_schedule(),
+            budget=default_budget(),
+            noise=gaussian_noise(0.3),
+            family=gaussian_location_family(),
+            beta0=[1, 2, 3],
+            l_draws=-5,
+            grid_points=3,
         )
 
 

@@ -358,6 +358,45 @@ def test_csv_with_byte_order_mark_reads_as_without(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+def test_config_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # it used to fail with "invalid JSON (Unexpected UTF-8 BOM ...)"
+    reports = []
+    for name, mark in (("c.json", ""), ("bom.json", "\ufeff")):
+        cfg = tmp_path / name
+        cfg.write_text(mark + '{"n": 120}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--input", str(cfg), "--mc-reps", "100")
+        assert code == 0, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "what, content",
+    [
+        ("data", b"x\n0.5\n0.\xff\n"),
+        ("data", b"\xef\xbb\xbfx\n0.5\n0.\xff\n"),  # the offset counts the mark
+        ("penalty table", b"k,n,pi\n1,100,4.6\n2,100,\xff\n"),
+        ("config", b'{"n": 1\xff00}'),
+    ],
+    ids=["data", "marked data", "penalty table", "config"],
+)
+def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys, what, content):
+    # each used to exit 2 with a bare "'utf-8' codec can't decode byte ..."
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    args = {
+        "data": ["test", "--input", str(bad)],
+        "penalty table": ["test", "--input", write_uniform_csv(tmp_path / "u.csv", n=100),
+                          "--penalty", f"table:{bad}"],
+        "config": ["calibrate", "--input", str(bad)],
+    }[what]
+    code, out, err = run_cli(capsys, *args, "--mc-reps", "100")
+    assert (code, out) == (2, "")
+    offset = content.index(b"\xff")
+    want = f"ntgof: cannot read {bad}: not UTF-8 (invalid start byte at byte offset {offset})\n"
+    assert err == want
+
+
 def test_non_finite_penalty_table_cell_is_input_error(tmp_path, capsys):
     # k = inf used to end in an OverflowError traceback from int(k)
     data = write_uniform_csv(tmp_path / "u.csv", n=100)

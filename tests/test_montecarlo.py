@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -468,6 +469,92 @@ def test_worker_is_reaped_with_sigchld_ignored():
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert np.array_equal(got.statistics, want.statistics)
+
+
+def test_interrupt_in_the_caller_kills_the_worker(tmp_path):
+    # the caller's first draw raises KeyboardInterrupt once the worker has
+    # drawn a row; the worker, at 1 ms a row, has about a second of its
+    # 1024 rows left, and is killed and reaped before the interrupt goes on
+    caller, log = os.getpid(), tmp_path / "rows"
+    log.write_text("")
+
+    def sampler(rng, n):
+        if os.getpid() != caller:
+            with open(log, "a") as fh:
+                fh.write(".")
+            time.sleep(0.001)
+            return rng.random(n)
+        deadline = time.monotonic() + 30
+        while not log.stat().st_size and time.monotonic() < deadline:
+            time.sleep(0.001)
+        raise KeyboardInterrupt
+
+    plan = catalog._prepare(uniformity_spec(), 50)
+    with pytest.raises(KeyboardInterrupt):
+        montecarlo._replicate(plan, sampler, 2048, 0, (0,))
+    assert no_child_left()
+    assert 0 < log.stat().st_size < 1024
+
+
+def test_block_failure_no_row_repeats_is_raised_untagged():
+    # a block test that fails on every block of two or more rows and on
+    # no row alone: no replication is to blame, so the block's own error
+    # is raised as it was
+    plan = catalog._prepare(uniformity_spec(), 50)
+
+    def test(block):
+        if len(block) > 1:
+            raise RuntimeError("fails in a block")
+        return plan.test(block)
+
+    with pytest.raises(RuntimeError, match=r"^fails in a block$"):
+        montecarlo._replicate(
+            dataclasses.replace(plan, test=test), lambda rng, n: rng.random(n), 200, 0, (0,)
+        )
+
+
+@pytest.mark.parametrize("args", [(), (7,), (("k", 1), "more")], ids=["none", "int", "tuple"])
+def test_replication_index_leads_arguments_that_are_not_text(args):
+    broken = key_of(0, (0,), 70)
+
+    def sampler(rng, n):
+        if key_at(rng) == broken:
+            raise LookupError(*args)
+        return rng.random(n)
+
+    plan = catalog._prepare(uniformity_spec(), 50)
+    with pytest.raises(LookupError) as info:
+        montecarlo._replicate(plan, sampler, 100, 0, (0,))
+    assert info.value.args == ("replication 70", *args)
+
+
+@pytest.mark.parametrize("kind", ["uniformity", "independence_rank", "deconvolution", "composite"])
+def test_every_kind_refuses_non_finite_data(monkeypatch, kind, deconv_spec):
+    # the test's own check is the only guard for independence: its ranks
+    # of a NaN sample gave finite score sums
+    spec = {
+        "uniformity": uniformity_spec,
+        "independence_rank": independence_spec,
+        "deconvolution": lambda: deconv_spec,
+        "composite": composite_spec,
+    }[kind]()
+    draw = null_sampler(spec)
+    data = draw(np.random.default_rng(0), 60)
+    data.flat[7] = np.nan
+    with pytest.raises(ValueError, match=r"^data contains non-finite values$"):
+        run_test(data, spec)
+    # replication 70, in the worker's block 1
+    nan = key_of(3, (0,), 70)
+
+    def sampler(rng, n):
+        x = draw(rng, n)
+        if key_at(rng) == nan:
+            x.flat[7] = np.nan
+        return x
+
+    monkeypatch.setattr(montecarlo, "null_sampler", lambda spec: sampler)
+    with pytest.raises(ValueError, match=r"^replication 70: data contains non-finite values$"):
+        null_distribution(spec, 60, MonteCarloConfig(100, 3))
 
 
 def reference_calibration(spec, n, reps, seed):
