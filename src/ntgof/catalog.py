@@ -5,14 +5,14 @@ components l_1, ..., l_d that are mean-zero under the null, reduce each
 sample of a block straight to its score sums sum_i l_j(Y_i), form the
 statistic series T_1, ..., T_d from the sums with :func:`_series` (the
 nested quadratic forms in the scores' null covariance, which is the
-identity for orthonormal scores), and hand the series to the penalized
-selector :func:`_select`.  No kind forms a (B, n, d) array of scores.
-For a given spec and n everything but the sample is fixed, so
+identity for orthonormal scores), which its caller hands to the
+penalized selector :func:`_select`.  No kind forms a (B, n, d) array of
+scores.  For a given spec and n everything but the sample is fixed, so
 :func:`_prepare` works it out once -- the sample shape, d(n), the
 penalties, the slice of the spec's artifact and the gated Cholesky
 factor of a shared covariance -- into the plan that :func:`run_test`
-runs on one sample and the Monte Carlo engine on every block.  What varies is where
-the scores come from and what their covariance is:
+runs on one sample and the Monte Carlo engine on every block.  What
+varies is where the scores come from and what their covariance is:
 
 uniformity
     Observations already live on [0, 1]; the scores are the shifted
@@ -840,7 +840,7 @@ class _Plan:
 
     shape: tuple[int, ...]  # of one sample, (n,) or (n, 2)
     penalties: np.ndarray  # pi(1..d, n), so d = d(n) is its length
-    test: Callable[[np.ndarray], SelectionOutcome]  # a (B, *shape) block's outcome
+    test: Callable[[np.ndarray], np.ndarray]  # a (B, *shape) block's (B, d) series
 
 
 def _prepare(spec: TestSpec, n: int) -> _Plan:
@@ -857,12 +857,12 @@ def _prepare(spec: TestSpec, n: int) -> _Plan:
     finite.
     Each row's numbers are those the sample gives alone.  Every kind maps
     the block to its (score sums, Cholesky factor), the factor being None
-    for orthonormal scores, and the test forms the series from that pair.
+    for orthonormal scores, and the test returns the series of that pair.
     Each kind's sums go through :func:`_sum_planes`.  A family that is
     not ``invariant`` forms and gates its Sigma row by row, at d, in
     every block.  The test writes its block-sized temporaries into one
     :class:`~ntgof.basis._Workspace` of its own, reused from block to
-    block and never part of the outcome, so a plan is tested on one
+    block and never part of the series, so a plan is tested on one
     thread at a time.
     """
     _integer("sample size n", n, 2)
@@ -911,11 +911,11 @@ def _prepare(spec: TestSpec, n: int) -> _Plan:
                 covs.append(_composite_cov(family, beta, basis, d))
             return score_sums(basis, np.array(us), d, work), _gated_factor(np.array(covs), d)
 
-    def test(block) -> SelectionOutcome:
+    def test(block) -> np.ndarray:
         if not np.all(np.isfinite(block)):
             raise ValueError("data contains non-finite values")
         sums, factor = scores(block)
-        return _select(_series(sums, n, factor), pens)
+        return _series(sums, n, factor)
 
     return _Plan((n, 2) if spec.kind == "independence_rank" else (n,), pens, test)
 
@@ -926,7 +926,7 @@ def run_test(data, spec: TestSpec) -> SelectionOutcome:
     plan = _prepare(spec, data.shape[0])
     if data.shape != plan.shape:
         raise ValueError(f"data must have shape {plan.shape}, got {data.shape}")
-    return _select(plan.test(data[None]).series[0], plan.penalties)
+    return _select(plan.test(data[None])[0], plan.penalties)
 
 
 def null_sampler(spec: TestSpec) -> Callable[[np.random.Generator, int], np.ndarray]:

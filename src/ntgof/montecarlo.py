@@ -21,28 +21,28 @@ sample from its own Philox stream, the one
 ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts for
 replication i, into one buffer shaped by the plan (a sample of another
 shape fails its replication), and runs the plan's test once on the
-block.  The calling process derives the run's stream keys, in index
-order, before it forks a worker; the worker runs the odd blocks and
-the calling process the even ones, each slicing its blocks' keys from
-that table, and one reused Generator moved to each key in turn serves
-every row (:class:`KeyedStreams`), so a sampler must take every draw it
-needs from its generator before it returns.  When drawing or
-testing a block fails, its replications are drawn and tested again one
-at a time, and the first that fails alone is raised with its own type,
-tagged with its index; a sampler depends only on its generator and n,
-so that is the lowest failing replication.  The worker writes each
-row's T_S and S by index into an anonymous shared map and marks each
-block it finishes; the calling process then runs, in index order,
-every block left unmarked, so every failure is raised there, for the
-lowest failing replication, as a one-by-one run would report it.  The
-worker is killed if the caller's blocks raise and
-reaped on every path.  A run of one block, a platform without
-``os.fork``, a fork that fails and a process with other Python threads
-alive (a fork could deadlock on a lock one of them holds) run every
-block in the calling process instead.  Samplers of the worker's blocks
-run in a forked copy of the process, so their side effects stay there.
-Every row's numbers are those it would give alone, so any block size
-and either process produce byte-identical output.
+block, for its series.  The calling process derives the run's stream
+keys, in index order, before it forks a worker; the worker runs the odd
+blocks and the calling process the even ones, each slicing its blocks'
+keys from that table, and one reused Generator moved to each key in
+turn serves every row (:class:`KeyedStreams`), so a sampler must take
+every draw it needs from its generator before it returns.  When drawing
+or testing a block fails, or its series is not finite, its replications
+are drawn and tested again one at a time, and the first that fails
+alone is raised with its own type, tagged with its index; a sampler
+depends only on its generator and n, so that is the lowest failing
+replication.  The worker writes each row's series by index into an
+anonymous shared map and marks each block it finishes; the calling
+process then runs, in index order, every block left unmarked, so every
+failure is raised there, as a one-by-one run would report it, and then
+selects S once for every row.  The worker is killed if the caller's
+blocks raise and reaped on every path.  A run of one block, a platform
+without ``os.fork``, a fork that fails and a process with other Python
+threads alive (a fork could deadlock on a lock one of them holds) run
+every block in the calling process instead.  Samplers of the worker's
+blocks run in a forked copy of the process, so their side effects stay
+there.  Every row's numbers are those it would give alone, so any block
+size and either process produce byte-identical output.
 Power studies additionally split the seed path: calibration replications
 and alternative replications never share a stream, so evaluating power
 does not silently recycle the noise that built the critical value.
@@ -74,7 +74,7 @@ import numpy as np
 from ._rng import KeyedStreams
 from .basis import _integer
 from .catalog import AlternativeSpec, TestSpec, _Plan, _prepare, null_sampler
-from .selection import _select
+from .selection import SelectionOutcome, _select
 
 __all__ = [
     "MonteCarloConfig",
@@ -129,9 +129,15 @@ class CalibrationResult:
 
 
 def _tag_replication(e: Exception, i: int) -> None:
-    """Prefix an in-flight exception's message with the replication index."""
+    """Prefix an in-flight exception's message with the replication index.
+
+    An OSError with an errno prints its errno and strerror, not its
+    arguments, so the index leads its strerror and its arguments stay.
+    """
     head = f"replication {i}: "
-    if e.args and isinstance(e.args[0], str):
+    if isinstance(e, OSError) and e.errno is not None:
+        e.strerror = f"{head}{e.strerror}"
+    elif e.args and isinstance(e.args[0], str):
         e.args = (head + e.args[0],) + e.args[1:]
     else:
         e.args = (head.rstrip(": "),) + e.args
@@ -160,32 +166,37 @@ def _draw(sampler, n: int, streams: KeyedStreams, keys: list, out: np.ndarray) -
     return out[: len(keys)]
 
 
-def _run_blocks(plan: _Plan, sampler, streams: KeyedStreams, rows: int, t, s, done, firsts):
+def _run_blocks(plan: _Plan, sampler, streams: KeyedStreams, rows: int, series, done, firsts):
     """Draw and test the blocks of replications starting at ``firsts``, in that order.
 
-    Block k holds replications [k * rows, min((k + 1) * rows, len(t))).
-    Each block's T_S and S go into its slots of ``t`` and ``s``, and then
-    ``done[k]`` is set.  When drawing or testing a block fails, its
-    replications are drawn and tested again one at a time, and the first
-    that fails alone is raised, tagged with its index; if none does, the
-    block's own failure is raised untagged.
+    Block k holds replications [k * rows, min((k + 1) * rows, len(series))).
+    A block's series fills its rows of ``series``, and then ``done[k]`` is
+    set.  When drawing or testing a block fails, or its series is not
+    finite, its replications are drawn and tested again one at a time, and
+    the first that fails alone is raised, tagged with its index; if none
+    does, the block's own failure is raised untagged.
     """
-    n, test = plan.shape[0], plan.test
+    n = plan.shape[0]
     buffer = np.empty((rows,) + plan.shape)
+
+    def test(keys):
+        out = plan.test(_draw(sampler, n, streams, keys, buffer))
+        if not np.all(np.isfinite(out)):
+            raise ValueError("series contains non-finite values")
+        return out
+
     for start in firsts:
         keys = streams.keys[start : start + rows].tolist()
         try:
-            out = test(_draw(sampler, n, streams, keys, buffer))
+            series[start : start + len(keys)] = test(keys)
         except Exception:
             for i, key in enumerate(keys):
                 try:
-                    test(_draw(sampler, n, streams, [key], buffer))
+                    test([key])
                 except Exception as first:
                     _tag_replication(first, start + i)
                     raise
             raise
-        t[start : start + len(keys)] = out.t_s
-        s[start : start + len(keys)] = out.s
         done[start // rows] = 1
 
 
@@ -212,14 +223,23 @@ def _reap(pid: int) -> None:
         pass
 
 
+def _stop(pid: int) -> None:
+    """Kill the worker and reap it."""
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:  # SIGCHLD is ignored, and it exited and was reaped
+        pass
+    _reap(pid)
+
+
 def _replicate(
     plan: _Plan,
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     reps: int,
     seed: int,
     path: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(T_S values, S values) of ``reps`` replications of the plan's test.
+) -> SelectionOutcome:
+    """The selection over the series of ``reps`` replications of the plan's test.
 
     Replication i tests ``sampler(rng, n)``, n the plan's sample size,
     with rng in the state a Philox on
@@ -228,19 +248,18 @@ def _replicate(
     needs when it returns.  A forked worker runs the odd blocks and
     this process the even ones, each into an anonymous shared map; this
     process then runs, in index order, every block not marked done, so
-    every failure is raised here.  Without a worker, that pass runs
-    every block.  The worker is killed if this process's blocks raise,
-    and reaped before this returns or raises.
+    every failure is raised here, and selects S once for every row.
+    Without a worker, that pass runs every block.  The worker is killed
+    if this process's blocks raise, and reaped before it returns or raises.
     """
     rows = max(1, min(_BLOCK, _BLOCK_OBS // plan.shape[0]))
     firsts = range(0, reps, rows)
-    # 8 bytes of T_S and 8 of S per replication, then one done byte per block
-    shared = mmap.mmap(-1, 16 * reps + len(firsts))
-    t = np.frombuffer(shared, float, reps)
-    s = np.frombuffer(shared, np.int64, reps, 8 * reps)
-    done = np.frombuffer(shared, np.uint8, len(firsts), 16 * reps)
+    # 8 d bytes of series a replication (96 MB at 10^6 and d = 12), a done byte a block
+    shared = mmap.mmap(-1, 8 * reps * plan.penalties.size + len(firsts))
+    series = np.frombuffer(shared, float, reps * plan.penalties.size).reshape(reps, -1)
+    done = np.frombuffer(shared, np.uint8, len(firsts), series.nbytes)
     streams = KeyedStreams(seed, path, reps)  # every key, hashed once, before the fork
-    run = functools.partial(_run_blocks, plan, sampler, streams, rows, t, s, done)
+    run = functools.partial(_run_blocks, plan, sampler, streams, rows, series, done)
     pid = _fork() if len(firsts) > 1 else None
     if pid == 0:  # the worker; it leaves without running the caller's code
         try:
@@ -252,14 +271,14 @@ def _replicate(
             try:
                 run(firsts[::2])
             except Exception:
-                os.kill(pid, signal.SIGKILL)  # the pass below reports the lowest failure
-            _reap(pid)
+                _stop(pid)  # the pass below reports the lowest failure
+            else:
+                _reap(pid)
         except BaseException:  # interrupted, as by KeyboardInterrupt
-            os.kill(pid, signal.SIGKILL)
-            _reap(pid)
+            _stop(pid)
             raise
     run([k * rows for k in np.flatnonzero(done == 0).tolist()])
-    return t.copy(), s.copy()
+    return _select(series.copy(), plan.penalties)
 
 
 def _order_index(alpha: float, reps: int) -> int:
@@ -276,9 +295,9 @@ def _order_index(alpha: float, reps: int) -> int:
 
 def _calibrate(spec: TestSpec, plan: _Plan, config: MonteCarloConfig, path: tuple[int, ...]):
     """(sorted T_S, S, critical value) of null replications on the streams (seed, *path, .)."""
-    t, s = _replicate(plan, null_sampler(spec), config.replications, config.seed, path)
-    t.sort()
-    return t, s, float(t[_order_index(config.alpha, config.replications) - 1])
+    out = _replicate(plan, null_sampler(spec), config.replications, config.seed, path)
+    t = np.sort(out.t_s)
+    return t, out.s, float(t[_order_index(config.alpha, config.replications) - 1])
 
 
 def null_distribution(
@@ -350,7 +369,7 @@ def power_curve(
     for gi, n in enumerate(config.n_grid):
         plan = _prepare(spec, n)
         crit = _calibrate(spec, plan, config, (gi, 0))[2]
-        t_alt, _ = _replicate(plan, alternative.sampler, config.replications, config.seed, (gi, 1))
+        t_alt = _replicate(plan, alternative.sampler, config.replications, config.seed, (gi, 1)).t_s
         points.append(
             PowerPoint(
                 n=n,
@@ -400,11 +419,11 @@ def consistency_probe(
     p_track = []
     med_track = []
     for gi, n in enumerate(config.n_grid):
-        t, s = _replicate(
+        out = _replicate(
             _prepare(spec, n), alternative.sampler, config.replications, config.seed, (gi, 1)
         )
-        p_k = float(np.mean(s >= k))
-        med = float(np.median(t))
+        p_k = float(np.mean(out.s >= k))
+        med = float(np.median(out.t_s))
         p_track.append(p_k)
         med_track.append(med)
         rows.append({"n": n, "p_s_ge_k": p_k, "median_t_s": med})
@@ -442,8 +461,8 @@ def tail_rate_probe(
     tail is at most the previous divided by ``factor``, finite and > 0
     (with a doubling grid: tails at least halve), zeros allowed once the
     tail has died.  Each draw must be n values, shape (n,).  The draws
-    run on the block engine as a one-dimensional, unpenalized series
-    T_1 = |mean_n - mean|, so a failing or non-finite draw raises tagged
+    run on the block engine as the one-term series T_1 = |mean_n - mean|,
+    with a zero penalty, so a failing or non-finite draw raises tagged
     with its replication, and ``draw`` runs in a forked worker for the
     odd blocks, whose side effects stay there.
     """
@@ -459,16 +478,12 @@ def tail_rate_probe(
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     if not 0 < factor < math.inf:
         raise ValueError(f"factor must be finite and > 0, got {factor!r}")
-    no_penalty = np.zeros(1)
-
-    def test(block):
-        return _select(np.abs(block.mean(axis=-1, keepdims=True) - mean), no_penalty)
-
+    test = lambda block: np.abs(block.mean(axis=-1, keepdims=True) - mean)
     rows = []
     tails = []
     for gi, n in enumerate(ns):
-        plan = _Plan((n,), no_penalty, test)
-        t, _ = _replicate(plan, draw, config.replications, config.seed, (gi,))
+        plan = _Plan((n,), np.zeros(1), test)
+        t = _replicate(plan, draw, config.replications, config.seed, (gi,)).t_s
         tail = float(np.mean(t >= y))
         tails.append(tail)
         rows.append({"n": n, "tail": tail, "reference_rate": math.exp(-n * y * y / (2.0 * sigma))})

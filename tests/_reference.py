@@ -153,5 +153,5 @@ def column_sums(scores):
 
 
 def block_test(block, spec):
-    """``spec``'s test prepared at the block's n and run on the (B, n[, 2]) block."""
+    """``spec``'s series of the (B, n[, 2]) block, from its test prepared at the block's n."""
     return _prepare(spec, np.shape(block)[1]).test(block)

@@ -747,6 +747,12 @@ def test_composite_sigma_matches_score_form_oracle():
     assert err <= 1e-10, err
 
 
+def block_outcome(block, spec):
+    """The selection over ``spec``'s series of the block, with the penalties at its n."""
+    n = np.shape(block)[1]
+    return _select(block_test(block, spec), _penalties(spec.penalty, spec.budget.d(n), n))
+
+
 def test_invariant_block_path_matches_row_path():
     # the same family without the declaration takes the row path: one
     # fit, one CDF and one Sigma per sample
@@ -755,7 +761,7 @@ def test_invariant_block_path_matches_row_path():
         family=dataclasses.replace(gaussian_location_family(), invariant=False)
     )
     block = 0.4 + np.random.default_rng(23).standard_normal((9, 400))
-    a, b = block_test(block, block_spec), block_test(block, row_spec)
+    a, b = block_outcome(block, block_spec), block_outcome(block, row_spec)
     assert np.array_equal(a.series, b.series)
     assert np.array_equal(a.t_s, b.t_s) and np.array_equal(a.s, b.s)
     cfg = MonteCarloConfig(replications=200, seed=2**40 + 3)
@@ -891,7 +897,7 @@ def test_dispatch_matches_direct_call():
 def test_block_rows_equal_samples_alone(spec):
     rng = np.random.default_rng(6)
     block = np.stack([null_sampler(spec)(rng, 90) for _ in range(5)])
-    out = block_test(block, spec)
+    out = block_outcome(block, spec)
     assert out.series.shape == (5, spec.budget.d(90))
     for i, data in enumerate(block):
         alone = run_test(data, spec)
@@ -937,10 +943,10 @@ def test_rank_table_matches_rank_transform_bitwise(n):
     block = rng.standard_normal((16, n, 2))
     block[1, :, 1] = block[1, :, 0] ** 3  # perfect dependence
     block[2] = np.column_stack([np.arange(n), np.arange(n)[::-1]])  # sorted, reversed
-    series = block_test(block, spec).series
+    series = block_test(block, spec)
     assert np.array_equal(series, _rank_transform_series(block, spec, d))
     for i in range(16):
-        assert np.array_equal(series[i], block_test(block[i : i + 1], spec).series[0])
+        assert np.array_equal(series[i], block_test(block[i : i + 1], spec)[0])
 
 
 @pytest.mark.parametrize("n", [50, 500, 1296])
@@ -970,11 +976,11 @@ def test_tied_block_uses_mid_ranks_and_warns():
     block[3, : n // 2, 1] = 0.0  # one row with ties in one coordinate
     d = spec.budget.d(n)
     with pytest.warns(UserWarning, match="tie"):
-        series = block_test(block, spec).series
+        series = block_test(block, spec)
     assert np.array_equal(series, _rank_transform_series(block, spec, d))
     # untied rows read the rank table alone and give the same bits
     for i in (0, 1, 2, 4, 5):
-        assert np.array_equal(series[i], block_test(block[i : i + 1], spec).series[0])
+        assert np.array_equal(series[i], block_test(block[i : i + 1], spec)[0])
 
 
 @pytest.mark.parametrize("n", [2, 7, 300])
@@ -989,7 +995,7 @@ def test_tied_blocks_match_reference_ranks_bitwise(n):
     block[2] = 1.0  # both columns constant
     block[3, :, 1] = rng.integers(0, 2, n)  # two long runs
     with pytest.warns(UserWarning, match="tie"):
-        series = block_test(block, spec).series
+        series = block_test(block, spec)
     assert np.array_equal(series, _rank_transform_series(block, spec, d))
     for i in range(8):
         with pytest.warns(UserWarning, match="tie"):

@@ -222,9 +222,9 @@ def test_power_deterministic_across_blocks(monkeypatch):
 
 
 def reference_replications(spec, sampler, n, reps, seed, *path):
-    """(T_S, S) of replication i = 0..reps-1 on a fresh substream(seed, *path, i)."""
+    """(T_S, S, series) of replication i = 0..reps-1 on a fresh substream(seed, *path, i)."""
     outs = [run_test(sampler(substream(seed, *path, i), n), spec) for i in range(reps)]
-    return np.array([o.t_s for o in outs]), np.array([o.s for o in outs])
+    return tuple(np.array([getattr(o, f) for o in outs]) for f in ("t_s", "s", "series"))
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +240,7 @@ def test_samplers_of_varying_draws_match_substream_loop(monkeypatch, block, deco
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     reps, seed = 100, 13
     cal = null_distribution(deconv_spec, 80, MonteCarloConfig(replications=reps, seed=seed))
-    t, s = reference_replications(deconv_spec, null_sampler(deconv_spec), 80, reps, seed, 0)
+    t, s, _ = reference_replications(deconv_spec, null_sampler(deconv_spec), 80, reps, seed, 0)
     assert np.array_equal(cal.statistics, np.sort(t))
     assert np.array_equal(cal.s_counts, np.bincount(s, minlength=len(cal.s_counts) + 1)[1:])
     cfg = MonteCarloConfig(replications=reps, seed=seed, n_grid=(40, 70))
@@ -249,11 +249,61 @@ def test_samplers_of_varying_draws_match_substream_loop(monkeypatch, block, deco
         (independence_spec(), noisy_copy_pairs(1.0)),
     ):
         for gi, point in enumerate(power_curve(spec, alt, cfg).points):
-            t_null, _ = reference_replications(spec, null_sampler(spec), point.n, reps, seed, gi, 0)
+            null = null_sampler(spec)
+            t_null, _, _ = reference_replications(spec, null, point.n, reps, seed, gi, 0)
             crit = float(np.sort(t_null)[math.ceil(0.95 * reps) - 1])
-            t_alt, _ = reference_replications(spec, alt.sampler, point.n, reps, seed, gi, 1)
+            t_alt, _, _ = reference_replications(spec, alt.sampler, point.n, reps, seed, gi, 1)
             assert point.critical_value == crit
             assert point.rejection_rate == float(np.mean(t_alt > crit))
+
+
+@pytest.mark.parametrize("kind", ["uniformity", "composite"])
+def test_run_series_rows_are_the_samples_alone(monkeypatch, tmp_path, kind):
+    # the run keeps every replication's series; each row, from the caller's
+    # blocks and from the worker's, is the one its sample gives alone
+    spec = {"uniformity": uniformity_spec, "composite": composite_spec}[kind]()
+    reps, seed, draw, log = 150, 8, null_sampler(spec), tmp_path / "pids"
+    t, s, series = reference_replications(spec, draw, 60, reps, seed, 0)
+
+    def sampler(rng, n):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return draw(rng, n)
+
+    plan = catalog._prepare(spec, 60)
+    for block, fork in ((1, True), (7, True), (64, True), (7, False)):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        if not fork:
+            monkeypatch.setattr(os, "fork", refuse_to_fork)
+        out = montecarlo._replicate(plan, sampler, reps, seed, (0,))
+        assert np.array_equal(out.series, series)
+        assert np.array_equal(out.t_s, t) and np.array_equal(out.s, s)
+        assert len(set(log.read_text().split())) == 1 + fork
+        log.unlink()
+
+
+def test_selection_runs_once_per_run_after_the_blocks(monkeypatch, tmp_path):
+    # S is selected in the calling process, once over each run's whole
+    # series and once for run_test's sample; no block selects, in either
+    # process
+    log, caller = tmp_path / "selections", os.getpid()
+    log.write_text("")
+    select = montecarlo._select
+
+    def counting(series, pens):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}:{len(series) if series.ndim == 2 else 'one'}\n")
+        return select(series, pens)
+
+    monkeypatch.setattr(montecarlo, "_select", counting)
+    monkeypatch.setattr(catalog, "_select", counting)
+    spec = uniformity_spec()
+    cfg = MonteCarloConfig(replications=300, seed=0, n_grid=(40, 80))
+    null_distribution(spec, 40, cfg)
+    power_curve(spec, contamination_alternative({1: 0.3}), cfg)
+    tail_rate_probe(rademacher, 0.0, 1.0, 0.5, (16, 32), 300, 0)
+    run_test(np.random.default_rng(0).random(50), spec)
+    assert log.read_text().split() == [f"{caller}:300"] * 7 + [f"{caller}:one"]
 
 
 def test_information_blocks_built_once_per_spec(monkeypatch):
@@ -471,6 +521,47 @@ def test_worker_is_reaped_with_sigchld_ignored():
     assert np.array_equal(got.statistics, want.statistics)
 
 
+def test_caller_failure_after_the_worker_is_gone_with_sigchld_ignored(tmp_path):
+    # with SIGCHLD ignored the kernel reaps the worker as soon as it exits;
+    # the caller's sampler fails at replication 150, in its block 2, only
+    # once the worker has drawn its 72 rows and is gone, and the run raises
+    # that failure, not the failed kill of a process that no longer exists
+    caller, log = os.getpid(), tmp_path / "rows"
+    log.write_text("")
+    broken = key_of(0, (0,), 150)
+
+    def worker_gone():
+        pids = log.read_text().split()
+        if len(pids) < 72:
+            return False
+        try:
+            os.kill(int(pids[0]), 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    def sampler(rng, n):
+        if os.getpid() != caller:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        elif key_at(rng) == broken:
+            deadline = time.monotonic() + 30
+            while not worker_gone() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise RuntimeError("sampler broke")
+        return rng.random(n)
+
+    plan = catalog._prepare(uniformity_spec(), 50)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with pytest.raises(RuntimeError, match=r"^replication 150: sampler broke$"):
+            montecarlo._replicate(plan, sampler, 200, 0, (0,))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert worker_gone()
+    assert no_child_left()
+
+
 def test_interrupt_in_the_caller_kills_the_worker(tmp_path):
     # the caller's first draw raises KeyboardInterrupt once the worker has
     # drawn a row; the worker, at 1 ms a row, has about a second of its
@@ -513,6 +604,26 @@ def test_block_failure_no_row_repeats_is_raised_untagged():
         )
 
 
+def test_non_finite_series_row_fails_its_own_replication():
+    # whatever plan formed it, a block's series is checked before it is
+    # kept; replication 70, in the worker's block 1, gives an infinite row
+    plan = catalog._prepare(uniformity_spec(), 50)
+    marked = key_of(0, (0,), 70)
+
+    def sampler(rng, n):
+        x = rng.random(n)
+        x[0] = 0.5 if key_at(rng) == marked else x[0] / 2
+        return x
+
+    def test(block):
+        series = plan.test(block)
+        series[block[:, 0] == 0.5] = np.inf
+        return series
+
+    with pytest.raises(ValueError, match=r"^replication 70: series contains non-finite values$"):
+        montecarlo._replicate(dataclasses.replace(plan, test=test), sampler, 200, 0, (0,))
+
+
 @pytest.mark.parametrize("args", [(), (7,), (("k", 1), "more")], ids=["none", "int", "tuple"])
 def test_replication_index_leads_arguments_that_are_not_text(args):
     broken = key_of(0, (0,), 70)
@@ -526,6 +637,36 @@ def test_replication_index_leads_arguments_that_are_not_text(args):
     with pytest.raises(LookupError) as info:
         montecarlo._replicate(plan, sampler, 100, 0, (0,))
     assert info.value.args == ("replication 70", *args)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: OSError(5, "disk gone"), "[Errno 5] replication 30: disk gone"),
+        (
+            lambda: FileNotFoundError(2, "No such file or directory", "data.csv"),
+            "[Errno 2] replication 30: No such file or directory: 'data.csv'",
+        ),
+    ],
+    ids=["errno", "filename"],
+)
+def test_replication_index_leads_the_strerror_of_an_os_error(make, message):
+    # an OSError with an errno prints its errno and strerror, not its
+    # arguments: the index goes into its strerror, and its arguments,
+    # errno and filename stay as they were raised
+    broken, want = key_of(0, (0,), 30), make()
+
+    def sampler(rng, n):
+        if key_at(rng) == broken:
+            raise make()
+        return rng.random(n)
+
+    plan = catalog._prepare(uniformity_spec(), 50)
+    with pytest.raises(type(want)) as info:
+        montecarlo._replicate(plan, sampler, 100, 0, (0,))
+    e = info.value
+    assert str(e) == message
+    assert (e.args, e.errno, e.filename) == (want.args, want.errno, want.filename)
 
 
 @pytest.mark.parametrize("kind", ["uniformity", "independence_rank", "deconvolution", "composite"])
@@ -558,7 +699,7 @@ def test_every_kind_refuses_non_finite_data(monkeypatch, kind, deconv_spec):
 
 
 def reference_calibration(spec, n, reps, seed):
-    t, s = reference_replications(spec, null_sampler(spec), n, reps, seed, 0)
+    t, s, _ = reference_replications(spec, null_sampler(spec), n, reps, seed, 0)
     return np.sort(t), s
 
 

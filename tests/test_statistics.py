@@ -63,7 +63,7 @@ def test_series_sums_each_column_pairwise_along_its_contiguous_copy():
     for k in (1, 2, 5):
         spec = uniformity_spec(budget=fixed_budget(k))
         want = _series(column_sums(design_matrix(BASIS, block, k)), 1000)
-        assert np.array_equal(block_test(block, spec).series, want)
+        assert np.array_equal(block_test(block, spec), want)
 
 
 def test_series_from_sums_with_covariance_matches_matrix_path():
