@@ -1,10 +1,12 @@
 """Concrete data-driven score tests.
 
-Every test here follows the same recipe: map the data into score
-components l_1, ..., l_d that are mean-zero under the null, reduce each
-sample of a block straight to its score sums sum_i l_j(Y_i), form the
-statistic series T_1, ..., T_d from the sums with :func:`_series` (the
-nested quadratic forms in the scores' null covariance, which is the
+Every test here follows the same recipe: a kind's transform maps a block
+of samples to what its scores read (the data, ranks, grid cells or a
+fitted CDF), its plane stage maps that to the score components l_1, ...,
+l_d, mean-zero under the null, one degree at a time, one call of
+:func:`_sum_planes` reduces each sample to its sums sum_i l_j(Y_i), and
+:func:`_series` forms the statistic series T_1, ..., T_d from the sums
+(the nested quadratic forms in the scores' null covariance, which is the
 identity for orthonormal scores), which its caller hands to the
 penalized selector :func:`_select`.  No kind forms a (B, n, d) array of
 scores.  For a given spec and n everything but the sample is fixed, so
@@ -86,6 +88,7 @@ c_j b_j for power studies come from :func:`contamination_alternative`.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -104,7 +107,6 @@ from .basis import (
     design_matrix,
     eval_basis,
     legendre_basis,
-    score_sums,
 )
 from .errors import NumericError, ScoreMeanError, SingularMatrixError
 from .selection import (
@@ -239,11 +241,13 @@ def _scipy_ndtr():
     of it in scipy's array-API support (which imports numpy.f2py,
     numpy.testing and numpy.ma), none of it needed for ``ndtr``.  Recent
     scipy releases keep the ufunc in the extension module
-    ``scipy.special._special_ufuncs``, which is loaded here from the
-    package's directory on its own and registered in ``sys.modules``,
-    so later calls and a later ``import scipy.special`` reuse it.  On
-    releases without that module or attribute, the package import is
-    the one path.
+    ``scipy.special._special_ufuncs``, which is loaded here on its own
+    from the ``special`` directory of the ``scipy`` package -- found by
+    ``find_spec("scipy")``, which runs no ``__init__``, where
+    ``find_spec("scipy.special")`` would import ``scipy`` -- and
+    registered in ``sys.modules``, so later calls and a later ``import
+    scipy.special`` reuse it.  On releases without that module or
+    attribute, the package import is the one path.
     """
     import importlib.machinery
     import importlib.util
@@ -251,7 +255,9 @@ def _scipy_ndtr():
     name = "scipy.special._special_ufuncs"
     module = sys.modules.get(name)
     if module is None:
-        where = importlib.util.find_spec("scipy.special").submodule_search_locations
+        scipy = importlib.util.find_spec("scipy")
+        roots = scipy.submodule_search_locations if scipy is not None else []
+        where = [os.path.join(root, "special") for root in roots]
         spec = importlib.machinery.PathFinder.find_spec(name, where)
         if spec is not None:
             module = importlib.util.module_from_spec(spec)
@@ -580,8 +586,8 @@ class _DeconvScoreTable:
     support's ends, so the rule sees f0 only where it should be smooth;
     a null density with kinks or spikes inside its support needs an
     adaptive rule instead.  Each degree keeps one contiguous row of
-    scores and one of cell slopes, and :meth:`sums` interpolates them
-    through :meth:`_interp`.
+    scores and one of cell slopes, which :meth:`_interp` interpolates at
+    the cells :meth:`_cells` finds.
 
     ``moment`` is the k x k second-moment matrix N^{-1} sum l(Y_i)
     l(Y_i)^T of the interpolated scores over the spec's ``l_draws`` null
@@ -727,15 +733,6 @@ class _DeconvScoreTable:
         out += np.take(self.scores[j], i, out=work.get("s", i.shape), mode="clip")
         return out
 
-    def sums(self, block, k: int, work: _Workspace | None = None) -> np.ndarray:
-        """(B, k) sums of l_1..l_k over each row of a (B, n) block, one degree at a time.
-
-        The temporaries live in ``work``, a fresh workspace when None.
-        """
-        work = _Workspace() if work is None else work
-        i, dy = self._cells(block, work)
-        return _sum_planes((self._interp(i, dy, j, work) for j in range(k)), dy.shape[:-1], k)
-
 
 # ---------------------------------------------------------------------------
 # composite parametric null
@@ -855,67 +852,72 @@ def _prepare(spec: TestSpec, n: int) -> _Plan:
     serves every d whose leading block passes.  The test's callers have
     checked the block's shape, so it checks only that the values are
     finite.
-    Each row's numbers are those the sample gives alone.  Every kind maps
-    the block to its (score sums, Cholesky factor), the factor being None
-    for orthonormal scores, and the test returns the series of that pair.
-    Each kind's sums go through :func:`_sum_planes`.  A family that is
-    not ``invariant`` forms and gates its Sigma row by row, at d, in
-    every block.  The test writes its block-sized temporaries into one
-    :class:`~ntgof.basis._Workspace` of its own, reused from block to
-    block and never part of the series, so a plan is tested on one
-    thread at a time.
+    Each kind supplies two stages.  ``transform`` maps the block to its
+    (inputs, Cholesky factor), the factor None for orthonormal scores:
+    the block for uniformity, mid-rank indices for independence, grid
+    cells for deconvolution, the clipped fitted CDF for composite (and
+    for a family that is not ``invariant``, its Sigma formed and gated
+    row by row, at d).  ``planes`` maps the inputs to the d score planes.
+    The test sums them in its one call of :func:`_sum_planes`, so each
+    row's numbers are those the sample gives alone, and returns the
+    series of the sums and the factor.  Both stages write their
+    block-sized temporaries into one :class:`~ntgof.basis._Workspace` of
+    the plan's own, reused from block to block and never part of the
+    series, so a plan is tested on one thread at a time.
     """
     _integer("sample size n", n, 2)
     d = spec.budget.d(n)
     pens = _penalties(spec.penalty, d, n)
     basis, family = spec.basis, spec.family
     work = _Workspace()
+    planes = lambda u: _score_planes(basis, u, d, work)
     if spec.kind == "uniformity":
-        scores = lambda block: (score_sums(basis, block, d, work), None)
+        transform = lambda block: (block, None)
     elif spec.kind == "independence_rank":
         # row j holds b_j at every mid-rank (m/2 + 1/2) / n, m = 0..2n-2,
         # so each product score is a lookup at its entries' _midranks
         table = design_matrix(basis, (np.arange(2 * n - 1) / 2 + 0.5) / n, d).T.copy()
 
-        def planes(u, v):
+        def transform(block):
+            shape = block.shape[:-1]
+            u = _midranks(block[..., 0], work.get("u", shape, np.intp))
+            v = _midranks(block[..., 1], work.get("v", shape, np.intp))
+            return (u, v), None
+
+        def planes(uv):
             # every mid-rank indexes the table, so mode="clip" changes no
             # value and keeps take from writing through a temporary
+            u, v = uv
             for col in table:
                 prod = np.take(col, u, out=work.get("bu", u.shape), mode="clip")
                 prod *= np.take(col, v, out=work.get("bv", v.shape), mode="clip")
                 yield prod
-
-        def scores(block):
-            shape = block.shape[:-1]
-            u = _midranks(block[..., 0], work.get("u", shape, np.intp))
-            v = _midranks(block[..., 1], work.get("v", shape, np.intp))
-            return _sum_planes(planes(u, v), shape[:1], d), None
     elif spec.kind == "deconvolution":
         table = spec._built
         factor = _gated_factor(table.moment[:d, :d], d)
-        scores = lambda block: (table.sums(block, d, work), factor)
+        transform = lambda block: (table._cells(block, work), factor)
+        planes = lambda cells: (table._interp(*cells, j, work) for j in range(d))
     elif family.invariant:
         factor = _gated_factor(spec._built[:d, :d], d)
 
-        def scores(block):
+        def transform(block):
             u = np.asarray(family.cdf(block, family.fit(block)), dtype=float)
-            u = np.clip(u, 0.0, 1.0, out=work.get("u", u.shape))
-            return score_sums(basis, u, d, work), factor
+            return np.clip(u, 0.0, 1.0, out=work.get("u", u.shape)), factor
     else:
 
-        def scores(block):
+        def transform(block):
             us, covs = [], []
             for x in block:
                 beta = family.fit(x)
                 us.append(np.clip(np.asarray(family.cdf(x, beta), dtype=float), 0.0, 1.0))
                 covs.append(_composite_cov(family, beta, basis, d))
-            return score_sums(basis, np.array(us), d, work), _gated_factor(np.array(covs), d)
+            return np.array(us), _gated_factor(np.array(covs), d)
 
     def test(block) -> np.ndarray:
         if not np.all(np.isfinite(block)):
             raise ValueError("data contains non-finite values")
-        sums, factor = scores(block)
-        return _series(sums, n, factor)
+        inputs, factor = transform(block)
+        return _series(_sum_planes(planes(inputs), block.shape[:1], d), n, factor)
 
     return _Plan((n, 2) if spec.kind == "independence_rank" else (n,), pens, test)
 

@@ -173,6 +173,9 @@ def _read_csv_columns(path: str, columns: tuple[str, ...]) -> np.ndarray:
         values = []
         for cell in row:
             try:
+                # float() also reads PEP 515 underscores and non-ASCII digits
+                if "_" in cell or not cell.isascii():
+                    raise ValueError(cell)
                 value = float(cell)
             except ValueError:
                 raise InputError(

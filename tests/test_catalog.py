@@ -17,7 +17,15 @@ from scipy import integrate, stats
 import ntgof
 import _reference
 from _reference import block_test, column_sums, deconvolution_score, quadratic_form
-from ntgof.basis import design_matrix, eval_basis, legendre_basis, score_sums, user_basis
+from ntgof.basis import (
+    _Workspace,
+    _sum_planes,
+    design_matrix,
+    eval_basis,
+    legendre_basis,
+    score_sums,
+    user_basis,
+)
 from ntgof.catalog import (
     composite_spec,
     contamination_alternative,
@@ -289,6 +297,13 @@ def small_deconv_spec():
     return deconvolution_spec(l_draws=20_000, grid_points=501)
 
 
+def table_sums(table, y, k):
+    """Sums of l_1..l_k over y's last axis, by the deconvolution plan's two stages."""
+    work = _Workspace()
+    i, dy = table._cells(y, work)
+    return _sum_planes((table._interp(i, dy, j, work) for j in range(k)), dy.shape[:-1], k)
+
+
 def test_deconvolution_test_runs_and_caches():
     spec = small_deconv_spec()
     rng = np.random.default_rng(0)
@@ -310,7 +325,7 @@ def test_deconvolution_test_runs_and_caches():
     # tabulated scores track the direct quadrature closely
     for y in (-0.3, 0.12, 0.55, 1.31):
         direct = deconvolution_score(y, 2, spec.null_density, spec.noise, spec.basis)
-        assert table.sums(np.array([y]), 2)[1] == pytest.approx(direct, abs=1e-4)
+        assert table_sums(table, np.array([y]), 2)[1] == pytest.approx(direct, abs=1e-4)
 
 
 @pytest.mark.parametrize("sigma", [0.02, 0.25, 1.0])
@@ -351,7 +366,7 @@ def test_score_table_interpolates_like_np_interp():
                 want = np.column_stack(
                     [np.interp(y, grid, table.scores[j]) for j in range(k)]
                 )
-                assert np.array_equal(table.sums(y[:, None], k), want), (grid_points, sigma, k)
+                assert np.array_equal(table_sums(table, y[:, None], k), want), (grid_points, sigma, k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -359,7 +374,7 @@ def test_score_table_rejects_non_finite_observations(bad):
     table = deconvolution_spec(grid_points=64)._built
     y = np.array([0.2, 0.5, bad, 0.7])
     with pytest.raises(NumericError, match="not finite"):
-        table.sums(y, 4)
+        table_sums(table, y, 4)
 
 
 def test_non_finite_null_draws_fail_loudly():
@@ -920,10 +935,10 @@ def test_deconvolution_sums_of_a_block_row_equal_the_row_alone():
     block = rng.random((64, 500)) + 0.25 * rng.standard_normal((64, 500))
     block[0, :3] = [-1.9, 2.9, table.grid[7]]  # clamped ends and a grid point
     for k in (1, 4, 12):
-        sums = table.sums(block, k)
+        sums = table_sums(table, block, k)
         assert sums.shape == (64, k)
         for i, row in enumerate(block):
-            assert np.array_equal(sums[i], table.sums(row, k))
+            assert np.array_equal(sums[i], table_sums(table, row, k))
             assert np.array_equal(sums[i], column_sums(_reference.evaluate(table, row)[:, :k]))
 
 
@@ -1087,6 +1102,34 @@ def test_block_path_forms_no_score_tensor(spec, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [
+        uniformity_spec(),
+        independence_spec(),
+        small_deconv_spec(),
+        composite_spec(),
+        composite_spec(family=dataclasses.replace(gaussian_location_family(), invariant=False)),
+    ],
+    ids=["uniformity", "independence_rank", "deconvolution", "composite", "composite-rows"],
+)
+def test_block_test_sums_scores_at_one_call_site(spec, monkeypatch):
+    # every kind's score planes reach the summation rule through one call
+    # per block, whatever its transform
+    rng = np.random.default_rng(19)
+    block = np.stack([null_sampler(spec)(rng, 90) for _ in range(8)])
+    calls = []
+    real = catalog._sum_planes
+
+    def counting(planes, lead, k):
+        calls.append((lead, k))
+        return real(planes, lead, k)
+
+    monkeypatch.setattr(catalog, "_sum_planes", counting)
+    block_test(block, spec)
+    assert calls == [((8,), spec.budget.d(90))]
+
+
+@pytest.mark.parametrize(
     "spec, shape",
     [
         (uniformity_spec(), (30,)),
@@ -1242,6 +1285,18 @@ def test_import_loads_no_scipy():
     )
     proc = _fresh_python(["-c", code])
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+def test_composite_loads_only_the_ndtr_extension_of_scipy():
+    # the family finds scipy.special's directory without running scipy's
+    # own __init__, as find_spec("scipy.special") would
+    code = (
+        "import sys, numpy as np, ntgof; spec = ntgof.composite_spec(); "
+        "ntgof.run_test(np.random.default_rng(0).standard_normal(100), spec); "
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = _fresh_python(["-c", code])
+    assert proc.stdout.split() == ["scipy.special._special_ufuncs"]
 
 
 # One composite run end to end: run_test on three samples and a small

@@ -317,6 +317,27 @@ def test_bad_number_reports_line(tmp_path, capsys):
     assert "line 3" in err and "abc" in err
 
 
+@pytest.mark.parametrize(
+    "what, cell",
+    [("data", "0.1_5"), ("data", "0.\uff15"), ("data", "\uff11\uff12"), ("penalty table", "1_00")],
+)
+def test_underscored_or_non_ascii_cell_reports_line(tmp_path, capsys, what, cell):
+    # float() reads PEP 515 underscores and any Unicode digits: the data
+    # ran on 0.15 and 0.5, the full-width 12 read as 12.0 and the table's
+    # n as 100
+    bad = tmp_path / "bad.csv"
+    if what == "data":
+        bad.write_text(f"x\n0.5\n{cell}\n0.7\n", encoding="utf-8")
+        args = ["test", "--input", str(bad)]
+    else:
+        bad.write_text(f"k,n,pi\n1,100,4.6\n2,{cell},5.0\n", encoding="utf-8")
+        data = write_uniform_csv(tmp_path / "u.csv", n=100)
+        args = ["test", "--input", data, "--penalty", f"table:{bad}", "--dmax", "2"]
+    code, out, err = run_cli(capsys, *args, "--mc-reps", "100")
+    assert (code, out) == (2, "")
+    assert err == f"ntgof: {bad}, line 3: could not parse {cell!r} as a number\n"
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_cell_reports_line(tmp_path, capsys, cell):
     f = tmp_path / "bad.csv"
