@@ -172,6 +172,7 @@ def _score_planes(basis: OrthonormalBasis, x, k: int, work: _Workspace | None = 
     """
     if not 1 <= k <= basis.max_degree:
         raise ValueError(f"k={k} outside 1..{basis.max_degree}")
+    _integer("k", k, 1)
     x = _check_domain(x)
     if basis.kind == "legendre":
         return _legendre_planes(x, k, work)
@@ -188,6 +189,7 @@ def eval_basis(basis: OrthonormalBasis, j: int, x) -> np.ndarray:
     """
     if not 1 <= j <= basis.max_degree:
         raise ValueError(f"degree j={j} outside 1..{basis.max_degree}")
+    _integer("j", j, 1)
     scalar = np.ndim(x) == 0
     x = _check_domain(x)
     if basis.kind == "legendre":
@@ -261,8 +263,7 @@ def gram_matrix(basis: OrthonormalBasis, k: int, nodes: int = 200) -> np.ndarray
     checks zero means, the rest checks orthonormality.  ``nodes`` points
     integrate polynomial products exactly up to degree 2*nodes - 1.
     """
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
+    _integer("nodes", nodes, 2)
     t, w = _gauss_legendre(nodes)
     x = 0.5 * (t + 1.0)
     w = 0.5 * w
@@ -308,8 +309,6 @@ def sup_norm_bound(k: int) -> float:
     The constant feeds the validity windows of the finite-sample tail
     bounds, which degrade as M(k) y / sqrt(n) grows.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
+    if _integer("k", k, 1) == 1:
         return math.sqrt(3.0)
     return math.sqrt((k - 1.0) * (k + 3.0))

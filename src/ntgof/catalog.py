@@ -105,7 +105,6 @@ from .basis import (
     _score_planes,
     _sum_planes,
     design_matrix,
-    eval_basis,
     legendre_basis,
 )
 from .errors import NumericError, ScoreMeanError, SingularMatrixError
@@ -230,8 +229,7 @@ class ParametricFamily:
     invariant: bool = False
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("family must have q >= 1 parameters")
+        _integer("q", self.q, 1)
 
 
 def _scipy_ndtr():
@@ -976,6 +974,20 @@ def noisy_copy_pairs(noise_sd: float, name: str | None = None) -> AlternativeSpe
 _DENSITY_GRID = 4096
 
 
+def _contamination_density(basis: OrthonormalBasis, coeffs: dict, x) -> np.ndarray:
+    """1 + sum c_j b_j(x) for ``coeffs`` {j: c_j}, every b_j from one basis pass.
+
+    The terms are added in the map's own order, so the sum equals, bit
+    for bit, the one formed from one ``eval_basis`` call per coefficient.
+    """
+    planes = enumerate(_score_planes(basis, x, max(coeffs)), 1)
+    terms = {j: coeffs[j] * b for j, b in planes if j in coeffs}
+    g = 1.0
+    for j in coeffs:
+        g = g + terms[j]
+    return g
+
+
 def contamination_alternative(
     coefficients: Mapping[int, float] | Sequence[float],
     basis: OrthonormalBasis | None = None,
@@ -1007,14 +1019,8 @@ def contamination_alternative(
     if jmax > basis.max_degree:
         raise ValueError(f"coefficient degree {jmax} exceeds basis max_degree")
 
-    def density(x):
-        g = np.ones_like(np.asarray(x, dtype=float))
-        for j, c in coeffs.items():
-            g = g + c * eval_basis(basis, j, x)
-        return g
-
     grid = np.linspace(0.0, 1.0, _DENSITY_GRID)
-    gmin = float(np.min(density(grid)))
+    gmin = float(np.min(_contamination_density(basis, coeffs, grid)))
     if gmin <= 0.0:
         raise ValueError(
             f"1 + sum c_j b_j dips to {gmin:.4f} on [0, 1]; not a density"
@@ -1027,7 +1033,7 @@ def contamination_alternative(
         while have < n:
             m = max(int((n - have) * envelope * 1.2) + 16, 16)
             x = rng.random(m)
-            keep = rng.random(m) * envelope <= density(x)
+            keep = rng.random(m) * envelope <= _contamination_density(basis, coeffs, x)
             take = min(n - have, int(np.count_nonzero(keep)))
             out[have : have + take] = x[keep][:take]
             have += take

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import sup_norm_bound
+from .basis import _integer, sup_norm_bound
 from .errors import WindowViolationError
 
 __all__ = [
@@ -77,7 +77,7 @@ def prohorov_bound(k: int, y: float, n: float, envelope: float | None = None) ->
 
     Parameters
     ----------
-    k : score dimension, >= 1.
+    k : score dimension, an integer >= 1.
     y : deviation level; must satisfy 2k <= y^2 <= n / M(k)^2.
     n : sample size; math.inf is allowed and gives the pure Gaussian
         chi-tail shape (no approximation slack).
@@ -87,8 +87,7 @@ def prohorov_bound(k: int, y: float, n: float, envelope: float | None = None) ->
     Requests outside the validity window raise WindowViolationError;
     numeric evaluation happens in log space so large k and y are safe.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _integer("k", k, 1)
     if not (y > 0 and math.isfinite(y)):
         raise ValueError("y must be positive and finite")
     if not n > 0:
@@ -150,8 +149,7 @@ def ptype_majorant(
     length k.  If the params carry a validity window, y outside it
     raises WindowViolationError.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _integer("k", k, 1)
     if not (y > 0 and math.isfinite(y)):
         raise ValueError("y must be positive and finite")
     lam = np.ones(k) if eigenvalues is None else np.asarray(eigenvalues, dtype=float)
@@ -213,6 +211,6 @@ def b2_tail_sum(
     -> bound, e.g. a partially applied :func:`ptype_majorant` or
     :func:`prohorov_bound`.
     """
-    if k_from < 1 or k_to < k_from:
-        raise ValueError("need 1 <= k_from <= k_to")
+    _integer("k_from", k_from, 1)
+    _integer("k_to", k_to, k_from)
     return float(sum(majorant(k, s(k, n)) for k in range(k_from, k_to + 1)))

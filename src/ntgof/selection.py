@@ -79,11 +79,11 @@ __all__ = [
 def schwarz_penalty(k: int, n: int) -> float:
     """Schwarz penalty k * log(n), natural logarithm.
 
-    Requires k >= 1 and n >= 2 (at n = 1 the penalty degenerates to 0
-    for every k and the selector would always pick the largest model).
+    Requires an integer k >= 1 and a real n >= 2 (at n = 1 the penalty
+    degenerates to 0 for every k and the selector would always pick the
+    largest model).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _integer("k", k, 1)
     if n < 2:
         raise ValueError("n must be >= 2")
     return k * math.log(n)
@@ -112,12 +112,15 @@ def linear_schedule() -> PenaltySchedule:
 
 
 def table_schedule(table: Mapping[tuple[int, int], float], name: str = "table") -> PenaltySchedule:
-    """Penalty given by an explicit {(k, n): pi} table.
+    """Penalty given by an explicit {(k, n): pi} table, k and n integers >= 1.
 
     Lookups outside the table raise KeyError with the offending pair,
     so a short table cannot silently extrapolate.
     """
-    frozen = {(int(k), int(n)): float(v) for (k, n), v in table.items()}
+    frozen = {
+        (_integer("penalty table k", k, 1), _integer("penalty table n", n, 1)): float(v)
+        for (k, n), v in table.items()
+    }
 
     def pi(k: int, n: int) -> float:
         try:
@@ -142,8 +145,7 @@ class DimensionBudget:
         _integer("cap", self.cap, 1)
 
     def d(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        _integer("n", n, 1)
         value = self.rule(n)
         if not math.isfinite(value):
             raise ValueError(f"budget rule produced {value!r} at n={n}; d(n) must be finite")
@@ -245,10 +247,10 @@ def validate_penalty(
 
     ``eigenvalue_provider`` maps n to the smallest normalizing-matrix
     eigenvalue at dimension d(n); identity normalization (the default)
-    uses 1.  The grid needs at least three strictly increasing sizes --
-    trends cannot be judged from fewer.
+    uses 1.  The grid needs at least three strictly increasing integer
+    sizes -- trends cannot be judged from fewer.
     """
-    ns = [int(n) for n in n_grid]
+    ns = [_integer("n_grid size", n, 1) for n in n_grid]
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_grid must hold at least 3 strictly increasing sizes")
     lam = eigenvalue_provider or (lambda n: 1.0)
@@ -297,12 +299,14 @@ def validate_penalty(
 
     # deviation-window headroom: below delta(k, n) >= 2k the tail bounds
     # backing the calibration theory are not yet valid -- worth a warning
-    # at small n, but not an admissibility failure.
+    # at small n, but not an admissibility failure.  Compared on the y
+    # scale, like check_proper_weight: sqrt(2k) squared can miss 2k by an ulp.
     for n in ns:
         for k in range(2, budget.d(n) + 1):
-            if penalty.delta(k, n) < 2 * k:
+            delta = penalty.delta(k, n)
+            if math.sqrt(max(delta, 0.0)) < _window(k, n)[0]:
                 warnings.append(
-                    f"penalized gap delta({k},{n})={penalty.delta(k, n):.3f} "
+                    f"penalized gap delta({k},{n})={delta:.3f} "
                     f"below deviation-window floor 2k={2 * k}"
                 )
     return ValidationReport(checks=tuple(checks), warnings=tuple(warnings))
@@ -343,13 +347,13 @@ def check_proper_weight(
 ) -> ValidationReport:
     """Verify the weight conditions on a finite (k, n) grid.
 
-    ``grid`` holds (k, n) pairs; ``eigenvalues`` maps a dimension k to
-    the smallest eigenvalue of its normalizing matrix (1 under identity
-    normalization).  The sandwich condition applies for k >= 2 only:
+    ``grid`` holds integer (k, n) pairs; ``eigenvalues`` maps a dimension
+    k to the smallest eigenvalue of its normalizing matrix (1 under
+    identity normalization).  The sandwich condition applies for k >= 2 only:
     at k = 1 the penalized gap is identically zero and sits below every
     non-trivial window.
     """
-    pairs = sorted({(int(k), int(n)) for k, n in grid})
+    pairs = sorted({(_integer("grid k", k, 1), _integer("grid n", n, 1)) for k, n in grid})
     if not pairs:
         raise ValueError("grid must hold at least one (k, n) pair")
     lam = eigenvalues or (lambda k: 1.0)

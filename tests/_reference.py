@@ -116,6 +116,14 @@ def gaussian_location_cov(k, nodes=2000, tail=1e-14) -> np.ndarray:
     return np.eye(k) - np.outer(i_b, i_b) / (wt @ (x * x))
 
 
+def contamination_density(basis, coeffs, x) -> np.ndarray:
+    """1 + sum c_j b_j(x) for {j: c_j}, one ``eval_basis`` call per coefficient, in map order."""
+    g = np.ones_like(np.asarray(x, dtype=float))
+    for j, c in coeffs.items():
+        g = g + c * eval_basis(basis, j, x)
+    return g
+
+
 def rank_transform(values) -> np.ndarray:
     """Normalized mid-ranks (R - 1/2) / n of a 1-d sample, by one stable sort.
 

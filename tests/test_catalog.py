@@ -1200,6 +1200,25 @@ def test_contamination_sampler_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {4: 0.1, 2: 0.15},
+        {1: 0.1, 2: 0.1, 3: 0.1, 4: 0.1, 5: 0.1, 6: 0.05},
+        # summed in degree order, this one differs in the last bit at most points
+        {6: 0.05, 5: 0.1, 4: 0.1, 3: 0.1, 2: 0.1, 1: 0.1},
+    ],
+    ids=["out_of_order", "six", "six_reversed"],
+)
+def test_contamination_density_equals_the_per_coefficient_sum(coeffs):
+    # one basis pass gives the same bits as one eval_basis call per degree,
+    # the terms added in the map's order
+    basis = legendre_basis(12)
+    x = np.concatenate([np.linspace(0.0, 1.0, 257), np.random.default_rng(5).random(500)])
+    got = catalog._contamination_density(basis, coeffs, x)
+    assert np.array_equal(got, _reference.contamination_density(basis, coeffs, x))
+
+
 def test_noisy_copy_pairs():
     alt = noisy_copy_pairs(0.5)
     assert alt.first_component == 1
