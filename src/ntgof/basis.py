@@ -170,7 +170,7 @@ def _score_planes(basis: OrthonormalBasis, x, k: int, work: _Workspace | None = 
     A Legendre basis writes them into ``work`` (see
     :func:`_legendre_planes`); a user basis's components allocate their own.
     """
-    if not 1 <= k <= basis.max_degree:
+    if isinstance(k, numbers.Real) and not 1 <= k <= basis.max_degree:
         raise ValueError(f"k={k} outside 1..{basis.max_degree}")
     _integer("k", k, 1)
     x = _check_domain(x)
@@ -187,7 +187,7 @@ def eval_basis(basis: OrthonormalBasis, j: int, x) -> np.ndarray:
     extrapolating, because every downstream statistic assumes the null
     has been transformed to Uniform[0, 1] first.
     """
-    if not 1 <= j <= basis.max_degree:
+    if isinstance(j, numbers.Real) and not 1 <= j <= basis.max_degree:
         raise ValueError(f"degree j={j} outside 1..{basis.max_degree}")
     _integer("j", j, 1)
     scalar = np.ndim(x) == 0

@@ -30,9 +30,11 @@ Carlo replication draws from its own stream of ``--seed``.
 Exit codes: 0 = completed run (whatever the decision), 2 = input error
 (malformed CSV or config, with a line number when it is a CSV, or an
 ``--out`` path that cannot be written: a missing directory is caught
-before the run starts), 3 = numeric failure (singular normalizing
-matrix and friends).  All JSON numbers carry 17 significant digits so
-reports round-trip losslessly and repeated runs are byte-identical.
+before the run starts, or a run too large for memory: more than 2**32
+replications, or a ``MemoryError`` from an allocation), 3 = numeric
+failure (singular normalizing matrix and friends).  All JSON numbers
+carry 17 significant digits so reports round-trip losslessly and
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -528,7 +530,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = args.fn(args)
-    except ValueError as e:  # InputError included
+    except (ValueError, MemoryError) as e:  # InputError included; a run too large for memory
         print(f"ntgof: {e}", file=sys.stderr)
         return 2
     except KeyError as e:

@@ -22,24 +22,32 @@ sample from its own Philox stream, the one
 replication i, into one buffer shaped by the plan (a sample of another
 shape fails its replication), and runs the plan's test once on the
 block, for its series.  The calling process derives the run's stream
-keys, in index order, before it forks a worker; the worker runs the odd
-blocks and the calling process the even ones, each slicing its blocks'
-keys from that table, and one reused Generator moved to each key in
-turn serves every row (:class:`KeyedStreams`), so a sampler must take
-every draw it needs from its generator before it returns.  When drawing
+keys, in index order, before it forks a worker.  The two claim blocks
+from both ends, the calling process upward from block 0 and the worker
+downward from the last: each sets a block's claimed byte in an
+anonymous shared map before it draws the block, and stops at the first
+block the other has claimed, so the faster process runs more blocks
+and neither waits on the other.  Each slices its blocks' keys from the
+table, and one reused Generator moved to each key in turn serves every
+row (:class:`KeyedStreams`), so a sampler must take every draw it needs
+from its generator before it returns.  When drawing
 or testing a block fails, or its series is not finite, its replications
 are drawn and tested again one at a time, and the first that fails
 alone is raised with its own type, tagged with its index; a sampler
 depends only on its generator and n, so that is the lowest failing
-replication.  The worker writes each row's series by index into an
-anonymous shared map and marks each block it finishes; the calling
-process then runs, in index order, every block left unmarked, so every
+replication.  Both processes write each row's series by index into the
+shared map and mark each block they finish done; the calling process
+then runs, in index order, every block not marked done, so every
 failure is raised there, as a one-by-one run would report it, and then
 selects S once for every row.  The worker is killed if the caller's
 blocks raise and reaped on every path.  A run of one block, a platform
 without ``os.fork``, a fork that fails and a process with other Python
 threads alive (a fork could deadlock on a lock one of them holds) run
-every block in the calling process instead.  Samplers of the worker's
+every block in the calling process instead.  Which process runs a
+block depends on timing: at worst both run the block where they meet,
+and they write the same bytes, and a worker that starts late or dies
+leaves its blocks to the calling process's final pass.  Only a
+sampler's side effects can show any of this: samplers of the worker's
 blocks run in a forked copy of the process, so their side effects stay
 there.  Every row's numbers are those it would give alone, so any block
 size and either process produce byte-identical output.
@@ -60,6 +68,7 @@ replications on the block engine, as calibration and power do.
 
 from __future__ import annotations
 
+import errno
 import functools
 import math
 import mmap
@@ -101,7 +110,8 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         _integer("seed", self.seed, 0)
-        _integer("replications", self.replications, 100)
+        if _integer("replications", self.replications, 100) > 2**32:  # a stream index each
+            raise ValueError(f"replications must be at most 2**32, got {self.replications!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         grid = tuple(_integer("n_grid size", n, 2) for n in self.n_grid)
@@ -245,31 +255,53 @@ def _replicate(
     with rng in the state a Philox on
     ``SeedSequence(entropy=seed, spawn_key=(*path, i))`` starts in; one
     generator serves every row, so the sampler must have drawn all it
-    needs when it returns.  A forked worker runs the odd blocks and
-    this process the even ones, each into an anonymous shared map; this
-    process then runs, in index order, every block not marked done, so
-    every failure is raised here, and selects S once for every row.
-    Without a worker, that pass runs every block.  The worker is killed
-    if this process's blocks raise, and reaped before it returns or raises.
+    needs when it returns.  This process claims blocks upward from
+    block 0 and a forked worker downward from the last, each up to the
+    first block the other has claimed, both into an anonymous shared
+    map; which runs a block depends on timing, both may run the one
+    where they meet, and only a sampler's side effects can tell.  This
+    process then runs, in index order, every block not marked done (all
+    of them without a worker), so every failure is raised here, and
+    selects S once for every row.  The worker is killed if this
+    process's blocks raise, and reaped before it returns or raises.
     """
     rows = max(1, min(_BLOCK, _BLOCK_OBS // plan.shape[0]))
-    firsts = range(0, reps, rows)
-    # 8 d bytes of series a replication (96 MB at 10^6 and d = 12), a done byte a block
-    shared = mmap.mmap(-1, 8 * reps * plan.penalties.size + len(firsts))
+    blocks = -(-reps // rows)
+    # 8 d bytes of series a replication (96 MB at 10^6 and d = 12), then a
+    # done byte and a claimed byte a block
+    size = 8 * reps * plan.penalties.size + 2 * blocks
+    try:
+        shared = mmap.mmap(-1, size)
+    except OSError as e:
+        if e.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {size} bytes for the series of {reps} replications") from e
     series = np.frombuffer(shared, float, reps * plan.penalties.size).reshape(reps, -1)
-    done = np.frombuffer(shared, np.uint8, len(firsts), series.nbytes)
+    done, claimed = np.frombuffer(shared, np.uint8, 2 * blocks, series.nbytes).reshape(2, -1)
     streams = KeyedStreams(seed, path, reps)  # every key, hashed once, before the fork
+
+    def claim(order):
+        """The first replication of each block in ``order``, up to the first block claimed.
+
+        Check and set are two steps, so both may claim the block where they meet.
+        """
+        for k in order:
+            if claimed[k]:
+                return
+            claimed[k] = 1
+            yield k * rows
+
     run = functools.partial(_run_blocks, plan, sampler, streams, rows, series, done)
-    pid = _fork() if len(firsts) > 1 else None
+    pid = _fork() if blocks > 1 else None
     if pid == 0:  # the worker; it leaves without running the caller's code
         try:
-            run(firsts[1::2])
+            run(claim(range(blocks - 1, -1, -1)))
         finally:
             os._exit(0)
     if pid:
         try:
             try:
-                run(firsts[::2])
+                run(claim(range(blocks)))
             except Exception:
                 _stop(pid)  # the pass below reports the lowest failure
             else:
@@ -464,7 +496,7 @@ def tail_rate_probe(
     run on the block engine as the one-term series T_1 = |mean_n - mean|,
     with a zero penalty, so a failing or non-finite draw raises tagged
     with its replication, and ``draw`` runs in a forked worker for the
-    odd blocks, whose side effects stay there.
+    blocks it claims, whose side effects stay there.
     """
     ns = [_integer("n_grid size", n, 1) for n in n_grid]
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):

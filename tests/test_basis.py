@@ -98,6 +98,10 @@ def test_zero_mean_components():
 def test_degree_out_of_range(j):
     with pytest.raises(ValueError, match="degree"):
         eval_basis(BASIS, j, 0.5)
+    # a degree that is not a number is refused by type, not by a bare
+    # TypeError from the range comparison
+    with pytest.raises(ValueError, match=r"^j must be an integer >= 1, got '2'$"):
+        eval_basis(BASIS, "2", 0.5)
 
 
 @pytest.mark.parametrize("x", [-0.001, 1.001, np.array([0.2, 1.5])])
@@ -219,6 +223,8 @@ def test_score_sums_checks_degree_and_shape():
     for k in (-1, 0, 13):
         with pytest.raises(ValueError, match=f"k={k} outside"):
             score_sums(BASIS, np.full((2, 5), 0.5), k)
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got '2'$"):
+        score_sums(BASIS, np.full(5, 0.5), "2")
     with pytest.raises(ValueError, match="last axis"):
         score_sums(BASIS, 0.5, 1)
 

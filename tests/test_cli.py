@@ -731,6 +731,39 @@ def test_failed_replication_exit_codes(tmp_path, capsys, monkeypatch):
     assert "--dmax 11" in err
 
 
+def test_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # more replications than stream indices are refused before anything is
+    # allocated; an allocation that fails is an input error too, not a
+    # traceback (each is stood in for here, so nothing large is asked for)
+    import mmap
+
+    import ntgof.montecarlo as mc_module
+
+    f = write_uniform_csv(tmp_path / "u.csv")
+    code, out, err = run_cli(capsys, "test", "--input", f, "--mc-reps", str(2**32 + 1))
+    assert (code, out) == (2, "")
+    assert err == f"ntgof: replications must be at most 2**32, got {2**32 + 1}\n"
+
+    def no_memory(fileno, length):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", no_memory)
+    code, out, err = run_cli(capsys, "test", "--input", f, "--mc-reps", "100")
+    assert (code, out) == (2, "")
+    assert err.startswith("ntgof: cannot map ") and "bytes for the series of 100 replications" in err
+    monkeypatch.undo()
+
+    def refused(spec, n):  # NumPy's refusal of a huge n, as seen at n = 10**12
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(mc_module, "_prepare", refused)
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"n": 150}')
+    code, out, err = run_cli(capsys, "calibrate", "--input", str(cfg), "--mc-reps", "100")
+    assert (code, out) == (2, "")
+    assert err == "ntgof: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"
+
+
 # ---------------------------------------------------------------------------
 # calibrate subcommand
 

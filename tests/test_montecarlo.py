@@ -1,7 +1,9 @@
 """Simulated reference distributions, power curves, and probes."""
 
 import dataclasses
+import errno
 import math
+import mmap
 import os
 import signal
 import sys
@@ -58,6 +60,24 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"^n_grid size must be an integer >= 2, got 100.7$"):
         MonteCarloConfig(replications=200, seed=0, n_grid=(100.7, 200))
     assert MonteCarloConfig(replications=200, seed=0, n_grid=(np.int64(100),)).n_grid == (100,)
+    # one stream index a replication: more than 2**32 used to fail only
+    # once the series map was made
+    with pytest.raises(ValueError, match=r"^replications must be at most 2\*\*32, got 4294967297$"):
+        MonteCarloConfig(replications=2**32 + 1, seed=0)
+    assert MonteCarloConfig(replications=np.uint64(2**32), seed=0).replications == 2**32
+
+
+def test_series_map_out_of_memory_is_a_memory_error(monkeypatch):
+    # the map's ENOMEM names the bytes asked for; nothing is forked
+    def no_memory(fileno, length):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", no_memory)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    plan = catalog._prepare(uniformity_spec(), 50)
+    size = 8 * 200 * plan.penalties.size + 2 * 4  # the series and 2 bytes for each of 4 blocks
+    with pytest.raises(MemoryError, match=rf"^cannot map {size} bytes for the series of 200 replications$"):
+        montecarlo._replicate(plan, lambda rng, n: rng.random(n), 200, 0, (0,))
 
 
 @pytest.mark.parametrize("grid", [(1, 50), (0, 50), (-3, 50)])
@@ -264,18 +284,12 @@ def test_run_series_rows_are_the_samples_alone(monkeypatch, tmp_path, kind):
     spec = {"uniformity": uniformity_spec, "composite": composite_spec}[kind]()
     reps, seed, draw, log = 150, 8, null_sampler(spec), tmp_path / "pids"
     t, s, series = reference_replications(spec, draw, 60, reps, seed, 0)
-
-    def sampler(rng, n):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return draw(rng, n)
-
     plan = catalog._prepare(spec, 60)
     for block, fork in ((1, True), (7, True), (64, True), (7, False)):
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         if not fork:
             monkeypatch.setattr(os, "fork", refuse_to_fork)
-        out = montecarlo._replicate(plan, sampler, reps, seed, (0,))
+        out = montecarlo._replicate(plan, recording_pids(log, draw, fork), reps, seed, (0,))
         assert np.array_equal(out.series, series)
         assert np.array_equal(out.t_s, t) and np.array_equal(out.s, s)
         assert len(set(log.read_text().split())) == 1 + fork
@@ -451,15 +465,16 @@ def test_sampler_failures_keep_index_order():
 
 
 def test_block_failure_precedes_next_block_sampler_failure(monkeypatch):
-    # at 4 rows a block, replications 1 and 9 are in blocks 0 and 2, which
-    # the calling process runs, and 5 in block 1, which the worker runs
-    # meanwhile: the lower index is reported, whichever process fails first
+    # at 4 rows a block, replications 1, 5 and 9 are in blocks 0, 1 and 2,
+    # which the calling process claims first, and 97 in block 24, which the
+    # worker claims first: the lower index is reported, whichever process
+    # fails first
     monkeypatch.setattr(montecarlo, "_BLOCK", 4)
     spec = uniformity_spec()
     cfg = MonteCarloConfig(replications=100, seed=0, n_grid=(50,))
     for bad, broken, error, first in [
-        (5, 9, ValueError, 5),
-        (9, 5, RuntimeError, 5),
+        (5, 97, ValueError, 5),
+        (97, 5, RuntimeError, 5),
         (1, 5, ValueError, 1),
         (9, 1, RuntimeError, 1),
     ]:
@@ -473,33 +488,49 @@ def no_child_left():
     return True
 
 
-def recording_pids(log, alt):
-    """A null_sampler stand-in that logs each draw's process id to the file ``log``."""
+def recording_pids(log, draw, wait=True):
+    """``draw``, logging each call's process id to the file ``log``.
+
+    With ``wait``, the calling process draws only once another process
+    has logged a draw, or after 30 s: a forked worker claims blocks from
+    the last one down as soon as it starts, but one that starts late
+    finds them all claimed, and a test of both processes' rows needs it
+    to draw.
+    """
+    caller = os.getpid()
 
     def sampler(rng, n):
+        deadline = time.monotonic() + 30
+        while wait and os.getpid() == caller and time.monotonic() < deadline:
+            if log.exists() and set(log.read_text().split()) - {str(caller)}:
+                break
+            time.sleep(0.001)
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return alt.sampler(rng, n)
+        return draw(rng, n)
 
-    return lambda spec: sampler
+    return sampler
 
 
 def test_worker_is_reaped_on_every_path(monkeypatch, tmp_path):
-    # 300 replications are 5 blocks: this process draws blocks 0, 2 and 4,
-    # a forked worker blocks 1 and 3, and no child outlives the run
+    # 300 replications are 5 blocks: this process claims them upward from
+    # block 0 and a forked worker downward from block 4, both draw, only the
+    # block where they meet can be drawn twice, and no child outlives the run
     log = tmp_path / "pids"
     spec, cfg = uniformity_spec(), MonteCarloConfig(replications=300, seed=1)
-    monkeypatch.setattr(montecarlo, "null_sampler", recording_pids(log, breaking_sampler(1, (0,))))
+    draw = recording_pids(log, breaking_sampler(1, (0,)).sampler)
+    monkeypatch.setattr(montecarlo, "null_sampler", lambda spec: draw)
     want = null_distribution(spec, 50, cfg)
     assert no_child_left()
     pids = log.read_text().split()
-    assert len(pids) == 300 and pids.count(str(os.getpid())) == 64 * 3 - 20
+    assert 300 <= len(pids) <= 300 + 64
     assert len(set(pids)) == 2
     monkeypatch.undo()
     assert np.array_equal(null_distribution(spec, 50, cfg).statistics, want.statistics)
-    # a statistic failure, then a sampler failure, in this process's block 2
-    # while the worker draws block 3, then each in the worker's block 3
-    for i in (150, 200):
+    # a statistic failure, then a sampler failure, in block 0, which this
+    # process claims first, then each in block 4, which the worker claims
+    # first
+    for i in (30, 280):
         for alt, error in ((breaking_sampler(1, (0,), bad=[i]), ValueError),
                            (breaking_sampler(1, (0,), broken=[i]), RuntimeError)):
             monkeypatch.setattr(montecarlo, "null_sampler", lambda spec: alt.sampler)
@@ -523,16 +554,17 @@ def test_worker_is_reaped_with_sigchld_ignored():
 
 def test_caller_failure_after_the_worker_is_gone_with_sigchld_ignored(tmp_path):
     # with SIGCHLD ignored the kernel reaps the worker as soon as it exits;
-    # the caller's sampler fails at replication 150, in its block 2, only
-    # once the worker has drawn its 72 rows and is gone, and the run raises
-    # that failure, not the failed kill of a process that no longer exists
+    # the caller's sampler fails at replication 30, in block 0, which it
+    # claims first, only once the worker has drawn the other 136 rows
+    # (blocks 3, 2 and 1) and is gone, and the run raises that failure, not
+    # the failed kill of a process that no longer exists
     caller, log = os.getpid(), tmp_path / "rows"
     log.write_text("")
-    broken = key_of(0, (0,), 150)
+    broken = key_of(0, (0,), 30)
 
     def worker_gone():
         pids = log.read_text().split()
-        if len(pids) < 72:
+        if len(pids) < 136:
             return False
         try:
             os.kill(int(pids[0]), 0)
@@ -554,7 +586,7 @@ def test_caller_failure_after_the_worker_is_gone_with_sigchld_ignored(tmp_path):
     plan = catalog._prepare(uniformity_spec(), 50)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        with pytest.raises(RuntimeError, match=r"^replication 150: sampler broke$"):
+        with pytest.raises(RuntimeError, match=r"^replication 30: sampler broke$"):
             montecarlo._replicate(plan, sampler, 200, 0, (0,))
     finally:
         signal.signal(signal.SIGCHLD, previous)
@@ -587,6 +619,47 @@ def test_interrupt_in_the_caller_kills_the_worker(tmp_path):
     assert 0 < log.stat().st_size < 1024
 
 
+@pytest.mark.parametrize("slow", ["worker", "caller"])
+def test_the_faster_process_claims_more_blocks(monkeypatch, tmp_path, slow):
+    # the caller claims blocks upward from block 0 and the worker downward
+    # from the last, each up to the first block the other has claimed: when
+    # one process's sampler sleeps 1 ms a row, the other draws more than
+    # half the rows, and the run gives the bits of a one-process run
+    monkeypatch.setattr(montecarlo, "_BLOCK", 8)
+    spec, reps, seed, caller, log = uniformity_spec(), 160, 5, os.getpid(), tmp_path / "pids"
+    draw = null_sampler(spec)
+
+    def sampler(rng, n):
+        if (os.getpid() == caller) == (slow == "caller"):
+            time.sleep(0.001)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return draw(rng, n)
+
+    plan = catalog._prepare(spec, 50)
+    out = montecarlo._replicate(plan, sampler, reps, seed, (0,))
+    pids = log.read_text().split()
+    by_caller = pids.count(str(caller))
+    assert (by_caller if slow == "worker" else len(pids) - by_caller) > reps / 2
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    alone = montecarlo._replicate(plan, draw, reps, seed, (0,))
+    assert np.array_equal(out.series, alone.series)
+    assert np.array_equal(out.t_s, alone.t_s) and np.array_equal(out.s, alone.s)
+
+
+def test_claims_from_both_ends_under_contention(monkeypatch):
+    # one-row blocks make the two processes meet within microseconds of a
+    # claim; whichever ran each block, and if both ran the one where they
+    # met, every run gives a one-process run's bits
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1)
+    plan = catalog._prepare(uniformity_spec(), 20)
+    draw = lambda rng, n: rng.random(n)
+    runs = [montecarlo._replicate(plan, draw, 200, seed, (0,)).series for seed in range(20)]
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    for seed, series in enumerate(runs):
+        assert np.array_equal(series, montecarlo._replicate(plan, draw, 200, seed, (0,)).series)
+
+
 def test_block_failure_no_row_repeats_is_raised_untagged():
     # a block test that fails on every block of two or more rows and on
     # no row alone: no replication is to blame, so the block's own error
@@ -606,7 +679,7 @@ def test_block_failure_no_row_repeats_is_raised_untagged():
 
 def test_non_finite_series_row_fails_its_own_replication():
     # whatever plan formed it, a block's series is checked before it is
-    # kept; replication 70, in the worker's block 1, gives an infinite row
+    # kept; replication 70, in block 1, gives an infinite row
     plan = catalog._prepare(uniformity_spec(), 50)
     marked = key_of(0, (0,), 70)
 
@@ -684,7 +757,7 @@ def test_every_kind_refuses_non_finite_data(monkeypatch, kind, deconv_spec):
     data.flat[7] = np.nan
     with pytest.raises(ValueError, match=r"^data contains non-finite values$"):
         run_test(data, spec)
-    # replication 70, in the worker's block 1
+    # replication 70, in block 1, which either process may run
     nan = key_of(3, (0,), 70)
 
     def sampler(rng, n):
@@ -787,7 +860,7 @@ def test_reference_critical_values_keep_their_bits(monkeypatch, kind, fork):
 
 
 def test_row_of_another_shape_is_tested_alone():
-    # replication 70, in the worker's block 1, does not fit the buffer the
+    # replication 70, in block 1, does not fit the buffer the
     # prepared test shaped, so drawing it fails and replications 64 to 69
     # are tested before it
     short = key_of(0, (0, 1), 70)
@@ -807,7 +880,7 @@ def counting_blocks(log):
     """A stand-in for catalog._prepare whose plan's test logs each block's rows to ``log``.
 
     Each process appends to the file, so the sizes of both processes'
-    blocks are there, in no set order.
+    blocks are there, in no set order, each with its first value.
     """
 
     def prepare(spec, n):
@@ -815,7 +888,7 @@ def counting_blocks(log):
 
         def counting(block):
             with open(log, "a") as fh:
-                fh.write(f"{len(block)}\n")
+                fh.write(f"{len(block)}:{block.flat[0]!r}\n")
             return plan.test(block)
 
         return dataclasses.replace(plan, test=counting)
@@ -824,9 +897,14 @@ def counting_blocks(log):
 
 
 def logged_sizes(log):
-    sizes = sorted(int(size) for size in log.read_text().split())
+    """The sizes of the distinct blocks logged to ``log``.
+
+    The block where the two processes meet may be tested by both; its
+    first value tells its two lines apart from another block's.
+    """
+    lines = set(log.read_text().split())
     log.unlink()
-    return sizes
+    return sorted(int(line.split(":")[0]) for line in lines)
 
 
 def test_runs_longer_than_a_key_call_match_substream_loop(monkeypatch, tmp_path):
@@ -1100,8 +1178,7 @@ def test_tail_rate_failing_draws_name_their_replication():
     # and the probe passed
     with pytest.raises(ValueError, match=r"^replication 0: series contains non-finite values$"):
         tail_rate_probe(lambda rng, m: np.full(m, np.nan), 0.0, 1.0, 0.5, (16, 32), 200, 0)
-    # replications 70 and 130 of the second size, in blocks the worker
-    # and the caller run
+    # replications 70 and 130 of the second size, in blocks 1 and 2
     nan, short = key_of(0, (1,), 70), key_of(0, (1,), 130)
 
     def breaking(rng, n):

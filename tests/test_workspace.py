@@ -137,9 +137,9 @@ def nan_above(threshold):
     ],
 )
 def test_failing_block_retest_tags_lowest_replication(spec, error, match):
-    # replications 70 and 66 fail, in block 1; the calling process runs it
-    # again after its blocks 0 and 2 warmed its workspace, and retests each
-    # row alone in that workspace
+    # replications 70 and 66 fail, in block 1; the calling process runs it,
+    # in its own claim or in its final pass, after its block 0 warmed its
+    # workspace, and retests each row alone in that workspace
     bad = [_philox_keys(0, (0, 1), [i])[0].tolist() for i in (66, 70)]
 
     def sampler(rng, n):
